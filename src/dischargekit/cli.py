@@ -55,22 +55,24 @@ def _write_manifest(out_path: Path, command: str, args: argparse.Namespace, inpu
         fh.write("\n")
 
 
-def _parse_target(value: str) -> TargetKind:
-    return TargetKind.parse(value)
-
-
 def _read_submission(path) -> list[tuple[str, str]]:
+    seen: dict[str, int] = {}
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != ("hadm_id", "text"):
             raise corpus.CorpusError(f"{path}: expected header hadm_id,text")
-        for row in reader:
+        for rowno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 2:
-                raise corpus.CorpusError(f"{path}: malformed submission row: {row!r}")
+                raise corpus.CorpusError(f"{path}: row {rowno}: malformed submission row: {row!r}")
+            if row[0] in seen:
+                raise corpus.CorpusError(
+                    f"{path}: duplicate hadm_id {row[0]!r} on rows {seen[row[0]]} and {rowno}"
+                )
+            seen[row[0]] = rowno
             rows.append((row[0], row[1]))
     return rows
 
@@ -85,6 +87,7 @@ def _write_submission(path, rows) -> None:
 
 def _read_overall_csv(path) -> dict[TargetKind, dict[tuple[str, str], float]]:
     out: dict[TargetKind, dict[tuple[str, str], float]] = {}
+    seen: dict[tuple[str, str, TargetKind], int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -103,6 +106,13 @@ def _read_overall_csv(path) -> dict[TargetKind, dict[tuple[str, str], float]]:
                 raise scores.ScoreError(f"{path}: row {rowno}: bad value {row[3]!r}") from None
             if not math.isfinite(value):
                 raise scores.ScoreError(f"{path}: row {rowno}: value is not finite")
+            key = (row[0], row[1], target)
+            if key in seen:
+                raise scores.ScoreError(
+                    f"{path}: duplicate (hadm_id={row[0]!r}, model_id={row[1]!r}, "
+                    f"target={target.value!r}) on rows {seen[key]} and {rowno}"
+                )
+            seen[key] = rowno
             out.setdefault(target, {})[(row[0], row[1])] = value
     return out
 
@@ -135,11 +145,17 @@ def cmd_extract(args) -> int:
 
 def _load_bodies(path) -> dict[str, str]:
     bodies: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, record in corpus._parse_jsonl(path):
         hadm_id = record.get("hadm_id")
         body = record.get("body")
         if not isinstance(hadm_id, str) or not isinstance(body, str):
             raise corpus.CorpusError(f"{path}: line {lineno}: expected hadm_id and body strings")
+        if hadm_id in seen:
+            raise corpus.CorpusError(
+                f"{path}: duplicate hadm_id {hadm_id!r} on lines {seen[hadm_id]} and {lineno}"
+            )
+        seen[hadm_id] = lineno
         bodies[hadm_id] = body
     return bodies
 
@@ -151,13 +167,13 @@ def cmd_score(args) -> int:
     inputs = [args.candidates]
     all_rows: list[tuple[str, str, str, str, float]] = []
     targets_present = sorted({c.target for c in candidates}, key=lambda t: t.value)
+    if args.against_ds:
+        summaries = [
+            corpus.DischargeSummary(hadm_id=k, full_text=v, body_without_targets=v)
+            for k, v in _load_bodies(args.against_ds).items()
+        ]
     for target in targets_present:
         if args.against_ds:
-            bodies = _load_bodies(args.against_ds)
-            summaries = [
-                corpus.DischargeSummary(hadm_id=k, full_text=v, body_without_targets=v)
-                for k, v in bodies.items()
-            ]
             table = scores.compute_factuality_proxies(
                 candidates,
                 summaries,
@@ -206,18 +222,13 @@ def _resolve_config(args, table, target):
 
 
 def cmd_select(args) -> int:
-    target = _parse_target(args.target)
+    target = TargetKind.parse(args.target)
     candidates = corpus.load_candidates(args.candidates)
     pool = [c for c in candidates if c.target is target]
     if not pool:
         raise corpus.CorpusError(f"no candidates for target {target.value}")
-    docs: list[str] = []
-    models: list[str] = []
-    for c in pool:
-        if c.hadm_id not in docs:
-            docs.append(c.hadm_id)
-        if c.model_id not in models:
-            models.append(c.model_id)
+    docs = scores.first_seen(c.hadm_id for c in pool)
+    models = scores.first_seen(c.model_id for c in pool)
     rows = _load_score_rows(args.scores)
     table = scores.ScoreTable.from_rows(rows, target, documents=docs, models=models)
     config = _resolve_config(args, table, target)
@@ -251,7 +262,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_reorder(args) -> int:
-    target = _parse_target(args.target)
+    target = TargetKind.parse(args.target)
     headers = corpus.load_known_headers(args.headers) if args.headers else None
     summaries = corpus.load_corpus(args.corpus, known_headers=headers)
     docs = [reorder.split_sections(s, known_headers=headers) for s in summaries]
@@ -301,7 +312,7 @@ def cmd_reorder(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    target = _parse_target(args.target)
+    target = TargetKind.parse(args.target)
     submission = _read_submission(args.submission)
     targets = corpus.load_targets(args.references)
     missing = [hadm_id for hadm_id, _ in submission if hadm_id not in targets]
@@ -389,10 +400,9 @@ def cmd_correlate(args) -> int:
 def _simulate_des_input_table(candidates, summaries, target):
     """Pre-calculated score table whose columns match the preset vocabulary."""
     bodies = {s.hadm_id: s.body_without_targets for s in summaries}
+    pool = [c for c in candidates if c.target is target]
     rows = []
-    for c in candidates:
-        if c.target is not target:
-            continue
+    for c in pool:
         body = bodies[c.hadm_id]
         tok = tokenize(c.text)
         rows.extend(
@@ -405,15 +415,8 @@ def _simulate_des_input_table(candidates, summaries, target):
                 (c.hadm_id, c.model_id, target.value, "cli", readability.cli(tok)),
             ]
         )
-    docs: list[str] = []
-    models: list[str] = []
-    for c in candidates:
-        if c.target is not target:
-            continue
-        if c.hadm_id not in docs:
-            docs.append(c.hadm_id)
-        if c.model_id not in models:
-            models.append(c.model_id)
+    docs = scores.first_seen(c.hadm_id for c in pool)
+    models = scores.first_seen(c.model_id for c in pool)
     return scores.ScoreTable.from_rows(rows, target, documents=docs, models=models)
 
 
@@ -426,19 +429,15 @@ def cmd_simulate(args) -> int:
     corpus.write_candidates(out_dir / "candidates.jsonl", candidates)
     leaderboard: list[tuple[str, float]] = []
     per_target_overall: dict[TargetKind, dict[tuple[str, str], float]] = {}
-    model_ids: list[str] = []
-    for c in candidates:
-        if c.model_id not in model_ids:
-            model_ids.append(c.model_id)
-    for target in (TargetKind.BHC, TargetKind.DI):
+    model_ids = scores.first_seen(c.model_id for c in candidates)
+    pool_by_target = {
+        t: [c for c in candidates if c.target is t] for t in (TargetKind.BHC, TargetKind.DI)
+    }
+    for target, pool in pool_by_target.items():
         native = scores.compute_native_scores(
-            candidates, references=targets_map, metrics=scores.REFERENCE_METRICS, target=target
+            pool, references=targets_map, metrics=scores.REFERENCE_METRICS, target=target
         )
-        proxy_rows = [
-            r
-            for r in scores.synthetic_external_rows(candidates, targets_map, summaries)
-            if r[2] == target.value
-        ]
+        proxy_rows = scores.synthetic_external_rows(pool, targets_map, summaries)
         proxies = scores.ScoreTable.from_rows(
             proxy_rows, target, documents=native.documents, models=native.models
         )
@@ -460,9 +459,6 @@ def cmd_simulate(args) -> int:
             means.append(sum(overall[(doc, chosen[doc].model_id)] for doc in docs) / len(docs))
         return sum(means) / len(means)
 
-    pool_by_target = {
-        t: [c for c in candidates if c.target is t] for t in (TargetKind.BHC, TargetKind.DI)
-    }
     if args.config == "oracle":
         def run(target):
             overall = per_target_overall[target]
@@ -470,10 +466,7 @@ def cmd_simulate(args) -> int:
                 (doc, model, target.value, "overall", value)
                 for (doc, model), value in overall.items()
             ]
-            docs: list[str] = []
-            for c in pool_by_target[target]:
-                if c.hadm_id not in docs:
-                    docs.append(c.hadm_id)
+            docs = scores.first_seen(c.hadm_id for c in pool_by_target[target])
             table = scores.ScoreTable.from_rows(rows, target, documents=docs, models=model_ids)
             config = des.DesConfig("oracle", criteria=(des.Criterion("overall", 1.0),))
             return des.select_experts(table, config, target, candidates=pool_by_target[target])

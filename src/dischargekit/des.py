@@ -106,38 +106,34 @@ class SelectionResult:
         return {s.hadm_id: s for s in self.selections}
 
 
-def _third(n: int, d: int) -> Fraction:
-    return Fraction(n, d)
-
-
 PRESETS: dict[str, DesConfig] = {
     "des1": DesConfig(
         "des1",
         criteria=(
-            Criterion("medcon", _third(1, 2)),
-            Criterion("meteor", _third(1, 2)),
+            Criterion("medcon", Fraction(1, 2)),
+            Criterion("meteor", Fraction(1, 2)),
         ),
     ),
     "des2": DesConfig(
         "des2",
         criteria=(
-            Criterion("medcon", _third(2, 5)),
-            Criterion("meteor", _third(2, 5)),
-            Criterion("cli", _third(1, 5)),
+            Criterion("medcon", Fraction(2, 5)),
+            Criterion("meteor", Fraction(2, 5)),
+            Criterion("cli", Fraction(1, 5)),
         ),
     ),
     "des3": DesConfig(
         "des3",
         criteria=(
-            Criterion("fkgl", _third(-1, 9), Scope.DI_ONLY),
-            Criterion("dcrs", _third(-1, 9), Scope.DI_ONLY),
-            Criterion("cli", _third(-1, 9), Scope.DI_ONLY),
-            Criterion("medcon", _third(2, 9), Scope.DI_ONLY),
-            Criterion("meteor", _third(2, 9), Scope.DI_ONLY),
-            Criterion("alignscore", _third(2, 9), Scope.DI_ONLY),
-            Criterion("medcon", _third(1, 3), Scope.BHC_ONLY),
-            Criterion("meteor", _third(1, 3), Scope.BHC_ONLY),
-            Criterion("alignscore", _third(1, 3), Scope.BHC_ONLY),
+            Criterion("fkgl", Fraction(-1, 9), Scope.DI_ONLY),
+            Criterion("dcrs", Fraction(-1, 9), Scope.DI_ONLY),
+            Criterion("cli", Fraction(-1, 9), Scope.DI_ONLY),
+            Criterion("medcon", Fraction(2, 9), Scope.DI_ONLY),
+            Criterion("meteor", Fraction(2, 9), Scope.DI_ONLY),
+            Criterion("alignscore", Fraction(2, 9), Scope.DI_ONLY),
+            Criterion("medcon", Fraction(1, 3), Scope.BHC_ONLY),
+            Criterion("meteor", Fraction(1, 3), Scope.BHC_ONLY),
+            Criterion("alignscore", Fraction(1, 3), Scope.BHC_ONLY),
         ),
     ),
 }

@@ -13,14 +13,12 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from . import relevance
+from . import readability, relevance
 from .corpus import DischargeSummary, ExtractedTargets, GeneratedCandidate, TargetKind
-from .readability import cli as cli_score
-from .readability import dcrs as dcrs_score
-from .readability import fkgl as fkgl_score
 from .relevance import stem
 from .textprep import tokenize, words
 
@@ -57,6 +55,16 @@ _REFERENCE_FUNCS = {
     "rouge_l": relevance.rouge_l,
     "meteor": relevance.meteor,
 }
+_READABILITY_FUNCS = {
+    "fkgl": readability.fkgl,
+    "dcrs": readability.dcrs,
+    "cli": readability.cli,
+}
+
+
+def first_seen(values: Iterable[str]) -> tuple[str, ...]:
+    """Distinct values in the order they first appear."""
+    return tuple(dict.fromkeys(values))
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,19 @@ class ScoreTable:
             raise ScoreError(f"values shape {self.values.shape} != {expected}")
         if tuple(self.metrics) != tuple(sorted(self.metrics)):
             raise ScoreError("metrics must be sorted")
+        axes = (("hadm_id", self.documents), ("model_id", self.models), ("metric", self.metrics))
+        for (axis, labels), positions in zip(axes, self._positions):
+            if len(positions) != len(labels):
+                repeated = sorted(label for label, n in Counter(labels).items() if n > 1)
+                raise ScoreError(f"duplicate {axis} labels: {', '.join(repeated)}")
+
+    @cached_property
+    def _positions(self) -> tuple[dict[str, int], ...]:
+        """Label -> position maps for the document, model and metric axes."""
+        return tuple(
+            {label: i for i, label in enumerate(labels)}
+            for labels in (self.documents, self.models, self.metrics)
+        )
 
     @classmethod
     def empty(
@@ -89,13 +110,10 @@ class ScoreTable:
         return cls(target, tuple(documents), tuple(models), metrics, values)
 
     def _index(self, doc: str, model: str, metric: str) -> tuple[int, int, int]:
+        docs, models, metrics = self._positions
         try:
-            return (
-                self.documents.index(doc),
-                self.models.index(model),
-                self.metrics.index(metric),
-            )
-        except ValueError:
+            return docs[doc], models[model], metrics[metric]
+        except KeyError:
             raise ScoreError(
                 f"unknown cell (hadm_id={doc!r}, model_id={model!r}, metric={metric!r})"
             ) from None
@@ -131,21 +149,15 @@ class ScoreTable:
         rows; when given explicitly, rows outside them are an error.
         """
         kept = [r for r in rows if r[2] == target.value]
-        docs = list(documents) if documents is not None else []
-        mods = list(models) if models is not None else []
         if documents is None:
-            for r in kept:
-                if r[0] not in docs:
-                    docs.append(r[0])
+            documents = first_seen(r[0] for r in kept)
         if models is None:
-            for r in kept:
-                if r[1] not in mods:
-                    mods.append(r[1])
-        metrics = sorted({r[3] for r in kept})
-        table = cls.empty(target, docs, mods, metrics)
+            models = first_seen(r[1] for r in kept)
+        table = cls.empty(target, documents, models, {r[3] for r in kept})
+        doc_pos, model_pos, _ = table._positions
         unknown = sorted(
-            {r[0] for r in kept if r[0] not in set(docs)}
-            | {r[1] for r in kept if r[1] not in set(mods)}
+            {r[0] for r in kept if r[0] not in doc_pos}
+            | {r[1] for r in kept if r[1] not in model_pos}
         )
         if unknown:
             raise ScoreError(f"rows reference unknown hadm_id/model_id: {', '.join(unknown)}")
@@ -208,13 +220,7 @@ def compute_native_scores(
         raise ScoreError(f"unknown native metrics: {', '.join(unknown)}")
     target = _infer_target(candidates, target)
     pool = [c for c in candidates if c.target is target]
-    docs: list[str] = []
-    mods: list[str] = []
-    for c in pool:
-        if c.hadm_id not in docs:
-            docs.append(c.hadm_id)
-        if c.model_id not in mods:
-            mods.append(c.model_id)
+    docs, mods = first_seen(c.hadm_id for c in pool), first_seen(c.model_id for c in pool)
     table = ScoreTable.empty(target, docs, mods, metrics)
     ref_metrics = [m for m in metrics if m in REFERENCE_METRICS]
     read_metrics = [m for m in metrics if m in READABILITY_METRICS]
@@ -229,13 +235,15 @@ def compute_native_scores(
                 table.values[table._index(c.hadm_id, c.model_id, m)] = _REFERENCE_FUNCS[m](c.text, ref)
         if read_metrics:
             tok = tokenize(c.text)
-            computed = {
-                "fkgl": lambda t=tok: fkgl_score(t),
-                "dcrs": lambda t=tok: dcrs_score(t),
-                "cli": lambda t=tok: cli_score(t),
-            }
             for m in read_metrics:
-                table.values[table._index(c.hadm_id, c.model_id, m)] = computed[m]()
+                try:
+                    value = _READABILITY_FUNCS[m](tok)
+                except readability.DegenerateTextError as exc:
+                    raise readability.DegenerateTextError(
+                        f"candidate (hadm_id={c.hadm_id!r}, model_id={c.model_id!r}, "
+                        f"metric={m!r}): {exc}"
+                    ) from None
+                table.values[table._index(c.hadm_id, c.model_id, m)] = value
     return table
 
 
@@ -256,13 +264,7 @@ def compute_factuality_proxies(
     target = _infer_target(candidates, target)
     pool = [c for c in candidates if c.target is target]
     bodies = {s.hadm_id: s.body_without_targets for s in summaries}
-    docs: list[str] = []
-    mods: list[str] = []
-    for c in pool:
-        if c.hadm_id not in docs:
-            docs.append(c.hadm_id)
-        if c.model_id not in mods:
-            mods.append(c.model_id)
+    docs, mods = first_seen(c.hadm_id for c in pool), first_seen(c.model_id for c in pool)
     table = ScoreTable.empty(target, docs, mods, [m + DS_SUFFIX for m in metrics])
     for c in pool:
         if c.hadm_id not in bodies:
@@ -340,29 +342,18 @@ def load_external_scores(path, table: ScoreTable) -> ScoreTable:
     assigned once. Rows for other target kinds are ignored.
     """
     rows = read_score_csv(path)
-    kept = [r for r in rows if r[2] == table.target.value]
-    offenders = sorted(
-        {r[0] for r in kept if r[0] not in set(table.documents)}
-        | {r[1] for r in kept if r[1] not in set(table.models)}
-    )
-    if offenders:
-        raise ScoreError(f"{path}: unknown hadm_id/model_id: {', '.join(offenders)}")
-    collisions = sorted({r[3] for r in kept if r[3] in RESERVED_METRIC_NAMES})
-    if collisions:
-        raise ScoreError(
-            f"{path}: external metric names collide with native metrics: {', '.join(collisions)}"
+    try:
+        collisions = sorted(
+            {r[3] for r in rows if r[2] == table.target.value and r[3] in RESERVED_METRIC_NAMES}
         )
-    metrics = sorted(set(table.metrics) | {r[3] for r in kept})
-    merged = ScoreTable.empty(table.target, table.documents, table.models, metrics)
-    merged.values[:, :, [metrics.index(m) for m in table.metrics]] = table.values
-    for doc, model, _, metric, value in kept:
-        idx = merged._index(doc, model, metric)
-        if not math.isnan(merged.values[idx]):
+        if collisions:
             raise ScoreError(
-                f"{path}: duplicate cell (hadm_id={doc!r}, model_id={model!r}, metric={metric!r})"
+                f"external metric names collide with native metrics: {', '.join(collisions)}"
             )
-        merged.values[idx] = value
-    return merged
+        extra = ScoreTable.from_rows(rows, table.target, table.documents, table.models)
+        return merge_tables(table, extra)
+    except ScoreError as exc:
+        raise ScoreError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,22 @@ def test_score_against_ds(pipeline_dir):
     assert {row[3] for row in rows[1:]} == {"meteor_ds"}
 
 
+def test_score_against_ds_rejects_duplicate_body(pipeline_dir, capsys):
+    bodies = pipeline_dir / "extracted" / "bodies.jsonl"
+    lines = bodies.read_text(encoding="utf-8").splitlines()
+    bodies.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
+    code = run(
+        "score",
+        "--candidates", pipeline_dir / "candidates.jsonl",
+        "--against-ds", bodies,
+        "--out", pipeline_dir / "never.csv",
+    )
+    assert code == 1
+    hadm_id = json.loads(lines[0])["hadm_id"]
+    err = capsys.readouterr().err
+    assert f"bodies.jsonl: duplicate hadm_id {hadm_id!r} on lines 1 and {len(lines) + 1}" in err
+
+
 def select_setup(pipeline_dir, metrics=("medcon", "meteor")):
     """Score CSV with synthetic external-style metrics for selection."""
     cands = corpus.load_candidates(pipeline_dir / "candidates.jsonl")
@@ -511,6 +527,38 @@ def test_evaluate_unknown_submission_id_exits_one(small_corpus, tmp_path):
         )
         == 1
     )
+
+
+def test_evaluate_rejects_duplicate_submission_id(small_corpus, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run("extract", "--corpus", small_corpus, "--out", out) == 0
+    sub = tmp_path / "sub.csv"
+    sub.write_text("hadm_id,text\n100,rest at home\n101,rest\n100,drink water\n", encoding="utf-8")
+    code = run(
+        "evaluate",
+        "--submission", sub,
+        "--references", out / "targets.jsonl",
+        "--target", "di",
+        "--out", tmp_path / "never.csv",
+    )
+    assert code == 1
+    assert "sub.csv: duplicate hadm_id '100' on rows 2 and 4" in capsys.readouterr().err
+
+
+def test_correlate_rejects_duplicate_overall_row(pipeline_dir, capsys):
+    scores_path = pipeline_dir / "dup_scores.csv"
+    write_external(scores_path, [["1", "m", "di", "medcon", "0.5"], ["2", "m", "di", "medcon", "0.7"]])
+    overall_path = pipeline_dir / "dup_overall.csv"
+    overall_path.write_text(
+        "hadm_id,model_id,target,value\n1,m,di,0.5\n2,m,di,0.7\n1,m,di,0.9\n", encoding="utf-8"
+    )
+    code = run(
+        "correlate", "--scores", scores_path, "--overall", overall_path,
+        "--out", pipeline_dir / "never.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "dup_overall.csv: duplicate (hadm_id='1', model_id='m', target='di') on rows 2 and 4" in err
 
 
 def test_correlate_self_correlation(pipeline_dir):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import csv
+import gc
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,8 @@ from dischargekit.corpus import (
     generate_synthetic_corpus,
     corpus_targets,
 )
+from dischargekit.des import PRESETS, select_experts
+from dischargekit.readability import DegenerateTextError
 from dischargekit.scores import (
     OVERALL_METRICS,
     ScoreError,
@@ -78,6 +82,15 @@ def test_full_native_suite_fills_every_cell_on_100_docs():
     assert table.values.shape == (100, 1, 8)
     assert not np.isnan(table.values).any()
     assert table.metrics == tuple(sorted(["bleu4", "rouge_1", "rouge_2", "rouge_l", "meteor", "fkgl", "dcrs", "cli"]))
+
+
+def test_readability_error_names_the_candidate():
+    pool = [cand(text="Rest at home."), cand(hadm_id="7", model_id="mx", text="")]
+    with pytest.raises(
+        DegenerateTextError,
+        match=r"hadm_id='7', model_id='mx', metric='fkgl'\): fkgl needs at least one word",
+    ):
+        compute_native_scores(pool, metrics=["fkgl"])
 
 
 def test_factuality_proxies_use_ds_suffix():
@@ -149,7 +162,7 @@ def test_external_nan_rejected_with_row_number(tmp_path):
 
 def test_external_unknown_ids_listed(tmp_path):
     path = external_csv(tmp_path, [["9", "mx", "di", "medcon", "0.1"]])
-    with pytest.raises(ScoreError, match="9"):
+    with pytest.raises(ScoreError, match=r"ext\.csv: .*unknown hadm_id/model_id: 9, mx"):
         load_external_scores(path, base_table())
 
 
@@ -158,7 +171,7 @@ def test_external_duplicate_cell(tmp_path):
         tmp_path,
         [["1", "m", "di", "medcon", "0.1"], ["1", "m", "di", "medcon", "0.2"]],
     )
-    with pytest.raises(ScoreError, match="duplicate cell"):
+    with pytest.raises(ScoreError, match=r"ext\.csv: duplicate cell"):
         load_external_scores(path, base_table())
 
 
@@ -174,6 +187,46 @@ def test_external_merge_is_order_independent(tmp_path):
     t1 = load_external_scores(b, load_external_scores(a, base_table()))
     t2 = load_external_scores(a, load_external_scores(b, base_table()))
     assert t1.equals(t2)
+
+
+def test_table_rejects_duplicate_axis_labels():
+    with pytest.raises(ScoreError, match="duplicate hadm_id labels: 1$"):
+        ScoreTable.empty(TargetKind.DI, ["1", "2", "1"], ["m"], ["a"])
+    with pytest.raises(ScoreError, match="duplicate model_id labels: m$"):
+        ScoreTable.empty(TargetKind.DI, ["1"], ["m", "n", "m"], ["a"])
+    with pytest.raises(ScoreError, match="duplicate metric labels: a$"):
+        ScoreTable.empty(TargetKind.DI, ["1"], ["m"], ["a", "a"])
+    with pytest.raises(ScoreError, match="duplicate hadm_id labels: 1$"):
+        ScoreTable.from_rows([("1", "m", "di", "a", 0.5)], TargetKind.DI, ["1", "1"], ["m"])
+
+
+def _index_rows(n_docs: int) -> list[tuple[str, str, str, str, float]]:
+    values = np.random.default_rng(n_docs).random((n_docs, 4, len(OVERALL_METRICS)))
+    return [
+        (f"d{i}", f"m{j}", "di", metric, float(values[i, j, k]))
+        for i in range(n_docs)
+        for j in range(4)
+        for k, metric in enumerate(OVERALL_METRICS)
+    ]
+
+
+def test_index_layers_scale_linearly_in_documents():
+    # A relative bound: 4x the documents may take at most 6x the time, so a
+    # per-lookup scan over the document axis (quadratic overall) fails. The
+    # sizes alternate so that a slow spell of a shared host hits both, and
+    # each size keeps its fastest of 5 runs.
+    rows = {n: _index_rows(n) for n in (500, 2000)}
+    best = dict.fromkeys(rows, math.inf)
+    for _ in range(5):
+        for n, size_rows in rows.items():
+            gc.collect()
+            start = time.perf_counter()
+            table = ScoreTable.from_rows(size_rows, TargetKind.DI)
+            overall_by_document(table)
+            select_experts(table, PRESETS["des1"], TargetKind.DI)
+            best[n] = min(best[n], time.perf_counter() - start)
+    ratio = best[2000] / best[500]
+    assert ratio < 6, f"t(2000)/t(500) = {best[2000]:.3f}/{best[500]:.3f} s = {ratio:.1f}"
 
 
 def test_score_csv_roundtrip(tmp_path):
