@@ -18,9 +18,8 @@ import traceback
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, analysis, corpus, des, readability, relevance, reorder, scores
+from . import __version__, analysis, corpus, des, reorder, scores
 from .corpus import TargetKind
-from .textprep import tokenize
 
 USER_ERRORS = (ValueError, OSError, json.JSONDecodeError)
 
@@ -58,22 +57,15 @@ def _write_manifest(out_path: Path, command: str, args: argparse.Namespace, inpu
 def _read_submission(path) -> list[tuple[str, str]]:
     seen: dict[str, int] = {}
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != ("hadm_id", "text"):
-            raise corpus.CorpusError(f"{path}: expected header hadm_id,text")
-        for rowno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise corpus.CorpusError(f"{path}: row {rowno}: malformed submission row: {row!r}")
-            if row[0] in seen:
-                raise corpus.CorpusError(
-                    f"{path}: duplicate hadm_id {row[0]!r} on rows {seen[row[0]]} and {rowno}"
-                )
-            seen[row[0]] = rowno
-            rows.append((row[0], row[1]))
+    for rowno, row in corpus.read_csv_records(path, ("hadm_id", "text"), corpus.CorpusError):
+        if len(row) != 2:
+            raise corpus.CorpusError(f"{path}: row {rowno}: malformed submission row: {row!r}")
+        if row[0] in seen:
+            raise corpus.CorpusError(
+                f"{path}: duplicate hadm_id {row[0]!r} on rows {seen[row[0]]} and {rowno}"
+            )
+        seen[row[0]] = rowno
+        rows.append((row[0], row[1]))
     return rows
 
 
@@ -88,32 +80,19 @@ def _write_submission(path, rows) -> None:
 def _read_overall_csv(path) -> dict[TargetKind, dict[tuple[str, str], float]]:
     out: dict[TargetKind, dict[tuple[str, str], float]] = {}
     seen: dict[tuple[str, str, TargetKind], int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ("hadm_id", "model_id", "target", "value")
-        if header is None or tuple(h.strip() for h in header) != expected:
-            raise scores.ScoreError(f"{path}: expected header {','.join(expected)}")
-        for rowno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise scores.ScoreError(f"{path}: row {rowno}: expected 4 fields")
-            target = TargetKind.parse(row[2])
-            try:
-                value = float(row[3])
-            except ValueError:
-                raise scores.ScoreError(f"{path}: row {rowno}: bad value {row[3]!r}") from None
-            if not math.isfinite(value):
-                raise scores.ScoreError(f"{path}: row {rowno}: value is not finite")
-            key = (row[0], row[1], target)
-            if key in seen:
-                raise scores.ScoreError(
-                    f"{path}: duplicate (hadm_id={row[0]!r}, model_id={row[1]!r}, "
-                    f"target={target.value!r}) on rows {seen[key]} and {rowno}"
-                )
-            seen[key] = rowno
-            out.setdefault(target, {})[(row[0], row[1])] = value
+    header = ("hadm_id", "model_id", "target", "value")
+    for rowno, row in corpus.read_csv_records(path, header, scores.ScoreError):
+        if len(row) != 4:
+            raise scores.ScoreError(f"{path}: row {rowno}: expected 4 fields")
+        target, value = scores.parse_score_cell(path, rowno, row[2], row[3])
+        key = (row[0], row[1], target)
+        if key in seen:
+            raise scores.ScoreError(
+                f"{path}: duplicate (hadm_id={row[0]!r}, model_id={row[1]!r}, "
+                f"target={target.value!r}) on rows {seen[key]} and {rowno}"
+            )
+        seen[key] = rowno
+        out.setdefault(target, {})[(row[0], row[1])] = value
     return out
 
 
@@ -397,29 +376,6 @@ def cmd_correlate(args) -> int:
     return 0
 
 
-def _simulate_des_input_table(candidates, summaries, target):
-    """Pre-calculated score table whose columns match the preset vocabulary."""
-    bodies = {s.hadm_id: s.body_without_targets for s in summaries}
-    pool = [c for c in candidates if c.target is target]
-    rows = []
-    for c in pool:
-        body = bodies[c.hadm_id]
-        tok = tokenize(c.text)
-        rows.extend(
-            [
-                (c.hadm_id, c.model_id, target.value, "meteor", relevance.meteor(c.text, body)),
-                (c.hadm_id, c.model_id, target.value, "medcon", scores._stemmed_jaccard(c.text, body)),
-                (c.hadm_id, c.model_id, target.value, "alignscore", relevance.rouge_2(c.text, body)),
-                (c.hadm_id, c.model_id, target.value, "fkgl", readability.fkgl(tok)),
-                (c.hadm_id, c.model_id, target.value, "dcrs", readability.dcrs(tok)),
-                (c.hadm_id, c.model_id, target.value, "cli", readability.cli(tok)),
-            ]
-        )
-    docs = scores.first_seen(c.hadm_id for c in pool)
-    models = scores.first_seen(c.model_id for c in pool)
-    return scores.ScoreTable.from_rows(rows, target, documents=docs, models=models)
-
-
 def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -488,8 +444,11 @@ def cmd_simulate(args) -> int:
             raise des.DesConfigError(
                 f"unknown config {args.config!r}: expected oracle, des1..des3, des5, or a JSON path"
             )
+        bodies = {s.hadm_id: s.body_without_targets for s in summaries}
+        columns = {m: m for m in ("meteor", "medcon", "alignscore", "fkgl", "dcrs", "cli")}
         def run(target):
-            table = _simulate_des_input_table(pool_by_target[target], summaries, target)
+            # DES chooses without the gold target, so its scores compare with the note body.
+            table = scores.score_pool(pool_by_target[target], target, columns, bodies)
             return des.select_experts(table, config, target, candidates=pool_by_target[target])
 
     leaderboard.append((f"des:{args.config}", strategy_mean(run)))

@@ -9,10 +9,11 @@ document body without its targets.
 
 from __future__ import annotations
 
+import csv
 import json
 import random
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -34,12 +35,15 @@ class TargetKind(str, Enum):
 
     @classmethod
     def parse(cls, value: str) -> "TargetKind":
-        try:
-            return cls(value)
-        except ValueError:
-            raise CorpusError(
-                f"unknown target {value!r}; expected one of: bhc, di"
-            ) from None
+        # A dict lookup, not the Enum call: score CSVs parse a target per
+        # row, and the Enum call is several times slower.
+        kind = _TARGET_KINDS.get(value)
+        if kind is None:
+            raise CorpusError(f"unknown target {value!r}; expected one of: bhc, di")
+        return kind
+
+
+_TARGET_KINDS = {kind.value: kind for kind in TargetKind}
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,27 @@ def _parse_jsonl(path) -> Iterable[tuple[int, dict]]:
             yield lineno, record
 
 
+def read_csv_records(
+    path, header: Sequence[str], error: type[ValueError]
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line, fields) for each non-blank record after a checked header.
+
+    ``line`` is the physical line the record starts on, so a quoted field
+    holding a newline does not shift the numbers of later records. A wrong
+    or missing header raises ``error`` naming the file.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or tuple(h.strip() for h in first) != tuple(header):
+            raise error(f"{path}: expected header {','.join(header)}")
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                yield start, row
+            start = reader.line_num + 1
+
+
 def _require(record: dict, key: str, path, lineno: int) -> str:
     value = record.get(key)
     if not isinstance(value, str):
@@ -211,7 +236,7 @@ def load_candidates(path) -> list[GeneratedCandidate]:
     triples must be unique.
     """
     candidates: list[GeneratedCandidate] = []
-    seen: set[tuple[str, str, TargetKind]] = set()
+    seen: dict[tuple[str, str, TargetKind], int] = {}
     for lineno, record in _parse_jsonl(path):
         hadm_id = _require(record, "hadm_id", path, lineno)
         model_id = _require(record, "model_id", path, lineno)
@@ -220,10 +245,10 @@ def load_candidates(path) -> list[GeneratedCandidate]:
         key = (hadm_id, model_id, target)
         if key in seen:
             raise CorpusError(
-                f"{path}: line {lineno}: duplicate candidate for "
-                f"(hadm_id={hadm_id!r}, model_id={model_id!r}, target={target.value!r})"
+                f"{path}: duplicate candidate for (hadm_id={hadm_id!r}, model_id={model_id!r}, "
+                f"target={target.value!r}) on lines {seen[key]} and {lineno}"
             )
-        seen.add(key)
+        seen[key] = lineno
         candidates.append(
             GeneratedCandidate(
                 hadm_id=hadm_id,
@@ -269,10 +294,14 @@ def write_targets(path, targets: Iterable[ExtractedTargets]) -> None:
 def load_targets(path) -> dict[str, ExtractedTargets]:
     """Load a targets JSONL file ({"hadm_id","bhc","di"}) keyed by hadm_id."""
     targets: dict[str, ExtractedTargets] = {}
+    seen: dict[str, int] = {}
     for lineno, record in _parse_jsonl(path):
         hadm_id = _require(record, "hadm_id", path, lineno)
-        if hadm_id in targets:
-            raise CorpusError(f"{path}: line {lineno}: duplicate hadm_id {hadm_id!r}")
+        if hadm_id in seen:
+            raise CorpusError(
+                f"{path}: duplicate hadm_id {hadm_id!r} on lines {seen[hadm_id]} and {lineno}"
+            )
+        seen[hadm_id] = lineno
         targets[hadm_id] = ExtractedTargets(
             hadm_id=hadm_id,
             bhc=_require(record, "bhc", path, lineno),

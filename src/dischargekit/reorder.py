@@ -8,14 +8,13 @@ truncated to a word budget so the most relevant content survives the cut.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 
-from .corpus import DischargeSummary, default_known_headers, header_pattern
+from .corpus import DischargeSummary, default_known_headers, header_pattern, read_csv_records
 from .relevance import rouge_1
 
 MAX_SECTIONS = 50
@@ -94,24 +93,18 @@ class ExternalSectionScores:
     @classmethod
     def from_csv(cls, path) -> "ExternalSectionScores":
         scores: dict[tuple[str, int], float] = {}
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(h.strip() for h in header) != ("hadm_id", "section_index", "score"):
-                raise SectionScoreError(f"{path}: expected header hadm_id,section_index,score")
-            for rowno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    key = (row[0], int(row[1]))
-                    value = float(row[2])
-                except (IndexError, ValueError):
-                    raise SectionScoreError(f"{path}: row {rowno}: malformed row") from None
-                if not math.isfinite(value):
-                    raise SectionScoreError(f"{path}: row {rowno}: score is not finite")
-                if key in scores:
-                    raise SectionScoreError(f"{path}: row {rowno}: duplicate section {key}")
-                scores[key] = value
+        header = ("hadm_id", "section_index", "score")
+        for rowno, row in read_csv_records(path, header, SectionScoreError):
+            try:
+                key = (row[0], int(row[1]))
+                value = float(row[2])
+            except (IndexError, ValueError):
+                raise SectionScoreError(f"{path}: row {rowno}: malformed row") from None
+            if not math.isfinite(value):
+                raise SectionScoreError(f"{path}: row {rowno}: score is not finite")
+            if key in scores:
+                raise SectionScoreError(f"{path}: row {rowno}: duplicate section {key}")
+            scores[key] = value
         return cls(scores)
 
     def lookup(self, hadm_id: str, section_index: int) -> float:

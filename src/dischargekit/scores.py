@@ -18,7 +18,15 @@ from functools import cached_property
 import numpy as np
 
 from . import readability, relevance
-from .corpus import DischargeSummary, ExtractedTargets, GeneratedCandidate, TargetKind
+from .corpus import (
+    CorpusError,
+    DischargeSummary,
+    ExtractedTargets,
+    GeneratedCandidate,
+    TargetKind,
+    read_csv_records,
+    reference_text,
+)
 from .relevance import stem
 from .textprep import tokenize, words
 
@@ -48,17 +56,34 @@ OVERALL_METRICS = (
     "medcon",
 )
 
-_REFERENCE_FUNCS = {
+
+def _stemmed_unigram_f1(candidate: str, reference: str) -> float:
+    ca = Counter(stem(w) for w in words(candidate))
+    cb = Counter(stem(w) for w in words(reference))
+    matches = relevance._clipped_matches(ca, cb)
+    return relevance._overlap_f1(matches, sum(ca.values()), sum(cb.values()))
+
+
+def _stemmed_jaccard(candidate: str, reference: str) -> float:
+    sa = {stem(w) for w in words(candidate)}
+    sb = {stem(w) for w in words(reference)}
+    union = sa | sb
+    return len(sa & sb) / len(union) if union else 0.0
+
+
+# Every in-process metric, bound once; the last three stand in for external ones.
+METRICS = {
     "bleu4": relevance.bleu4,
     "rouge_1": relevance.rouge_1,
     "rouge_2": relevance.rouge_2,
     "rouge_l": relevance.rouge_l,
     "meteor": relevance.meteor,
-}
-_READABILITY_FUNCS = {
     "fkgl": readability.fkgl,
     "dcrs": readability.dcrs,
     "cli": readability.cli,
+    "bertscore": _stemmed_unigram_f1,
+    "medcon": _stemmed_jaccard,
+    "alignscore": relevance.rouge_2,
 }
 
 
@@ -189,17 +214,58 @@ def _infer_target(candidates: Sequence[GeneratedCandidate], target: TargetKind |
     raise ScoreError("candidates span multiple target kinds; pass target explicitly")
 
 
-def _reference_for(
-    references: Mapping[str, ExtractedTargets] | Mapping[str, str],
-    hadm_id: str,
+def _against(
+    pool: Sequence[GeneratedCandidate],
+    texts: Mapping[str, ExtractedTargets] | Mapping[str, str],
+    what: str,
+) -> dict[str, str]:
+    """hadm_id -> the text each pool document is compared with.
+
+    An ExtractedTargets value stands for its section of the candidate's target.
+    """
+    against = {}
+    for c in pool:
+        if c.hadm_id not in texts:
+            raise ScoreError(f"no {what} for hadm_id {c.hadm_id!r}")
+        text = texts[c.hadm_id]
+        if isinstance(text, ExtractedTargets):
+            text = reference_text(texts, c.hadm_id, c.target)
+        against[c.hadm_id] = text
+    return against
+
+
+def score_pool(
+    pool: Sequence[GeneratedCandidate],
     target: TargetKind,
-) -> str:
-    if hadm_id not in references:
-        raise ScoreError(f"no reference for hadm_id {hadm_id!r}")
-    ref = references[hadm_id]
-    if isinstance(ref, ExtractedTargets):
-        return ref.bhc if target is TargetKind.BHC else ref.di
-    return ref
+    columns: Mapping[str, str],
+    against: Mapping[str, str],
+) -> ScoreTable:
+    """Score a one-target pool into a table with one column per ``columns`` key.
+
+    Column ``name`` holds metric ``columns[name]`` of :data:`METRICS`.
+    Readability metrics read the candidate alone, tokenized at most once;
+    every other metric compares the candidate with ``against[hadm_id]``.
+    """
+    docs, mods = first_seen(c.hadm_id for c in pool), first_seen(c.model_id for c in pool)
+    table = ScoreTable.empty(target, docs, mods, columns)
+    doc_pos, model_pos, column_pos = table._positions
+    for c in pool:
+        cells = table.values[doc_pos[c.hadm_id], model_pos[c.model_id]]
+        tok = None
+        for column, metric in columns.items():
+            if metric not in READABILITY_METRICS:
+                cells[column_pos[column]] = METRICS[metric](c.text, against[c.hadm_id])
+                continue
+            if tok is None:
+                tok = tokenize(c.text)
+            try:
+                cells[column_pos[column]] = METRICS[metric](tok)
+            except readability.DegenerateTextError as exc:
+                raise readability.DegenerateTextError(
+                    f"candidate (hadm_id={c.hadm_id!r}, model_id={c.model_id!r}, "
+                    f"metric={column!r}): {exc}"
+                ) from None
+    return table
 
 
 def compute_native_scores(
@@ -220,31 +286,13 @@ def compute_native_scores(
         raise ScoreError(f"unknown native metrics: {', '.join(unknown)}")
     target = _infer_target(candidates, target)
     pool = [c for c in candidates if c.target is target]
-    docs, mods = first_seen(c.hadm_id for c in pool), first_seen(c.model_id for c in pool)
-    table = ScoreTable.empty(target, docs, mods, metrics)
     ref_metrics = [m for m in metrics if m in REFERENCE_METRICS]
-    read_metrics = [m for m in metrics if m in READABILITY_METRICS]
     if ref_metrics and references is None:
         raise ScoreError(
             f"metrics {', '.join(ref_metrics)} need references but none were given"
         )
-    for c in pool:
-        if ref_metrics:
-            ref = _reference_for(references, c.hadm_id, target)
-            for m in ref_metrics:
-                table.values[table._index(c.hadm_id, c.model_id, m)] = _REFERENCE_FUNCS[m](c.text, ref)
-        if read_metrics:
-            tok = tokenize(c.text)
-            for m in read_metrics:
-                try:
-                    value = _READABILITY_FUNCS[m](tok)
-                except readability.DegenerateTextError as exc:
-                    raise readability.DegenerateTextError(
-                        f"candidate (hadm_id={c.hadm_id!r}, model_id={c.model_id!r}, "
-                        f"metric={m!r}): {exc}"
-                    ) from None
-                table.values[table._index(c.hadm_id, c.model_id, m)] = value
-    return table
+    against = _against(pool, references, "reference") if ref_metrics else {}
+    return score_pool(pool, target, {m: m for m in metrics}, against)
 
 
 def compute_factuality_proxies(
@@ -264,17 +312,8 @@ def compute_factuality_proxies(
     target = _infer_target(candidates, target)
     pool = [c for c in candidates if c.target is target]
     bodies = {s.hadm_id: s.body_without_targets for s in summaries}
-    docs, mods = first_seen(c.hadm_id for c in pool), first_seen(c.model_id for c in pool)
-    table = ScoreTable.empty(target, docs, mods, [m + DS_SUFFIX for m in metrics])
-    for c in pool:
-        if c.hadm_id not in bodies:
-            raise ScoreError(f"no discharge summary for hadm_id {c.hadm_id!r}")
-        body = bodies[c.hadm_id]
-        for m in metrics:
-            table.values[table._index(c.hadm_id, c.model_id, m + DS_SUFFIX)] = (
-                _REFERENCE_FUNCS[m](c.text, body)
-            )
-    return table
+    columns = {m + DS_SUFFIX: m for m in metrics}
+    return score_pool(pool, target, columns, _against(pool, bodies, "discharge summary"))
 
 
 def merge_tables(base: ScoreTable, extra: ScoreTable) -> ScoreTable:
@@ -285,44 +324,49 @@ def merge_tables(base: ScoreTable, extra: ScoreTable) -> ScoreTable:
         raise ScoreError("cannot merge tables with different document/model sets")
     metrics = sorted(set(base.metrics) | set(extra.metrics))
     merged = ScoreTable.empty(base.target, base.documents, base.models, metrics)
+    metric_pos = merged._positions[2]
     for src in (base, extra):
-        for doc, model, _, metric, value in src.to_rows():
-            idx = merged._index(doc, model, metric)
-            if not math.isnan(merged.values[idx]):
-                raise ScoreError(
-                    f"duplicate cell (hadm_id={doc!r}, model_id={model!r}, metric={metric!r})"
-                )
-            merged.values[idx] = value
+        columns = [metric_pos[m] for m in src.metrics]
+        dest = merged.values[:, :, columns]
+        present = ~np.isnan(src.values)
+        clashes = np.argwhere(present & ~np.isnan(dest))
+        if len(clashes):
+            i, j, k = clashes[0]
+            raise ScoreError(
+                f"duplicate cell (hadm_id={base.documents[i]!r}, model_id={base.models[j]!r}, "
+                f"metric={src.metrics[k]!r})"
+            )
+        merged.values[:, :, columns] = np.where(present, src.values, dest)
     return merged
 
 
 EXTERNAL_CSV_HEADER = ("hadm_id", "model_id", "target", "metric", "value")
 
 
+def parse_score_cell(path, rowno: int, target: str, raw: str) -> tuple[TargetKind, float]:
+    """The target kind and finite value of one score-CSV row; errors name the row."""
+    try:
+        kind = TargetKind.parse(target)
+    except CorpusError as exc:
+        raise ScoreError(f"{path}: row {rowno}: {exc}") from None
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ScoreError(f"{path}: row {rowno}: value {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ScoreError(f"{path}: row {rowno}: value {raw!r} is not finite")
+    return kind, value
+
+
 def read_score_csv(path) -> list[tuple[str, str, str, str, float]]:
     """Read a long-form score CSV (hadm_id,model_id,target,metric,value)."""
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != EXTERNAL_CSV_HEADER:
-            raise ScoreError(
-                f"{path}: expected header {','.join(EXTERNAL_CSV_HEADER)}"
-            )
-        for rowno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ScoreError(f"{path}: row {rowno}: expected 5 fields, got {len(row)}")
-            hadm_id, model_id, target, metric, raw = row
-            TargetKind.parse(target)
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ScoreError(f"{path}: row {rowno}: value {raw!r} is not a number") from None
-            if not math.isfinite(value):
-                raise ScoreError(f"{path}: row {rowno}: value {raw!r} is not finite")
-            rows.append((hadm_id, model_id, target, metric, value))
+    for rowno, row in read_csv_records(path, EXTERNAL_CSV_HEADER, ScoreError):
+        if len(row) != 5:
+            raise ScoreError(f"{path}: row {rowno}: expected 5 fields, got {len(row)}")
+        hadm_id, model_id, target, metric, raw = row
+        _, value = parse_score_cell(path, rowno, target, raw)
+        rows.append((hadm_id, model_id, target, metric, value))
     return rows
 
 
@@ -374,26 +418,6 @@ def overall_score(components: Mapping[str, float]) -> OverallScore:
     return OverallScore(value=sum(ordered.values()) / len(ordered), components=ordered)
 
 
-def _stemmed_unigram_f1(candidate: str, reference: str) -> float:
-    ca = Counter(stem(w) for w in words(candidate))
-    cb = Counter(stem(w) for w in words(reference))
-    matches = relevance._clipped_matches(ca, cb)
-    total_a = sum(ca.values())
-    total_b = sum(cb.values())
-    if matches == 0 or total_a == 0 or total_b == 0:
-        return 0.0
-    p = matches / total_a
-    r = matches / total_b
-    return 2.0 * p * r / (p + r)
-
-
-def _stemmed_jaccard(candidate: str, reference: str) -> float:
-    sa = {stem(w) for w in words(candidate)}
-    sb = {stem(w) for w in words(reference)}
-    union = sa | sb
-    return len(sa & sb) / len(union) if union else 0.0
-
-
 def synthetic_external_rows(
     candidates: Sequence[GeneratedCandidate],
     references: Mapping[str, ExtractedTargets],
@@ -409,25 +433,14 @@ def synthetic_external_rows(
     """
     bodies = {s.hadm_id: s.body_without_targets for s in summaries}
     rows = []
-    for c in candidates:
-        ref = _reference_for(references, c.hadm_id, c.target)
-        if c.hadm_id not in bodies:
-            raise ScoreError(f"no discharge summary for hadm_id {c.hadm_id!r}")
-        rows.append(
-            (c.hadm_id, c.model_id, c.target.value, "bertscore", _stemmed_unigram_f1(c.text, ref))
+    for target in first_seen(c.target for c in candidates):
+        pool = [c for c in candidates if c.target is target]
+        refs = _against(pool, references, "reference")
+        on_refs = score_pool(pool, target, {"bertscore": "bertscore", "medcon": "medcon"}, refs)
+        on_body = score_pool(
+            pool, target, {"alignscore": "alignscore"}, _against(pool, bodies, "discharge summary")
         )
-        rows.append(
-            (c.hadm_id, c.model_id, c.target.value, "medcon", _stemmed_jaccard(c.text, ref))
-        )
-        rows.append(
-            (
-                c.hadm_id,
-                c.model_id,
-                c.target.value,
-                "alignscore",
-                relevance.rouge_2(c.text, bodies[c.hadm_id]),
-            )
-        )
+        rows.extend(merge_tables(on_refs, on_body).to_rows())
     return rows
 
 

@@ -545,6 +545,36 @@ def test_evaluate_rejects_duplicate_submission_id(small_corpus, tmp_path, capsys
     assert "sub.csv: duplicate hadm_id '100' on rows 2 and 4" in capsys.readouterr().err
 
 
+def test_submission_rows_are_physical_lines(small_corpus, tmp_path, capsys):
+    # The quoted text of hadm_id 100 spans lines 2-3, so its duplicate sits on line 5.
+    out = tmp_path / "x"
+    assert run("extract", "--corpus", small_corpus, "--out", out) == 0
+    sub = tmp_path / "sub.csv"
+    sub.write_text('hadm_id,text\n100,"rest\nat home"\n101,rest\n100,drink water\n', encoding="utf-8")
+    code = run(
+        "evaluate",
+        "--submission", sub,
+        "--references", out / "targets.jsonl",
+        "--target", "di",
+        "--out", tmp_path / "never.csv",
+    )
+    assert code == 1
+    assert "sub.csv: duplicate hadm_id '100' on rows 2 and 5" in capsys.readouterr().err
+
+
+def test_correlate_unknown_overall_target_names_row(pipeline_dir, capsys):
+    scores_path = pipeline_dir / "t_scores.csv"
+    write_external(scores_path, [["1", "m", "di", "medcon", "0.5"]])
+    overall_path = pipeline_dir / "t_overall.csv"
+    overall_path.write_text("hadm_id,model_id,target,value\n1,m,di,0.5\n2,m,dx,0.7\n", encoding="utf-8")
+    code = run(
+        "correlate", "--scores", scores_path, "--overall", overall_path,
+        "--out", pipeline_dir / "never.csv",
+    )
+    assert code == 1
+    assert "t_overall.csv: row 3: unknown target 'dx'" in capsys.readouterr().err
+
+
 def test_correlate_rejects_duplicate_overall_row(pipeline_dir, capsys):
     scores_path = pipeline_dir / "dup_scores.csv"
     write_external(scores_path, [["1", "m", "di", "medcon", "0.5"], ["2", "m", "di", "medcon", "0.7"]])
@@ -618,6 +648,18 @@ def test_simulate_oracle_beats_every_model(tmp_path, capsys):
     values = {r[0]: float(r[1]) for r in rows[1:]}
     oracle = values.pop("des:oracle")
     assert all(oracle >= v for v in values.values())
+
+
+@pytest.mark.parametrize(
+    "config, expected",
+    [("des1", "0.5628230365"), ("des2", "0.5607529622"), ("des3", "0.553065231")],
+)
+def test_simulate_score_based_des_row_pinned(tmp_path, config, expected):
+    # Pins the DES input table (meteor/medcon/alignscore against the note
+    # body, plus readability) through the selection it drives.
+    out = tmp_path / config
+    assert run("simulate", "--docs", 12, "--models", 3, "--seed", 5, "--config", config, "--out", out) == 0
+    assert [f"des:{config}", expected] in read_csv_rows(out / "leaderboard.csv")
 
 
 def test_simulate_single_model_equals_des(tmp_path):

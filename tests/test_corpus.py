@@ -12,6 +12,7 @@ from dischargekit.corpus import (
     generate_synthetic_corpus,
     load_candidates,
     load_corpus,
+    load_targets,
 )
 from dischargekit.textprep import word_count
 
@@ -128,6 +129,26 @@ def test_load_candidates_duplicate_triple(tmp_path):
     path.write_text(row + "\n" + row + "\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="duplicate candidate"):
         load_candidates(path)
+
+
+def test_load_candidates_duplicate_names_both_lines(tmp_path):
+    path = tmp_path / "cands.jsonl"
+    rows = [
+        {"hadm_id": "1", "model_id": "m", "target": "di", "text": "a"},
+        {"hadm_id": "1", "model_id": "m", "target": "bhc", "text": "b"},
+        {"hadm_id": "1", "model_id": "m", "target": "di", "text": "c"},
+    ]
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"duplicate candidate for .*'di'\) on lines 1 and 3"):
+        load_candidates(path)
+
+
+def test_load_targets_duplicate_names_both_lines(tmp_path):
+    path = tmp_path / "targets.jsonl"
+    rows = [{"hadm_id": h, "bhc": "b", "di": "d"} for h in ("1", "2", "1")]
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"targets\.jsonl: duplicate hadm_id '1' on lines 1 and 3"):
+        load_targets(path)
 
 
 def test_candidates_roundtrip(tmp_path):

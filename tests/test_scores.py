@@ -17,9 +17,12 @@ from dischargekit.corpus import (
     generate_synthetic_corpus,
     corpus_targets,
 )
+from dischargekit import readability, relevance, scores
 from dischargekit.des import PRESETS, select_experts
 from dischargekit.readability import DegenerateTextError
 from dischargekit.scores import (
+    METRICS,
+    NATIVE_METRICS,
     OVERALL_METRICS,
     ScoreError,
     ScoreTable,
@@ -61,6 +64,24 @@ def test_identity_candidate_scores_one():
         metrics=["rouge_1"],
     )
     assert table.get("1", "m", "rouge_1") == 1.0
+
+
+def test_metric_registry_binds_bare_functions():
+    # Values are the function objects themselves, so a rebinding by identity
+    # (as benchmarks/tracer.py does) reaches every use of a metric.
+    assert set(METRICS) == set(NATIVE_METRICS) | {"bertscore", "medcon", "alignscore"}
+    assert METRICS["rouge_2"] is METRICS["alignscore"] is relevance.rouge_2
+    assert METRICS["cli"] is readability.cli
+
+
+def test_score_pool_tokenizes_each_candidate_once(monkeypatch):
+    calls = []
+    real = scores.tokenize
+    monkeypatch.setattr(scores, "tokenize", lambda text: calls.append(text) or real(text))
+    pool = [cand(model_id="a", text="Rest at home. Drink water."), cand(model_id="b")]
+    table = compute_native_scores(pool, refs(**{"1": {"di": "rest at home"}}), target=TargetKind.DI)
+    assert len(calls) == 2
+    assert not np.isnan(table.values).any()
 
 
 def test_readability_only_needs_no_references():
@@ -173,6 +194,28 @@ def test_external_duplicate_cell(tmp_path):
     )
     with pytest.raises(ScoreError, match=r"ext\.csv: duplicate cell"):
         load_external_scores(path, base_table())
+
+
+def test_score_csv_unknown_target_names_file_and_row(tmp_path):
+    path = external_csv(tmp_path, [["1", "m", "di", "medcon", "0.1"], ["1", "m", "dx", "medcon", "0.2"]])
+    with pytest.raises(ScoreError, match=r"ext\.csv: row 3: unknown target 'dx'"):
+        read_score_csv(path)
+
+
+def test_merge_tables_reports_first_clash_in_table_order():
+    base = ScoreTable.from_rows(
+        [("1", "m", "di", "b", 0.1), ("2", "m", "di", "a", 0.2)], TargetKind.DI, ["1", "2"], ["m"]
+    )
+    extra = ScoreTable.from_rows(
+        [("2", "m", "di", "a", 0.3), ("1", "m", "di", "b", 0.4), ("1", "m", "di", "c", 0.5)],
+        TargetKind.DI,
+        ["1", "2"],
+        ["m"],
+    )
+    with pytest.raises(ScoreError, match=r"hadm_id='1', model_id='m', metric='b'"):
+        merge_tables(base, extra)
+    disjoint = ScoreTable.from_rows([("1", "m", "di", "c", 0.5)], TargetKind.DI, ["1", "2"], ["m"])
+    assert sorted(merge_tables(base, disjoint).to_rows()) == sorted(base.to_rows() + disjoint.to_rows())
 
 
 def test_external_rows_for_other_target_ignored(tmp_path):
