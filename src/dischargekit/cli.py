@@ -3,7 +3,7 @@
 Every subcommand is deterministic given its inputs and flags, works purely
 on local files, and writes a manifest (command, config hash, input digests)
 next to its outputs. Exit codes: 0 success, 1 user or data error, 2
-internal error.
+internal error or a command-line usage error reported by argparse.
 """
 
 from __future__ import annotations
@@ -55,18 +55,9 @@ def _write_manifest(out_path: Path, command: str, args: argparse.Namespace, inpu
 
 
 def _read_submission(path) -> list[tuple[str, str]]:
-    seen: dict[str, int] = {}
-    rows = []
-    for rowno, row in corpus.read_csv_records(path, ("hadm_id", "text"), corpus.CorpusError):
-        if len(row) != 2:
-            raise corpus.CorpusError(f"{path}: row {rowno}: malformed submission row: {row!r}")
-        if row[0] in seen:
-            raise corpus.CorpusError(
-                f"{path}: duplicate hadm_id {row[0]!r} on rows {seen[row[0]]} and {rowno}"
-            )
-        seen[row[0]] = rowno
-        rows.append((row[0], row[1]))
-    return rows
+    header = ("hadm_id", "text")
+    records = corpus.read_csv_records(path, header, corpus.CorpusError, key=header[:1])
+    return [(hadm_id, text) for _, (hadm_id, text) in records]
 
 
 def _write_submission(path, rows) -> None:
@@ -79,20 +70,11 @@ def _write_submission(path, rows) -> None:
 
 def _read_overall_csv(path) -> dict[TargetKind, dict[tuple[str, str], float]]:
     out: dict[TargetKind, dict[tuple[str, str], float]] = {}
-    seen: dict[tuple[str, str, TargetKind], int] = {}
     header = ("hadm_id", "model_id", "target", "value")
-    for rowno, row in corpus.read_csv_records(path, header, scores.ScoreError):
-        if len(row) != 4:
-            raise scores.ScoreError(f"{path}: row {rowno}: expected 4 fields")
-        target, value = scores.parse_score_cell(path, rowno, row[2], row[3])
-        key = (row[0], row[1], target)
-        if key in seen:
-            raise scores.ScoreError(
-                f"{path}: duplicate (hadm_id={row[0]!r}, model_id={row[1]!r}, "
-                f"target={target.value!r}) on rows {seen[key]} and {rowno}"
-            )
-        seen[key] = rowno
-        out.setdefault(target, {})[(row[0], row[1])] = value
+    records = corpus.read_csv_records(path, header, scores.ScoreError, key=header[:3])
+    for rowno, (hadm_id, model_id, target, raw) in records:
+        kind, value = scores.parse_score_cell(path, rowno, target, raw)
+        out.setdefault(kind, {})[(hadm_id, model_id)] = value
     return out
 
 
@@ -123,23 +105,17 @@ def cmd_extract(args) -> int:
 
 
 def _load_bodies(path) -> dict[str, str]:
-    bodies: dict[str, str] = {}
-    seen: dict[str, int] = {}
-    for lineno, record in corpus._parse_jsonl(path):
-        hadm_id = record.get("hadm_id")
-        body = record.get("body")
-        if not isinstance(hadm_id, str) or not isinstance(body, str):
-            raise corpus.CorpusError(f"{path}: line {lineno}: expected hadm_id and body strings")
-        if hadm_id in seen:
-            raise corpus.CorpusError(
-                f"{path}: duplicate hadm_id {hadm_id!r} on lines {seen[hadm_id]} and {lineno}"
-            )
-        seen[hadm_id] = lineno
-        bodies[hadm_id] = body
-    return bodies
+    return {
+        hadm_id: body
+        for _, (hadm_id, body) in corpus.read_jsonl_records(path, ("hadm_id", "body"), key=("hadm_id",))
+    }
 
 
 def cmd_score(args) -> int:
+    if args.against_ds and args.references:
+        raise scores.ScoreError(
+            "--against-ds scores against the note body, so --references cannot be given with it"
+        )
     candidates = corpus.load_candidates(args.candidates)
     metrics = args.metrics.split(",") if args.metrics else None
     references = corpus.load_targets(args.references) if args.references else None
@@ -191,13 +167,16 @@ def _resolve_config(args, table, target):
         if not overall:
             raise des.DesConfigError(f"--overall has no rows for target {target.value}")
         return des.derive_des4_weights(table, overall)
+    return _preset_or_file(name, ", ".join(des.PRESET_NAMES))
+
+
+def _preset_or_file(name: str, choices: str) -> des.DesConfig:
+    """The des1..des3 preset called ``name``, else the config in the JSON file ``name``."""
     if name in des.PRESETS:
         return des.PRESETS[name]
     if Path(name).exists():
         return des.load_des_config(name)
-    raise des.DesConfigError(
-        f"unknown config {name!r}: expected one of {', '.join(des.PRESET_NAMES)} or a JSON path"
-    )
+    raise des.DesConfigError(f"unknown config {name!r}: expected one of {choices} or a JSON path")
 
 
 def cmd_select(args) -> int:
@@ -436,14 +415,7 @@ def cmd_simulate(args) -> int:
                 pool_by_target[target], des.LengthSelectConfig(model_ranking=tuple(ranking)), target
             )
     else:
-        if args.config in des.PRESETS:
-            config = des.PRESETS[args.config]
-        elif Path(args.config).exists():
-            config = des.load_des_config(args.config)
-        else:
-            raise des.DesConfigError(
-                f"unknown config {args.config!r}: expected oracle, des1..des3, des5, or a JSON path"
-            )
+        config = _preset_or_file(args.config, "oracle, des1..des3, des5")
         bodies = {s.hadm_id: s.body_without_targets for s in summaries}
         columns = {m: m for m in ("meteor", "medcon", "alignscore", "fkgl", "dcrs", "cli")}
         def run(target):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
+from operator import itemgetter
 
 from .textprep import word_count
 
@@ -149,7 +150,61 @@ def extract_targets(
     return ExtractedTargets(hadm_id=hadm_id, bhc=bhc, di=di), body
 
 
-def _parse_jsonl(path) -> Iterable[tuple[int, dict]]:
+def _unique(
+    path, fields: Sequence[str], key: Sequence[str], unit: str, error: type[ValueError], what: str = ""
+):
+    """The duplicate-key rule: the returned ``check(line, values)`` raises
+    ``error`` naming the file and both lines when the ``key`` fields repeat."""
+    if not key:
+        return lambda line, values: None
+    positions = [fields.index(name) for name in key]
+    pick, seen = itemgetter(*positions), {}
+
+    def check(line: int, values: list[str]) -> None:
+        first = seen.setdefault(pick(values), line)
+        if first != line:
+            named = [f"{name}={values[i]!r}" for name, i in zip(key, positions)]
+            label = f"{key[0]} {values[positions[0]]!r}" if len(key) == 1 else f"({', '.join(named)})"
+            raise error(f"{path}: duplicate {what}{label} on {unit} {first} and {line}")
+
+    return check
+
+
+def read_csv_records(
+    path, header: Sequence[str], error: type[ValueError], key: Sequence[str] = ()
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line, fields) for each non-blank record after a checked header.
+
+    ``line`` is the physical line the record starts on, so a quoted field
+    holding a newline does not shift the numbers of later records. A wrong
+    or missing header, a record without one field per header column, and a
+    repeat of the ``key`` columns each raise ``error`` naming the file.
+    """
+    check = _unique(path, header, key, "rows", error)
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or tuple(h.strip() for h in first) != tuple(header):
+            raise error(f"{path}: expected header {','.join(header)}")
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                if len(row) != len(header):
+                    raise error(f"{path}: row {start}: expected {len(header)} fields, got {len(row)}")
+                check(start, row)
+                yield start, row
+            start = reader.line_num + 1
+
+
+def read_jsonl_records(
+    path, fields: Sequence[str], key: Sequence[str] = (), what: str = ""
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line, values) for each non-blank line, ``values`` being the
+    record's ``fields`` as strings. Bad JSON, a missing or non-string field
+    and a repeat of the ``key`` fields (``what`` prefixes the key in the
+    message) raise ``CorpusError`` naming the line.
+    """
+    check = _unique(path, fields, key, "lines", CorpusError, what)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -160,58 +215,24 @@ def _parse_jsonl(path) -> Iterable[tuple[int, dict]]:
                 raise CorpusError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
             if not isinstance(record, dict):
                 raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
-            yield lineno, record
+            values = [record.get(name) for name in fields]
+            for name, value in zip(fields, values):
+                if not isinstance(value, str):
+                    raise CorpusError(f"{path}: line {lineno}: missing or non-string {name!r}")
+            check(lineno, values)
+            yield lineno, values
 
 
-def read_csv_records(
-    path, header: Sequence[str], error: type[ValueError]
-) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line, fields) for each non-blank record after a checked header.
-
-    ``line`` is the physical line the record starts on, so a quoted field
-    holding a newline does not shift the numbers of later records. A wrong
-    or missing header raises ``error`` naming the file.
-    """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or tuple(h.strip() for h in first) != tuple(header):
-            raise error(f"{path}: expected header {','.join(header)}")
-        start = reader.line_num + 1
-        for row in reader:
-            if row:
-                yield start, row
-            start = reader.line_num + 1
-
-
-def _require(record: dict, key: str, path, lineno: int) -> str:
-    value = record.get(key)
-    if not isinstance(value, str):
-        raise CorpusError(f"{path}: line {lineno}: missing or non-string {key!r}")
-    return value
-
-
-def load_corpus(
-    path, format: str = "jsonl", known_headers: Sequence[str] | None = None
-) -> list[DischargeSummary]:
+def load_corpus(path, known_headers: Sequence[str] | None = None) -> list[DischargeSummary]:
     """Load a corpus JSONL file ({"hadm_id", "discharge_summary"} per line).
 
     Target extraction is applied to every document; input order is kept.
     """
-    if format != "jsonl":
-        raise CorpusError(f"unsupported corpus format {format!r}")
     summaries: list[DischargeSummary] = []
-    seen: dict[str, int] = {}
-    for lineno, record in _parse_jsonl(path):
-        hadm_id = _require(record, "hadm_id", path, lineno)
-        text = _require(record, "discharge_summary", path, lineno)
+    fields = ("hadm_id", "discharge_summary")
+    for lineno, (hadm_id, text) in read_jsonl_records(path, fields, key=fields[:1]):
         if not hadm_id:
             raise CorpusError(f"{path}: line {lineno}: empty hadm_id")
-        if hadm_id in seen:
-            raise CorpusError(
-                f"{path}: duplicate hadm_id {hadm_id!r} on lines {seen[hadm_id]} and {lineno}"
-            )
-        seen[hadm_id] = lineno
         _, body = extract_targets(text, hadm_id=hadm_id, known_headers=known_headers)
         summaries.append(
             DischargeSummary(hadm_id=hadm_id, full_text=text, body_without_targets=body)
@@ -235,30 +256,18 @@ def load_candidates(path) -> list[GeneratedCandidate]:
     Word counts are recomputed from the text; (hadm_id, model_id, target)
     triples must be unique.
     """
-    candidates: list[GeneratedCandidate] = []
-    seen: dict[tuple[str, str, TargetKind], int] = {}
-    for lineno, record in _parse_jsonl(path):
-        hadm_id = _require(record, "hadm_id", path, lineno)
-        model_id = _require(record, "model_id", path, lineno)
-        target = TargetKind.parse(_require(record, "target", path, lineno))
-        text = _require(record, "text", path, lineno)
-        key = (hadm_id, model_id, target)
-        if key in seen:
-            raise CorpusError(
-                f"{path}: duplicate candidate for (hadm_id={hadm_id!r}, model_id={model_id!r}, "
-                f"target={target.value!r}) on lines {seen[key]} and {lineno}"
-            )
-        seen[key] = lineno
-        candidates.append(
-            GeneratedCandidate(
-                hadm_id=hadm_id,
-                model_id=model_id,
-                target=target,
-                text=text,
-                word_count=word_count(text),
-            )
+    fields = ("hadm_id", "model_id", "target", "text")
+    records = read_jsonl_records(path, fields, key=fields[:3], what="candidate for ")
+    return [
+        GeneratedCandidate(
+            hadm_id=hadm_id,
+            model_id=model_id,
+            target=TargetKind.parse(target),
+            text=text,
+            word_count=word_count(text),
         )
-    return candidates
+        for _, (hadm_id, model_id, target, text) in records
+    ]
 
 
 def write_corpus(path, summaries: Iterable[DischargeSummary]) -> None:
@@ -293,21 +302,10 @@ def write_targets(path, targets: Iterable[ExtractedTargets]) -> None:
 
 def load_targets(path) -> dict[str, ExtractedTargets]:
     """Load a targets JSONL file ({"hadm_id","bhc","di"}) keyed by hadm_id."""
-    targets: dict[str, ExtractedTargets] = {}
-    seen: dict[str, int] = {}
-    for lineno, record in _parse_jsonl(path):
-        hadm_id = _require(record, "hadm_id", path, lineno)
-        if hadm_id in seen:
-            raise CorpusError(
-                f"{path}: duplicate hadm_id {hadm_id!r} on lines {seen[hadm_id]} and {lineno}"
-            )
-        seen[hadm_id] = lineno
-        targets[hadm_id] = ExtractedTargets(
-            hadm_id=hadm_id,
-            bhc=_require(record, "bhc", path, lineno),
-            di=_require(record, "di", path, lineno),
-        )
-    return targets
+    return {
+        hadm_id: ExtractedTargets(hadm_id=hadm_id, bhc=bhc, di=di)
+        for _, (hadm_id, bhc, di) in read_jsonl_records(path, ("hadm_id", "bhc", "di"), key=("hadm_id",))
+    }
 
 
 def reference_text(targets: Mapping[str, ExtractedTargets], hadm_id: str, target: TargetKind) -> str:

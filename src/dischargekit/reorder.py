@@ -94,17 +94,17 @@ class ExternalSectionScores:
     def from_csv(cls, path) -> "ExternalSectionScores":
         scores: dict[tuple[str, int], float] = {}
         header = ("hadm_id", "section_index", "score")
-        for rowno, row in read_csv_records(path, header, SectionScoreError):
+        for rowno, (hadm_id, index, raw) in read_csv_records(path, header, SectionScoreError, key=header[:2]):
+            # The duplicate check compares raw text, so "0" and "00" may not both pass.
             try:
-                key = (row[0], int(row[1]))
-                value = float(row[2])
-            except (IndexError, ValueError):
+                section, value = int(index), float(raw)
+                if index != str(section):
+                    raise ValueError(index)
+            except ValueError:
                 raise SectionScoreError(f"{path}: row {rowno}: malformed row") from None
             if not math.isfinite(value):
                 raise SectionScoreError(f"{path}: row {rowno}: score is not finite")
-            if key in scores:
-                raise SectionScoreError(f"{path}: row {rowno}: duplicate section {key}")
-            scores[key] = value
+            scores[(hadm_id, section)] = value
         return cls(scores)
 
     def lookup(self, hadm_id: str, section_index: int) -> float:

@@ -361,10 +361,9 @@ def parse_score_cell(path, rowno: int, target: str, raw: str) -> tuple[TargetKin
 def read_score_csv(path) -> list[tuple[str, str, str, str, float]]:
     """Read a long-form score CSV (hadm_id,model_id,target,metric,value)."""
     rows = []
-    for rowno, row in read_csv_records(path, EXTERNAL_CSV_HEADER, ScoreError):
-        if len(row) != 5:
-            raise ScoreError(f"{path}: row {rowno}: expected 5 fields, got {len(row)}")
-        hadm_id, model_id, target, metric, raw = row
+    for rowno, (hadm_id, model_id, target, metric, raw) in read_csv_records(
+        path, EXTERNAL_CSV_HEADER, ScoreError
+    ):
         _, value = parse_score_cell(path, rowno, target, raw)
         rows.append((hadm_id, model_id, target, metric, value))
     return rows

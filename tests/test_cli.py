@@ -159,6 +159,34 @@ def test_score_against_ds_rejects_duplicate_body(pipeline_dir, capsys):
     assert f"bodies.jsonl: duplicate hadm_id {hadm_id!r} on lines 1 and {len(lines) + 1}" in err
 
 
+def test_score_against_ds_with_references_exits_one(tmp_path, capsys):
+    # None of the files exist: the flag check comes before any file is read.
+    code = run(
+        "score",
+        "--candidates", tmp_path / "candidates.jsonl",
+        "--against-ds", tmp_path / "bodies.jsonl",
+        "--references", tmp_path / "targets.jsonl",
+        "--out", tmp_path / "never.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--against-ds" in err and "--references" in err
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_score_against_ds_rejects_non_string_body(pipeline_dir, capsys):
+    bodies = pipeline_dir / "bad_bodies.jsonl"
+    bodies.write_text(json.dumps({"hadm_id": "1", "body": 7}) + "\n", encoding="utf-8")
+    code = run(
+        "score",
+        "--candidates", pipeline_dir / "candidates.jsonl",
+        "--against-ds", bodies,
+        "--out", pipeline_dir / "never.csv",
+    )
+    assert code == 1
+    assert "bad_bodies.jsonl: line 1: missing or non-string 'body'" in capsys.readouterr().err
+
+
 def select_setup(pipeline_dir, metrics=("medcon", "meteor")):
     """Score CSV with synthetic external-style metrics for selection."""
     cands = corpus.load_candidates(pipeline_dir / "candidates.jsonl")
@@ -562,6 +590,22 @@ def test_submission_rows_are_physical_lines(small_corpus, tmp_path, capsys):
     assert "sub.csv: duplicate hadm_id '100' on rows 2 and 5" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_wrong_submission_field_count(small_corpus, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run("extract", "--corpus", small_corpus, "--out", out) == 0
+    sub = tmp_path / "sub.csv"
+    sub.write_text("hadm_id,text\n100,rest\n101,rest,again\n", encoding="utf-8")
+    code = run(
+        "evaluate",
+        "--submission", sub,
+        "--references", out / "targets.jsonl",
+        "--target", "di",
+        "--out", tmp_path / "never.csv",
+    )
+    assert code == 1
+    assert "sub.csv: row 3: expected 2 fields, got 3" in capsys.readouterr().err
+
+
 def test_correlate_unknown_overall_target_names_row(pipeline_dir, capsys):
     scores_path = pipeline_dir / "t_scores.csv"
     write_external(scores_path, [["1", "m", "di", "medcon", "0.5"]])
@@ -589,6 +633,19 @@ def test_correlate_rejects_duplicate_overall_row(pipeline_dir, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "dup_overall.csv: duplicate (hadm_id='1', model_id='m', target='di') on rows 2 and 4" in err
+
+
+def test_correlate_rejects_wrong_overall_field_count(pipeline_dir, capsys):
+    scores_path = pipeline_dir / "f_scores.csv"
+    write_external(scores_path, [["1", "m", "di", "medcon", "0.5"]])
+    overall_path = pipeline_dir / "f_overall.csv"
+    overall_path.write_text("hadm_id,model_id,target,value\n1,m,di,0.5\n2,m,di,0.7,x\n", encoding="utf-8")
+    code = run(
+        "correlate", "--scores", scores_path, "--overall", overall_path,
+        "--out", pipeline_dir / "never.csv",
+    )
+    assert code == 1
+    assert "f_overall.csv: row 3: expected 4 fields, got 5" in capsys.readouterr().err
 
 
 def test_correlate_self_correlation(pipeline_dir):
@@ -660,6 +717,12 @@ def test_simulate_score_based_des_row_pinned(tmp_path, config, expected):
     out = tmp_path / config
     assert run("simulate", "--docs", 12, "--models", 3, "--seed", 5, "--config", config, "--out", out) == 0
     assert [f"des:{config}", expected] in read_csv_rows(out / "leaderboard.csv")
+
+
+def test_simulate_unknown_config_exits_one(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert run("simulate", "--docs", 2, "--models", 1, "--seed", 1, "--config", "des4", "--out", out) == 1
+    assert "unknown config 'des4'" in capsys.readouterr().err
 
 
 def test_simulate_single_model_equals_des(tmp_path):

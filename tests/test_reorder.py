@@ -104,6 +104,31 @@ def test_external_scores_lookup_and_gaps(tmp_path):
         rank_sections(doc, "ref", scorer)
 
 
+def test_external_scores_reject_wrong_field_count(tmp_path):
+    path = tmp_path / "sections.csv"
+    path.write_text("hadm_id,section_index,score\nd1,0,0.7\nd1,1,0.2,x\n", encoding="utf-8")
+    with pytest.raises(SectionScoreError, match=r"sections\.csv: row 3: expected 3 fields, got 4"):
+        ExternalSectionScores.from_csv(path)
+
+
+def test_external_scores_duplicate_names_both_rows(tmp_path):
+    path = tmp_path / "sections.csv"
+    path.write_text("hadm_id,section_index,score\nd1,0,0.7\nd1,1,0.2\nd1,0,0.5\n", encoding="utf-8")
+    with pytest.raises(
+        SectionScoreError,
+        match=r"sections\.csv: duplicate \(hadm_id='d1', section_index='0'\) on rows 2 and 4",
+    ):
+        ExternalSectionScores.from_csv(path)
+
+
+def test_external_scores_reject_non_canonical_index(tmp_path):
+    # "00" is section 0 again; it must not slip past the duplicate check.
+    path = tmp_path / "sections.csv"
+    path.write_text("hadm_id,section_index,score\nd1,0,0.7\nd1,00,0.5\n", encoding="utf-8")
+    with pytest.raises(SectionScoreError, match=r"sections\.csv: row 3: "):
+        ExternalSectionScores.from_csv(path)
+
+
 def test_truncate_fixture_2500_to_2000():
     body = " ".join(f"w{i}" for i in range(2500))
     doc = split_sections(summary(body), HEADERS)
