@@ -356,6 +356,10 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # A bad --config fails here, before anything is generated or written.
+    config = None
+    if args.config not in ("oracle", "des5"):
+        config = _preset_or_file(args.config, "oracle, des1..des3, des5")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summaries, candidates = corpus.generate_synthetic_corpus(args.docs, args.models, args.seed)
@@ -415,7 +419,6 @@ def cmd_simulate(args) -> int:
                 pool_by_target[target], des.LengthSelectConfig(model_ranking=tuple(ranking)), target
             )
     else:
-        config = _preset_or_file(args.config, "oracle, des1..des3, des5")
         bodies = {s.hadm_id: s.body_without_targets for s in summaries}
         columns = {m: m for m in ("meteor", "medcon", "alignscore", "fkgl", "dcrs", "cli")}
         def run(target):

@@ -257,17 +257,19 @@ def load_candidates(path) -> list[GeneratedCandidate]:
     triples must be unique.
     """
     fields = ("hadm_id", "model_id", "target", "text")
+    candidates = []
     records = read_jsonl_records(path, fields, key=fields[:3], what="candidate for ")
-    return [
-        GeneratedCandidate(
-            hadm_id=hadm_id,
-            model_id=model_id,
-            target=TargetKind.parse(target),
-            text=text,
-            word_count=word_count(text),
+    for lineno, (hadm_id, model_id, target, text) in records:
+        try:
+            kind = TargetKind.parse(target)
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: line {lineno}: {exc}") from None
+        candidates.append(
+            GeneratedCandidate(
+                hadm_id=hadm_id, model_id=model_id, target=kind, text=text, word_count=word_count(text)
+            )
         )
-        for _, (hadm_id, model_id, target, text) in records
-    ]
+    return candidates
 
 
 def write_corpus(path, summaries: Iterable[DischargeSummary]) -> None:

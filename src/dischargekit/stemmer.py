@@ -58,10 +58,11 @@ def _ends_cvc(stem: str) -> bool:
 def _apply_longest(word: str, rules: list[tuple[str, str, int]]) -> str:
     """Apply the longest-suffix rule whose measure condition holds.
 
-    Each rule is (suffix, replacement, min_measure); min_measure is checked
-    with strict > against the stem left after removing the suffix.
+    Each rule is (suffix, replacement, min_measure), listed longest suffix
+    first; min_measure is checked with strict > against the stem left after
+    removing the suffix.
     """
-    for suffix, replacement, min_m in sorted(rules, key=lambda r: -len(r[0])):
+    for suffix, replacement, min_m in rules:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
             if _measure(stem) > min_m:
@@ -109,6 +110,8 @@ def _step1c(word: str) -> str:
     return word
 
 
+# Each table is sorted longest suffix first once, below, so that the first
+# suffix that matches is the longest one.
 _STEP2_RULES = [
     ("ational", "ate", 0),
     ("tional", "tion", 0),
@@ -147,9 +150,13 @@ _STEP4_SUFFIXES = [
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
 ]
 
+_STEP2_RULES.sort(key=lambda r: -len(r[0]))
+_STEP3_RULES.sort(key=lambda r: -len(r[0]))
+_STEP4_SUFFIXES.sort(key=len, reverse=True)
+
 
 def _step4(word: str) -> str:
-    for suffix in sorted(_STEP4_SUFFIXES, key=len, reverse=True):
+    for suffix in _STEP4_SUFFIXES:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
             if suffix == "ion" and not stem.endswith(("s", "t")):

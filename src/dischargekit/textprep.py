@@ -18,7 +18,9 @@ from importlib import resources
 
 _WORD_RE = re.compile(r"[a-z0-9']+")
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
-_TOKEN_BEFORE_DOT_RE = re.compile(r"[A-Za-z'.]+$")
+_TERMINATOR_RUN_RE = re.compile(r"[.!?]+")
+# [A-Za-z'.] spelled out: importing the string module would add to start-up time.
+_ABBREVIATION_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz'.")
 
 
 @lru_cache(maxsize=1)
@@ -81,40 +83,42 @@ def words(text: str) -> list[str]:
 
 
 def _is_abbreviation(text: str, dot_index: int, abbreviations: frozenset[str]) -> bool:
-    match = _TOKEN_BEFORE_DOT_RE.search(text, 0, dot_index)
-    if not match:
-        return False
-    return (match.group(0) + ".").lower() in abbreviations
+    """Whether the [A-Za-z'.] run directly before the period at ``dot_index``,
+    with that period, is a guarded abbreviation."""
+    start = dot_index
+    while start > 0 and text[start - 1] in _ABBREVIATION_CHARS:
+        start -= 1
+    return start < dot_index and text[start : dot_index + 1].lower() in abbreviations
 
 
 def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> list[str]:
-    """Split on ., ! or ? followed by whitespace or end of text.
+    """Split after each run of ., ! or ? that whitespace or the end of text follows.
 
-    A single period directly after a guarded abbreviation does not end the
-    sentence. Trailing text without terminal punctuation is its own sentence.
+    A run that is a single period does not end the sentence when the
+    abbreviation before it is guarded. That abbreviation is the maximal
+    [A-Za-z'.] run directly before the period, lowercased, plus the period,
+    so any whitespace ends it, a newline too: "dr." is guarded, "dr\\n." is
+    not. Trailing text without terminal punctuation is its own sentence.
+
+    Only a period at a boundary scans back, and the scan stops at the first
+    character outside [A-Za-z'.]. The whitespace after the previous boundary
+    is such a character, so no two scans overlap and the work is linear in
+    the length of the text.
     """
     if abbreviations is None:
         abbreviations = default_abbreviations()
     sentences: list[str] = []
     start = 0
-    i = 0
     n = len(text)
-    while i < n:
-        if text[i] in ".!?":
-            j = i + 1
-            while j < n and text[j] in ".!?":
-                j += 1
-            at_boundary = j >= n or text[j].isspace()
-            single_dot = text[i] == "." and j - i == 1
-            if at_boundary and not (single_dot and _is_abbreviation(text, i, abbreviations)):
-                sentences.append(text[start:j])
-                start = j
-            i = j
-        else:
-            i += 1
-    tail = text[start:]
-    if tail.strip():
-        sentences.append(tail)
+    for run in _TERMINATOR_RUN_RE.finditer(text):
+        i, j = run.span()
+        if j < n and not text[j].isspace():
+            continue
+        if j - i == 1 and text[i] == "." and _is_abbreviation(text, i, abbreviations):
+            continue
+        sentences.append(text[start:j])
+        start = j
+    sentences.append(text[start:])
     return [s.strip() for s in sentences if s.strip()]
 
 

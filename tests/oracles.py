@@ -8,6 +8,7 @@ library implementations are checked against a second, unrelated code path.
 from __future__ import annotations
 
 import math
+import string
 from itertools import combinations
 
 from dischargekit.stemmer import stem
@@ -163,3 +164,40 @@ def three_rule_length_select(ranking, counts, preferred=(100, 180), floor=70):
                 best = m
         return best, "shortest_above_floor"
     return ranking[0], "top_ranked"
+
+
+def naive_split_sentences(text, abbreviations):
+    """Sentences by the rule in ``textprep.split_sentences``, one character at a time.
+
+    A maximal run of ., ! or ? followed by whitespace or the end of text ends
+    a sentence, unless the run is a single period and the longest
+    [A-Za-z'.] run directly before it, plus the period, lowercased, is an
+    abbreviation. Sentences are stripped; blank ones are dropped.
+    """
+    abbreviation_chars = string.ascii_letters + "'."
+    sentences = []
+    current = ""
+    i = 0
+    while i < len(text):
+        if text[i] not in ".!?":
+            current += text[i]
+            i += 1
+            continue
+        run_start = i
+        while i < len(text) and text[i] in ".!?":
+            i += 1
+        run = text[run_start:i]
+        before = ""
+        for k in range(run_start):
+            piece = text[k:run_start]
+            if all(ch in abbreviation_chars for ch in piece):
+                before = piece
+                break
+        guarded = run == "." and before != "" and (before + ".").lower() in abbreviations
+        at_boundary = i == len(text) or text[i].isspace()
+        current += run
+        if at_boundary and not guarded:
+            sentences.append(current)
+            current = ""
+    sentences.append(current)
+    return [s.strip() for s in sentences if s.strip()]

@@ -725,6 +725,14 @@ def test_simulate_unknown_config_exits_one(tmp_path, capsys):
     assert "unknown config 'des4'" in capsys.readouterr().err
 
 
+def test_simulate_unknown_config_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert run("simulate", "--docs", 50, "--models", 3, "--config", "nosuch", "--out", out) == 1
+    assert "unknown config 'nosuch'" in capsys.readouterr().err
+    assert not (out / "corpus.jsonl").exists()
+    assert not (out / "candidates.jsonl").exists()
+
+
 def test_simulate_single_model_equals_des(tmp_path):
     out = tmp_path / "sim1"
     assert run("simulate", "--docs", 6, "--models", 1, "--seed", 2, "--config", "oracle", "--out", out) == 0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -115,11 +116,10 @@ def test_load_candidates_recomputes_word_count(tmp_path):
 
 def test_load_candidates_unknown_target(tmp_path):
     path = tmp_path / "cands.jsonl"
-    path.write_text(
-        json.dumps({"hadm_id": "1", "model_id": "m", "target": "dx", "text": "a"}) + "\n",
-        encoding="utf-8",
-    )
-    with pytest.raises(CorpusError, match="'dx'"):
+    good = json.dumps({"hadm_id": "1", "model_id": "m", "target": "di", "text": "a"})
+    bad = json.dumps({"hadm_id": "1", "model_id": "m", "target": "dx", "text": "a"})
+    path.write_text(good + "\n\n" + bad + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line 3: unknown target 'dx'"):
         load_candidates(path)
 
 

@@ -5,6 +5,7 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
+from dischargekit import stemmer
 from dischargekit.stemmer import stem
 
 # Known input/output pairs for the classic suffix-stripping cascade.
@@ -94,3 +95,15 @@ def test_stem_is_idempotent_on_length(word):
 @given(st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=20))
 def test_stem_is_deterministic(word):
     assert stem(word) == stem(word)
+
+
+def test_rule_tables_are_longest_suffix_first():
+    # The steps take the first suffix that matches, so each table must list
+    # longer suffixes before shorter ones.
+    for suffixes in (
+        [rule[0] for rule in stemmer._STEP2_RULES],
+        [rule[0] for rule in stemmer._STEP3_RULES],
+        stemmer._STEP4_SUFFIXES,
+    ):
+        lengths = [len(s) for s in suffixes]
+        assert lengths == sorted(lengths, reverse=True), suffixes

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import gc
+import math
+import random
+import re
 import string
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from oracles import naive_split_sentences
 
 from dischargekit.textprep import (
     TokenizedText,
     count_syllables,
+    default_abbreviations,
     split_sentences,
     tokenize,
     word_count,
@@ -107,3 +114,68 @@ def test_custom_abbreviation_file(tmp_path):
     assert abbrevs == frozenset({"approx.", "qty."})
     assert tokenize("Qty. ten pills. Take two.", abbreviations=abbrevs).n_sentences == 2
     assert tokenize("Qty. ten pills. Take two.", abbreviations=frozenset()).n_sentences == 3
+
+
+def test_whitespace_before_the_period_ends_the_abbreviation():
+    # The abbreviation is the [A-Za-z'.] run directly before the period, so
+    # a newline between "dr" and the period ends it just as a space does.
+    for text in ("Seen by dr\n. Then home. Ok.", "Seen by dr . Then home. Ok."):
+        sentences = split_sentences(text)
+        assert len(sentences) == 3, sentences
+        assert sentences[1:] == ["Then home.", "Ok."]
+    assert split_sentences("Seen by dr. Then home. Ok.") == ["Seen by dr. Then home.", "Ok."]
+
+
+_ABBREVIATIONS = sorted(default_abbreviations())
+_TOKENS = st.one_of(
+    st.text(alphabet=string.ascii_letters + "'", min_size=1, max_size=6),
+    st.sampled_from(_ABBREVIATIONS + [a.capitalize() for a in _ABBREVIATIONS] + ["E.G."]),
+    st.sampled_from([a[:-1] for a in _ABBREVIATIONS]),
+    st.sampled_from([".", ".", "!", "?", "?!", "..", "..."]),
+    st.text(alphabet=string.digits, min_size=1, max_size=3),
+)
+# "" glues neighbouring tokens, so runs such as "dr." and "e.g.?" also occur.
+_SEPARATORS = st.sampled_from(["", " ", " ", "\n", "\t", " \n", "\r\n", ", ", "("])
+_TEXTS = st.lists(st.tuples(_TOKENS, _SEPARATORS), max_size=20).map(
+    lambda pairs: "".join(token + sep for token, sep in pairs)
+)
+
+
+@settings(max_examples=500)
+@given(_TEXTS)
+def test_split_and_tokenize_agree_with_naive_splitter(text):
+    abbreviations = default_abbreviations()
+    expected = naive_split_sentences(text, abbreviations)
+    assert split_sentences(text) == expected
+    sentences = tuple(
+        tokens
+        for tokens in (tuple(re.findall(r"[a-z0-9']+", s.lower())) for s in expected)
+        if tokens
+    )
+    t = tokenize(text)
+    assert t.sentences == sentences
+    assert t.n_sentences == len(sentences)
+    assert t.n_words == sum(len(tokens) for tokens in sentences)
+
+
+def _long_text(n_words: int) -> str:
+    rng = random.Random(n_words)
+    vocab = ["patient", "stable", "Dr.", "e.g.", "no.", "fluids", "rest", "vs.", "pain", "approx."]
+    return " ".join(rng.choice(vocab) + ("." if i % 12 == 11 else "") for i in range(n_words))
+
+
+def test_tokenize_scales_linearly_in_text_length():
+    # A relative bound: 4x the words may take at most 6x the time, so a
+    # rescan of the text at every period (quadratic overall) fails. The
+    # sizes alternate so that a slow spell of a shared host hits both, and
+    # each size keeps its fastest of 5 runs.
+    texts = {n: _long_text(n) for n in (4000, 16000)}
+    best = dict.fromkeys(texts, math.inf)
+    for _ in range(5):
+        for n, text in texts.items():
+            gc.collect()
+            start = time.perf_counter()
+            tokenize(text)
+            best[n] = min(best[n], time.perf_counter() - start)
+    ratio = best[16000] / best[4000]
+    assert ratio < 6, f"t(16k)/t(4k) = {best[16000]:.3f}/{best[4000]:.3f} s = {ratio:.1f}"
