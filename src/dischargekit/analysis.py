@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -85,32 +83,32 @@ def correlation_matrix(
         metrics = tuple(sorted(shared))
     if not metrics:
         raise AnalysisError("no metrics to correlate")
+    # Per table and variant: the observations' document and model positions, and y.
+    observations = [
+        {
+            variant: (*table.pair_index(entry[variant].keys()), np.fromiter(entry[variant].values(), float))
+            for variant in variant_names
+        }
+        for table, entry in zip(tables, named)
+    ]
     values = np.empty((len(metrics), len(variant_names)))
     for i, metric in enumerate(metrics):
         for j, variant in enumerate(variant_names):
-            xs: list[float] = []
-            ys: list[float] = []
-            for table, entry in zip(tables, named):
+            xs: list[np.ndarray] = []
+            ys: list[np.ndarray] = []
+            for table, by_variant in zip(tables, observations):
                 if metric not in table.metrics:
                     raise AnalysisError(f"table lacks metric {metric!r}")
-                for (doc, model), y in entry[variant].items():
-                    v = table.get(doc, model, metric)
-                    if not math.isnan(v):
-                        xs.append(v)
-                        ys.append(float(y))
+                docs, models, y = by_variant[variant]
+                x = table.values[docs, models, table.metrics.index(metric)]
+                present = ~np.isnan(x)
+                xs.append(x[present])
+                ys.append(y[present])
             try:
-                values[i, j] = pearson(xs, ys)
+                values[i, j] = pearson(np.concatenate(xs), np.concatenate(ys))
             except AnalysisError as exc:
                 raise AnalysisError(f"metric {metric!r} vs {variant!r}: {exc}") from None
     return CorrelationMatrix(metrics=tuple(metrics), variants=variant_names, values=values)
-
-
-def write_correlation_csv(path, matrix: CorrelationMatrix) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "overall_variant", "r"])
-        for metric, variant, r in matrix.to_rows():
-            writer.writerow([metric, variant, f"{r:.10g}"])
 
 
 def normalize_clinician_scores(scores: Sequence[float]) -> list[float]:

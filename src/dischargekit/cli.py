@@ -166,7 +166,10 @@ def _resolve_config(args, table, target):
         overall = _read_overall_csv(args.overall).get(target)
         if not overall:
             raise des.DesConfigError(f"--overall has no rows for target {target.value}")
-        return des.derive_des4_weights(table, overall)
+        try:
+            return des.derive_des4_weights(table, overall)
+        except scores.ScoreError as exc:
+            raise scores.ScoreError(f"{args.overall}: {exc}") from None
     return _preset_or_file(name, ", ".join(des.PRESET_NAMES))
 
 
@@ -295,9 +298,8 @@ def cmd_evaluate(args) -> int:
         table = scores.load_external_scores(path, table)
     overall = scores.overall_by_document(table)
     report_rows: list[tuple[str, str, float]] = []
-    for doc in table.documents:
-        for metric in table.metrics:
-            value = table.get(doc, args.model_id, metric)
+    for doc, cells in zip(table.documents, table.values[:, 0].tolist()):
+        for metric, value in zip(table.metrics, cells):
             if not math.isnan(value):
                 report_rows.append((doc, metric, value))
         report_rows.append((doc, "overall", overall[(doc, args.model_id)]))
@@ -332,19 +334,22 @@ def cmd_correlate(args) -> int:
     for target in sorted(overalls, key=lambda t: t.value):
         tables[target] = scores.ScoreTable.from_rows(rows, target)
     out_rows: list[tuple[str, str, float]] = []
-    if args.mode == "pooled":
-        matrix = analysis.correlation_matrix(
-            list(tables.values()),
-            [{"overall_pooled": overalls[t]} for t in tables],
-            metrics=metrics,
-        )
-        out_rows.extend(matrix.to_rows())
-    else:
-        for target, table in tables.items():
+    try:
+        if args.mode == "pooled":
             matrix = analysis.correlation_matrix(
-                table, {f"overall_{target.value}": overalls[target]}, metrics=metrics
+                list(tables.values()),
+                [{"overall_pooled": overalls[t]} for t in tables],
+                metrics=metrics,
             )
             out_rows.extend(matrix.to_rows())
+        else:
+            for target, table in tables.items():
+                matrix = analysis.correlation_matrix(
+                    table, {f"overall_{target.value}": overalls[target]}, metrics=metrics
+                )
+                out_rows.extend(matrix.to_rows())
+    except scores.ScoreError as exc:
+        raise scores.ScoreError(f"{args.overall}: {exc}") from None
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["metric", "overall_variant", "r"])

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
+
 from .corpus import GeneratedCandidate, TargetKind
 from .scores import ScoreTable
 
@@ -141,6 +143,26 @@ PRESETS: dict[str, DesConfig] = {
 PRESET_NAMES = ("des1", "des2", "des3", "des4", "des5")
 
 
+def _min_max(values: np.ndarray) -> np.ndarray:
+    """Rescale ``values`` to [0, 1] along the last axis (the models).
+
+    A constant row normalizes to all zeros. When ``hi - lo`` overflows, the
+    halved values are rescaled instead, so a finite row never gives nan;
+    every other row keeps the bits of ``(v - lo) / (hi - lo)``.
+    """
+    lo = values.min(axis=-1, keepdims=True)
+    hi = values.max(axis=-1, keepdims=True)
+    with np.errstate(all="ignore"):
+        span = hi - lo
+        norm = values - lo
+        norm /= span
+        wide = np.isinf(span)
+        if wide.any():
+            np.copyto(norm, (values / 2 - lo / 2) / (hi / 2 - lo / 2), where=wide)
+    np.copyto(norm, 0.0, where=hi == lo)
+    return norm
+
+
 def min_max_normalize(raw: Mapping[str, float]) -> dict[str, float]:
     """Rescale one document's per-model values to [0, 1].
 
@@ -151,21 +173,7 @@ def min_max_normalize(raw: Mapping[str, float]) -> dict[str, float]:
     bad = [k for k, v in raw.items() if not math.isfinite(v)]
     if bad:
         raise ValueError(f"non-finite scores for models: {', '.join(sorted(bad))}")
-    lo = min(raw.values())
-    hi = max(raw.values())
-    if hi == lo:
-        return {k: 0.0 for k in raw}
-    return {k: (v - lo) / (hi - lo) for k, v in raw.items()}
-
-
-def _texts_by_doc_model(
-    candidates: Sequence[GeneratedCandidate] | None, target: TargetKind
-) -> dict[tuple[str, str], str]:
-    if candidates is None:
-        return {}
-    return {
-        (c.hadm_id, c.model_id): c.text for c in candidates if c.target is target
-    }
+    return dict(zip(raw, _min_max(np.fromiter(raw.values(), float, len(raw))).tolist()))
 
 
 def select_experts(
@@ -191,49 +199,51 @@ def select_experts(
         raise MissingCellError(
             f"table lacks metrics required by {config.name!r}: {', '.join(missing_metrics)}"
         )
-    texts = _texts_by_doc_model(candidates, target)
-    full_weight = sum(float(c.weight) for c in crits)
-    selections: list[Selection] = []
-    for doc in table.documents:
-        usable: list[tuple[Criterion, dict[str, float]]] = []
-        for crit in crits:
-            raw = {m: table.get(doc, m, crit.metric) for m in table.models}
-            gaps = [m for m, v in raw.items() if math.isnan(v)]
-            if gaps:
-                if strict:
-                    raise MissingCellError(
-                        f"missing cell (hadm_id={doc!r}, model_id={gaps[0]!r}, "
-                        f"metric={crit.metric!r})"
-                    )
-                continue
-            usable.append((crit, min_max_normalize(raw)))
-        if not usable:
+    texts = {(c.hadm_id, c.model_id): c.text for c in candidates or () if c.target is target}
+    metric_pos = table._positions[2]
+    columns = [table.values[:, :, metric_pos[c.metric]] for c in crits]
+    # usable[d, c]: every model has a value for criterion c on document d.
+    usable = np.stack([~np.isnan(col).any(axis=1) for col in columns], axis=1)
+    if strict and not usable.all():
+        d, c = np.argwhere(~usable)[0]
+        model = table.models[np.argmax(np.isnan(columns[c][d]))]
+        raise MissingCellError(
+            f"missing cell (hadm_id={table.documents[d]!r}, model_id={model!r}, "
+            f"metric={crits[c].metric!r})"
+        )
+    for col, keep in zip(columns, usable.T):
+        infinite = np.isinf(col) & keep[:, None]
+        if infinite.any():
+            row = infinite[np.argmax(infinite.any(axis=1))]
+            names = sorted(table.models[m] for m in np.flatnonzero(row))
+            raise ValueError(f"non-finite scores for models: {', '.join(names)}")
+    weights = [float(c.weight) for c in crits]
+    # Weight sums add in criterion order, starting from 0.0, as a scalar loop would.
+    full_weight, kept_weight = 0.0, np.zeros(len(table.documents))
+    for weight, keep in zip(weights, usable.T):
+        full_weight += weight
+        kept_weight += np.where(keep, weight, 0.0)
+    partial = ~usable.all(axis=1)
+    lacking = np.flatnonzero(~usable.any(axis=1) | (partial & (kept_weight == 0)))
+    if len(lacking):
+        doc = table.documents[lacking[0]]
+        if not usable[lacking[0]].any():
             raise MissingCellError(f"no usable criteria for hadm_id {doc!r}")
-        kept_weight = sum(float(c.weight) for c, _ in usable)
-        if len(usable) < len(crits):
-            if kept_weight == 0:
-                raise MissingCellError(
-                    f"remaining criteria for hadm_id {doc!r} have zero total weight"
-                )
-            scale = full_weight / kept_weight
-        else:
-            scale = 1.0
-        best_model = None
-        best_score = -math.inf
-        for model in table.models:
-            score = sum(
-                float(crit.weight) * scale * normalized[model] for crit, normalized in usable
-            ) / len(usable)
-            if score > best_score:
-                best_model = model
-                best_score = score
+        raise MissingCellError(f"remaining criteria for hadm_id {doc!r} have zero total weight")
+    with np.errstate(all="ignore"):
+        scale = np.where(partial, full_weight / kept_weight, 1.0)[:, None]
+        total = np.zeros((len(table.documents), len(table.models)))
+        for weight, column, keep in zip(weights, columns, usable.T):
+            total += np.where(keep[:, None], (weight * scale) * _min_max(column), 0.0)
+        score = total / usable.sum(axis=1)[:, None]
+    # A nan score never wins and a model wins only above -inf, as in a `>` scan.
+    score[np.isnan(score)] = -math.inf
+    best = score.argmax(axis=1)
+    selections = []
+    for doc, b, basis in zip(table.documents, best.tolist(), score.max(axis=1).tolist()):
+        model = table.models[b] if basis > -math.inf else None
         selections.append(
-            Selection(
-                hadm_id=doc,
-                model_id=best_model,
-                text=texts.get((doc, best_model)),
-                basis=best_score,
-            )
+            Selection(hadm_id=doc, model_id=model, text=texts.get((doc, model)), basis=basis)
         )
     return SelectionResult(target=target, selections=tuple(selections))
 
@@ -301,21 +311,19 @@ def derive_des4_weights(
     from .analysis import pearson
 
     metrics = tuple(metrics) if metrics is not None else table.metrics
+    docs, models = table.pair_index(overall.keys())
+    ys = np.fromiter(overall.values(), float, len(overall))
     criteria = []
     for metric in metrics:
         if metric not in table.metrics:
             raise DesConfigError(f"table lacks metric {metric!r}")
-        xs, ys = [], []
-        for (doc, model), y in overall.items():
-            v = table.get(doc, model, metric)
-            if not math.isnan(v):
-                xs.append(v)
-                ys.append(float(y))
-        if len(xs) < 3:
+        xs = table.values[docs, models, table.metrics.index(metric)]
+        present = ~np.isnan(xs)
+        if present.sum() < 3:
             raise DesConfigError(
-                f"metric {metric!r} has {len(xs)} usable observations; need at least 3"
+                f"metric {metric!r} has {present.sum()} usable observations; need at least 3"
             )
-        criteria.append(Criterion(metric, pearson(xs, ys)))
+        criteria.append(Criterion(metric, pearson(xs[present], ys[present])))
     return DesConfig("des4", criteria=tuple(criteria))
 
 

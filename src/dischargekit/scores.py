@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -134,31 +135,37 @@ class ScoreTable:
         values = np.full((len(documents), len(models), len(metrics)), np.nan)
         return cls(target, tuple(documents), tuple(models), metrics, values)
 
-    def _index(self, doc: str, model: str, metric: str) -> tuple[int, int, int]:
+    def get(self, doc: str, model: str, metric: str) -> float:
         docs, models, metrics = self._positions
         try:
-            return docs[doc], models[model], metrics[metric]
+            return float(self.values[docs[doc], models[model], metrics[metric]])
         except KeyError:
             raise ScoreError(
                 f"unknown cell (hadm_id={doc!r}, model_id={model!r}, metric={metric!r})"
             ) from None
 
-    def get(self, doc: str, model: str, metric: str) -> float:
-        return float(self.values[self._index(doc, model, metric)])
-
-    def has(self, doc: str, model: str, metric: str) -> bool:
-        return not math.isnan(self.get(doc, model, metric))
-
     def to_rows(self) -> list[tuple[str, str, str, str, float]]:
         """Non-missing cells as (hadm_id, model_id, target, metric, value)."""
-        rows = []
-        for i, doc in enumerate(self.documents):
-            for j, model in enumerate(self.models):
-                for k, metric in enumerate(self.metrics):
-                    v = self.values[i, j, k]
-                    if not math.isnan(v):
-                        rows.append((doc, model, self.target.value, metric, float(v)))
-        return rows
+        i, j, k = np.nonzero(~np.isnan(self.values))
+        target = self.target.value
+        return [
+            (self.documents[a], self.models[b], target, self.metrics[c], v)
+            for a, b, c, v in zip(i.tolist(), j.tolist(), k.tolist(), self.values[i, j, k].tolist())
+        ]
+
+    def pair_index(self, pairs: Collection[tuple[str, ...]]) -> tuple[np.ndarray, np.ndarray]:
+        """Document and model positions of the (hadm_id, model_id, ...) pairs, in order."""
+        doc_pos, model_pos, _ = self._positions
+        try:
+            return (
+                np.fromiter(map(doc_pos.__getitem__, map(itemgetter(0), pairs)), np.intp, len(pairs)),
+                np.fromiter(map(model_pos.__getitem__, map(itemgetter(1), pairs)), np.intp, len(pairs)),
+            )
+        except KeyError:
+            doc, model = next(p for p in pairs if p[0] not in doc_pos or p[1] not in model_pos)[:2]
+            raise ScoreError(
+                f"(hadm_id={doc!r}, model_id={model!r}) is not in the {self.target.value} score table"
+            ) from None
 
     @classmethod
     def from_rows(
@@ -173,26 +180,33 @@ class ScoreTable:
         Document and model universes default to first-seen order in the
         rows; when given explicitly, rows outside them are an error.
         """
-        kept = [r for r in rows if r[2] == target.value]
+        wanted = target.value
+        kept = [r for r in rows if r[2] == wanted]
         if documents is None:
-            documents = first_seen(r[0] for r in kept)
+            documents = first_seen(map(itemgetter(0), kept))
         if models is None:
-            models = first_seen(r[1] for r in kept)
-        table = cls.empty(target, documents, models, {r[3] for r in kept})
-        doc_pos, model_pos, _ = table._positions
-        unknown = sorted(
-            {r[0] for r in kept if r[0] not in doc_pos}
-            | {r[1] for r in kept if r[1] not in model_pos}
-        )
-        if unknown:
-            raise ScoreError(f"rows reference unknown hadm_id/model_id: {', '.join(unknown)}")
-        for doc, model, _, metric, value in kept:
-            idx = table._index(doc, model, metric)
-            if not math.isnan(table.values[idx]):
-                raise ScoreError(
-                    f"duplicate cell (hadm_id={doc!r}, model_id={model!r}, metric={metric!r})"
-                )
-            table.values[idx] = value
+            models = first_seen(map(itemgetter(1), kept))
+        table = cls.empty(target, documents, models, set(map(itemgetter(3), kept)))
+        doc_pos, model_pos, metric_pos = table._positions
+        try:
+            docs, mods = table.pair_index(kept)
+        except ScoreError:
+            unknown = sorted(
+                {r[0] for r in kept if r[0] not in doc_pos}
+                | {r[1] for r in kept if r[1] not in model_pos}
+            )
+            raise ScoreError(f"rows reference unknown hadm_id/model_id: {', '.join(unknown)}") from None
+        mets = np.fromiter(map(metric_pos.__getitem__, map(itemgetter(3), kept)), np.intp, len(kept))
+        cells = np.ravel_multi_index((docs, mods, mets), table.values.shape)
+        if np.bincount(cells, minlength=1).max() > 1:
+            # Name the first row whose cell an earlier row already filled.
+            first = np.zeros(len(cells), dtype=bool)
+            first[np.unique(cells, return_index=True)[1]] = True
+            doc, model, _, metric, _ = kept[int(np.argmin(first))]
+            raise ScoreError(
+                f"duplicate cell (hadm_id={doc!r}, model_id={model!r}, metric={metric!r})"
+            )
+        table.values.flat[cells] = np.fromiter(map(itemgetter(4), kept), float, len(kept))
         return table
 
     def equals(self, other: "ScoreTable") -> bool:
@@ -358,13 +372,22 @@ def parse_score_cell(path, rowno: int, target: str, raw: str) -> tuple[TargetKin
     return kind, value
 
 
+_TARGET_VALUES = frozenset(kind.value for kind in TargetKind)
+
+
 def read_score_csv(path) -> list[tuple[str, str, str, str, float]]:
     """Read a long-form score CSV (hadm_id,model_id,target,metric,value)."""
     rows = []
     for rowno, (hadm_id, model_id, target, metric, raw) in read_csv_records(
         path, EXTERNAL_CSV_HEADER, ScoreError
     ):
-        _, value = parse_score_cell(path, rowno, target, raw)
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if target not in _TARGET_VALUES or not math.isfinite(value):
+            # Only a bad row gets here; parse_score_cell words its error.
+            _, value = parse_score_cell(path, rowno, target, raw)
         rows.append((hadm_id, model_id, target, metric, value))
     return rows
 
@@ -414,7 +437,10 @@ def overall_score(components: Mapping[str, float]) -> OverallScore:
     if extra:
         raise ScoreError(f"unexpected overall-score metrics: {', '.join(sorted(extra))}")
     ordered = {m: float(components[m]) for m in OVERALL_METRICS}
-    return OverallScore(value=sum(ordered.values()) / len(ordered), components=ordered)
+    total = 0.0
+    for value in ordered.values():
+        total += value
+    return OverallScore(value=total / len(ordered), components=ordered)
 
 
 def synthetic_external_rows(
@@ -444,20 +470,25 @@ def synthetic_external_rows(
 
 
 def overall_by_document(table: ScoreTable) -> dict[tuple[str, str], float]:
-    """Per (document, model) overall score from a table with all 8 metrics."""
+    """Per (document, model) overall score from a table with all 8 metrics.
+
+    The columns are added one at a time in ``OVERALL_METRICS`` order, the
+    additions :func:`overall_score` makes, so both give the same bits.
+    """
     missing_metrics = [m for m in OVERALL_METRICS if m not in table.metrics]
     if missing_metrics:
         raise ScoreError(f"table lacks overall-score metrics: {', '.join(missing_metrics)}")
-    out: dict[tuple[str, str], float] = {}
-    for doc in table.documents:
-        for model in table.models:
-            components = {}
-            for m in OVERALL_METRICS:
-                v = table.get(doc, model, m)
-                if math.isnan(v):
-                    raise ScoreError(
-                        f"missing cell (hadm_id={doc!r}, model_id={model!r}, metric={m!r})"
-                    )
-                components[m] = v
-            out[(doc, model)] = overall_score(components).value
-    return out
+    metric_pos = table._positions[2]
+    block = table.values[:, :, [metric_pos[m] for m in OVERALL_METRICS]]
+    gaps = np.argwhere(np.isnan(block))
+    if len(gaps):
+        i, j, k = gaps[0]
+        raise ScoreError(
+            f"missing cell (hadm_id={table.documents[i]!r}, model_id={table.models[j]!r}, "
+            f"metric={OVERALL_METRICS[k]!r})"
+        )
+    total = np.zeros(block.shape[:2])
+    for k in range(len(OVERALL_METRICS)):
+        total += block[:, :, k]
+    pairs = ((doc, model) for doc in table.documents for model in table.models)
+    return dict(zip(pairs, (total / len(OVERALL_METRICS)).ravel().tolist()))

@@ -648,6 +648,46 @@ def test_correlate_rejects_wrong_overall_field_count(pipeline_dir, capsys):
     assert "f_overall.csv: row 3: expected 4 fields, got 5" in capsys.readouterr().err
 
 
+def test_correlate_overall_key_missing_from_scores_names_the_file(pipeline_dir, capsys):
+    scores_path = pipeline_dir / "k_scores.csv"
+    write_external(scores_path, [[d, "m", "di", "medcon", f"{d}.5"] for d in "123"])
+    overall_path = pipeline_dir / "k_overall.csv"
+    overall_path.write_text(
+        "hadm_id,model_id,target,value\n1,m,di,0.5\n2,m,di,0.7\n3,m,di,0.2\n9,m,di,0.1\n",
+        encoding="utf-8",
+    )
+    code = run(
+        "correlate", "--scores", scores_path, "--overall", overall_path,
+        "--out", pipeline_dir / "never.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{overall_path}: " in err and "(hadm_id='9', model_id='m')" in err
+    assert "metric" not in err
+
+
+def test_select_des4_overall_key_missing_from_scores_names_the_file(pipeline_dir, capsys):
+    desin = select_setup(pipeline_dir)
+    overall_path = pipeline_dir / "k_overall.csv"
+    cands = corpus.load_candidates(pipeline_dir / "candidates.jsonl")
+    with open(overall_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["hadm_id", "model_id", "target", "value"])
+        for i, c in enumerate(cands):
+            if c.target is TargetKind.DI:
+                writer.writerow([c.hadm_id, c.model_id, "di", f"{(i % 10) / 10}"])
+        writer.writerow(["9", "m", "di", "0.5"])
+    code = run(
+        "select", "--scores", desin, "--candidates", pipeline_dir / "candidates.jsonl",
+        "--config", "des4", "--target", "di", "--overall", overall_path,
+        "--out", pipeline_dir / "never.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{overall_path}: " in err and "(hadm_id='9', model_id='m')" in err
+    assert "metric" not in err
+
+
 def test_correlate_self_correlation(pipeline_dir):
     cands = corpus.load_candidates(pipeline_dir / "candidates.jsonl")
     score_rows = []

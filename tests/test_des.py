@@ -59,6 +59,20 @@ def test_min_max_normalize_degenerate_cases():
         min_max_normalize({"a": float("nan")})
 
 
+def test_min_max_normalize_range_past_float_max():
+    # hi - lo overflows to inf here; every value is finite, so it must still
+    # map onto [0, 1] and not to nan.
+    assert min_max_normalize({"a": 1e308, "b": -1e308, "c": 0.0}) == {"a": 1.0, "b": 0.0, "c": 0.5}
+    assert min_max_normalize({"a": 2.5, "b": -1.0}) == {"a": (2.5 - -1.0) / 3.5, "b": 0.0}
+
+
+def test_select_experts_range_past_float_max_picks_the_top():
+    raw = {"a": 1e308, "b": -1e308, "c": 0.0}
+    table = make_table(["d1"], ["a", "b", "c"], ["medcon", "meteor"], lambda d, m, k: raw[m])
+    (sel,) = select_experts(table, PRESETS["des1"], TargetKind.DI).selections
+    assert (sel.model_id, sel.basis) == ("a", 0.5)
+
+
 def test_presets_encode_published_weights():
     assert {(c.metric, c.weight) for c in PRESETS["des1"].criteria} == {
         ("medcon", Fraction(1, 2)),

@@ -18,7 +18,8 @@ from dischargekit.corpus import (
     corpus_targets,
 )
 from dischargekit import readability, relevance, scores
-from dischargekit.des import PRESETS, select_experts
+from dischargekit.analysis import correlation_matrix
+from dischargekit.des import PRESETS, derive_des4_weights, select_experts
 from dischargekit.readability import DegenerateTextError
 from dischargekit.scores import (
     METRICS,
@@ -265,8 +266,10 @@ def test_index_layers_scale_linearly_in_documents():
             gc.collect()
             start = time.perf_counter()
             table = ScoreTable.from_rows(size_rows, TargetKind.DI)
-            overall_by_document(table)
+            overall = overall_by_document(table)
             select_experts(table, PRESETS["des1"], TargetKind.DI)
+            derive_des4_weights(table, overall)
+            correlation_matrix(table, overall)
             best[n] = min(best[n], time.perf_counter() - start)
     ratio = best[2000] / best[500]
     assert ratio < 6, f"t(2000)/t(500) = {best[2000]:.3f}/{best[500]:.3f} s = {ratio:.1f}"
