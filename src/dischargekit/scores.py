@@ -437,6 +437,7 @@ def overall_score(components: Mapping[str, float]) -> OverallScore:
     if extra:
         raise ScoreError(f"unexpected overall-score metrics: {', '.join(sorted(extra))}")
     ordered = {m: float(components[m]) for m in OVERALL_METRICS}
+    # Left to right, as overall_by_document adds its columns; sum() compensates from 3.12 on.
     total = 0.0
     for value in ordered.values():
         total += value

@@ -11,8 +11,6 @@ constant columns, ties, and negative, ``Fraction`` and zero weights.
 from __future__ import annotations
 
 import math
-import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -226,22 +224,6 @@ def test_correlation_matrix_equals_per_cell_pearson(data):
         return [(m, v, float.hex(r)) for m, v, r in matrix.to_rows()]
 
     assert _outcome(got) == _outcome(expected)
-
-
-def test_select_experts_keeps_first_model_on_ties_across_documents():
-    rng = random.Random(5)
-    docs, models = [f"d{i}" for i in range(200)], ["x", "y", "z"]
-    rows = [
-        (d, m, "di", metric, float(rng.choice([0, 1])))
-        for d in docs
-        for m in models
-        for metric in ("medcon", "meteor")
-    ]
-    table = ScoreTable.from_rows(rows, TargetKind.DI, documents=docs, models=models)
-    config = DesConfig("t", criteria=(Criterion("medcon", Fraction(1, 2)), Criterion("meteor", Fraction(1, 2))))
-    assert _picks(select_experts(table, config, TargetKind.DI)) == per_document_select(
-        table, config.criteria, strict=True
-    )
 
 
 def test_from_rows_names_the_first_repeated_row():
