@@ -62,11 +62,6 @@ def tables(draw, metrics=METRICS, max_docs=6, max_models=5, max_gaps=3):
     return ScoreTable(TargetKind.DI, docs, models, tuple(sorted(metrics)), values)
 
 
-def _criteria(draw, metrics):
-    chosen = draw(st.lists(st.sampled_from(metrics), min_size=1, max_size=4))
-    return tuple(Criterion(metric, draw(WEIGHTS)) for metric in chosen)
-
-
 def per_document_select(table, criteria, strict):
     """The selection rule, one document and one cell at a time."""
     full_weight = 0.0
@@ -121,7 +116,8 @@ def _picks(result):
 @given(data=st.data(), strict=st.booleans())
 def test_select_experts_equals_per_document_recomputation(data, strict):
     table = data.draw(tables())
-    criteria = _criteria(data.draw, METRICS)
+    chosen = data.draw(st.lists(st.sampled_from(METRICS), min_size=1, max_size=4))
+    criteria = tuple(Criterion(metric, data.draw(WEIGHTS)) for metric in chosen)
     config = DesConfig("random", criteria=criteria)
     got = _outcome(lambda: _picks(select_experts(table, config, TargetKind.DI, strict=strict)))
     assert got == _outcome(per_document_select, table, criteria, strict)
