@@ -7,11 +7,12 @@ compared as ``float.hex``, because the ``.10g`` CSV text hides a last-bit
 drift. The per-document overall CSV is written with ``repr``, so its digest
 pins every bit of ``overall_by_document``.
 
-Covered: ``simulate`` (oracle, des1, des3), ``extract``, ``score`` (native,
-``--against-ds``, ``--external``), ``reorder --mode per-doc``, ``select``
-(des1..des5 on both targets, des4 with ``--overall``, ``--lenient`` on a
-score CSV with cells removed), ``correlate`` (pooled and per-target) and
-``evaluate --external``.
+Covered: ``simulate`` (oracle, des1..des3, des5), ``extract``, ``score``
+(native, ``--against-ds``, ``--external``), ``reorder`` (``--mode
+per-doc``, ``--mode global`` with its ranking file, ``--apply-ranking``),
+``select`` (des1..des5 on both targets, des4 with ``--overall``,
+``--lenient`` on a score CSV with cells removed), ``correlate`` (pooled and
+per-target) and ``evaluate --external``.
 
 A change that moves a digest must name the output and the reason in
 ``CHANGES.md``. To write the file afresh (only for a deliberate, documented
@@ -91,7 +92,7 @@ def golden_outputs(work: Path) -> dict:
     scores.write_score_csv = capture
     analysis.correlation_matrix = capture_correlations
     try:
-        for config in ("oracle", "des1", "des3"):
+        for config in ("oracle", "des1", "des2", "des3", "des5"):
             _run("simulate", *SIMULATE, "--config", config, "--out", work / f"sim_{config}")
         sim = work / "sim_oracle"
         _run("extract", "--corpus", sim / "corpus.jsonl", "--out", work / "extract")
@@ -104,6 +105,12 @@ def golden_outputs(work: Path) -> dict:
         _run("reorder", "--corpus", sim / "corpus.jsonl", "--reference-targets",
              ex / "targets.jsonl", "--mode", "per-doc", "--budget", "300",
              "--out", work / "reordered.jsonl")
+        _run("reorder", "--corpus", sim / "corpus.jsonl", "--reference-targets",
+             ex / "targets.jsonl", "--mode", "global", "--budget", "300",
+             "--out", work / "reordered_global.jsonl")
+        _run("reorder", "--corpus", sim / "corpus.jsonl", "--apply-ranking",
+             work / "reordered_global.jsonl.ranking.json", "--budget", "300",
+             "--out", work / "reordered_applied.jsonl")
 
         pool = corpus.load_candidates(cands)
         external = work / "external.csv"
