@@ -9,7 +9,6 @@ internal error or a command-line usage error reported by argparse.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -40,18 +39,16 @@ def _config_hash(args: argparse.Namespace) -> str:
 def _write_manifest(out_path: Path, command: str, args: argparse.Namespace, inputs: list) -> None:
     manifest = {
         "command": command,
-        "version": __version__,
         "config_hash": _config_hash(args),
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): _sha256(p) for p in sorted(inputs, key=str)},
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "version": __version__,
     }
     if out_path.is_dir():
         target = out_path / "manifest.json"
     else:
         target = out_path.with_name(out_path.name + ".manifest.json")
-    with open(target, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    corpus.write_json(target, manifest)
 
 
 def _read_submission(path) -> list[tuple[str, str]]:
@@ -61,11 +58,7 @@ def _read_submission(path) -> list[tuple[str, str]]:
 
 
 def _write_submission(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["hadm_id", "text"])
-        for hadm_id, text in rows:
-            writer.writerow([hadm_id, text])
+    corpus.write_csv_records(path, ("hadm_id", "text"), rows)
 
 
 def _read_overall_csv(path) -> dict[TargetKind, dict[tuple[str, str], float]]:
@@ -95,10 +88,8 @@ def cmd_extract(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     targets = corpus.corpus_targets(summaries, known_headers=headers)
     corpus.write_targets(out_dir / "targets.jsonl", targets)
-    with open(out_dir / "bodies.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-        for s in summaries:
-            fh.write(json.dumps({"hadm_id": s.hadm_id, "body": s.body_without_targets}))
-            fh.write("\n")
+    bodies = ((s.hadm_id, s.body_without_targets) for s in summaries)
+    corpus.write_jsonl_records(out_dir / "bodies.jsonl", ("hadm_id", "body"), bodies)
     _write_manifest(out_dir, "extract", args, [args.corpus])
     print(f"extracted {len(summaries)} documents -> {out_dir}", file=sys.stderr)
     return 0
@@ -201,9 +192,7 @@ def cmd_select(args) -> int:
         )
         if config.name == "des4":
             derived_path = Path(args.out).with_name(Path(args.out).name + ".des4.json")
-            with open(derived_path, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(des.des_config_to_json(config), fh, indent=2)
-                fh.write("\n")
+            corpus.write_json(derived_path, des.des_config_to_json(config))
     missing_text = [s.hadm_id for s in result.selections if s.text is None]
     if missing_text:
         raise corpus.CorpusError(
@@ -211,9 +200,7 @@ def cmd_select(args) -> int:
         )
     _write_submission(args.out, [(s.hadm_id, s.text) for s in result.selections])
     tally_path = Path(args.out).with_name(Path(args.out).name + ".tally.json")
-    with open(tally_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(result.tally, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    corpus.write_json(tally_path, dict(sorted(result.tally.items())))
     inputs = [args.candidates, *args.scores]
     if args.overall:
         inputs.append(args.overall)
@@ -257,12 +244,8 @@ def cmd_reorder(args) -> int:
             if d.hadm_id not in refs:
                 raise reorder.SectionScoreError(f"no reference text for hadm_id {d.hadm_id!r}")
             ordered.append(reorder.rank_sections(d, refs[d.hadm_id], scorer))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        for doc in ordered:
-            fh.write(
-                json.dumps({"hadm_id": doc.hadm_id, "text": reorder.truncate_words(doc, args.budget)})
-            )
-            fh.write("\n")
+    rows = ((doc.hadm_id, reorder.truncate_words(doc, args.budget)) for doc in ordered)
+    corpus.write_jsonl_records(args.out, ("hadm_id", "text"), rows)
     inputs = [args.corpus]
     for extra in (args.reference_targets, args.section_scores, args.apply_ranking):
         if extra:
@@ -309,13 +292,8 @@ def cmd_evaluate(args) -> int:
         / max(sum(1 for _, m, v in report_rows if m == metric), 1)
         for metric in metric_names
     }
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["hadm_id", "metric", "value"])
-        for doc, metric, value in report_rows:
-            writer.writerow([doc, metric, f"{value:.10g}"])
-        for metric in metric_names:
-            writer.writerow(["MEAN", metric, f"{means[metric]:.10g}"])
+    mean_rows = [("MEAN", metric, means[metric]) for metric in metric_names]
+    corpus.write_csv_records(args.out, ("hadm_id", "metric", "value"), report_rows + mean_rows)
     width = max(len(m) for m in metric_names)
     print(f"{'metric'.ljust(width)}  corpus mean")
     for metric in metric_names:
@@ -350,11 +328,7 @@ def cmd_correlate(args) -> int:
                 out_rows.extend(matrix.to_rows())
     except scores.ScoreError as exc:
         raise scores.ScoreError(f"{args.overall}: {exc}") from None
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "overall_variant", "r"])
-        for metric, variant, r in sorted(out_rows):
-            writer.writerow([metric, variant, f"{r:.10g}"])
+    corpus.write_csv_records(args.out, ("metric", "overall_variant", "r"), sorted(out_rows))
     _write_manifest(Path(args.out), "correlate", args, [*args.scores, args.overall])
     print(f"wrote {len(out_rows)} correlations -> {args.out}", file=sys.stderr)
     return 0
@@ -433,11 +407,7 @@ def cmd_simulate(args) -> int:
 
     leaderboard.append((f"des:{args.config}", strategy_mean(run)))
     leaderboard.sort(key=lambda kv: -kv[1])
-    with open(out_dir / "leaderboard.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["strategy", "mean_overall"])
-        for name, value in leaderboard:
-            writer.writerow([name, f"{value:.10g}"])
+    corpus.write_csv_records(out_dir / "leaderboard.csv", ("strategy", "mean_overall"), leaderboard)
     width = max(len(name) for name, _ in leaderboard)
     print(f"{'strategy'.ljust(width)}  mean overall")
     for name, value in leaderboard:

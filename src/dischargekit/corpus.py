@@ -223,6 +223,28 @@ def read_jsonl_records(
             yield lineno, values
 
 
+def write_csv_records(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then ``rows`` as CSV with "\\n" line ends, each
+    ``float`` cell to 10 significant digits; ``read_csv_records`` reads it back."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([f"{v:.10g}" if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def write_jsonl_records(path, fields: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write one JSON object per row, keyed by ``fields``, as ``read_jsonl_records`` reads it."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(json.dumps(dict(zip(fields, row))) + "\n" for row in rows)
+
+
+def write_json(path, document) -> None:
+    """Write one JSON document, indented by 2, keys in the order given."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(document, fh, indent=2)
+        fh.write("\n")
+
+
 def load_corpus(path, known_headers: Sequence[str] | None = None) -> list[DischargeSummary]:
     """Load a corpus JSONL file ({"hadm_id", "discharge_summary"} per line).
 
@@ -273,33 +295,17 @@ def load_candidates(path) -> list[GeneratedCandidate]:
 
 
 def write_corpus(path, summaries: Iterable[DischargeSummary]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s in summaries:
-            fh.write(json.dumps({"hadm_id": s.hadm_id, "discharge_summary": s.full_text}))
-            fh.write("\n")
+    rows = ((s.hadm_id, s.full_text) for s in summaries)
+    write_jsonl_records(path, ("hadm_id", "discharge_summary"), rows)
 
 
 def write_candidates(path, candidates: Iterable[GeneratedCandidate]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for c in candidates:
-            fh.write(
-                json.dumps(
-                    {
-                        "hadm_id": c.hadm_id,
-                        "model_id": c.model_id,
-                        "target": c.target.value,
-                        "text": c.text,
-                    }
-                )
-            )
-            fh.write("\n")
+    rows = ((c.hadm_id, c.model_id, c.target.value, c.text) for c in candidates)
+    write_jsonl_records(path, ("hadm_id", "model_id", "target", "text"), rows)
 
 
 def write_targets(path, targets: Iterable[ExtractedTargets]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t in targets:
-            fh.write(json.dumps({"hadm_id": t.hadm_id, "bhc": t.bhc, "di": t.di}))
-            fh.write("\n")
+    write_jsonl_records(path, ("hadm_id", "bhc", "di"), ((t.hadm_id, t.bhc, t.di) for t in targets))
 
 
 def load_targets(path) -> dict[str, ExtractedTargets]:

@@ -14,7 +14,7 @@ import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 
-from .corpus import DischargeSummary, default_known_headers, header_pattern, read_csv_records
+from .corpus import DischargeSummary, default_known_headers, header_pattern, read_csv_records, write_json
 from .relevance import rouge_1
 
 MAX_SECTIONS = 50
@@ -203,9 +203,7 @@ def apply_header_ranking(
 
 
 def write_header_ranking(path, ranking: Mapping[str, float]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(dict(sorted(ranking.items())), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, dict(sorted(ranking.items())))
 
 
 def load_header_ranking(path) -> dict[str, float]:

@@ -8,7 +8,6 @@ are ingested from external CSV files and merged into the same table.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence
@@ -27,6 +26,7 @@ from .corpus import (
     TargetKind,
     read_csv_records,
     reference_text,
+    write_csv_records,
 )
 from .relevance import stem
 from .textprep import tokenize, words
@@ -393,11 +393,7 @@ def read_score_csv(path) -> list[tuple[str, str, str, str, float]]:
 
 
 def write_score_csv(path, rows: Iterable[tuple[str, str, str, str, float]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EXTERNAL_CSV_HEADER)
-        for hadm_id, model_id, target, metric, value in rows:
-            writer.writerow([hadm_id, model_id, target, metric, f"{value:.10g}"])
+    write_csv_records(path, EXTERNAL_CSV_HEADER, rows)
 
 
 def load_external_scores(path, table: ScoreTable) -> ScoreTable:

@@ -1,12 +1,20 @@
-"""Property tests of the record-reader contract: round trips and duplicate keys."""
+"""Property tests of the record reader and writer contract: round trips, duplicate
+keys, and one module that writes files."""
 
 from __future__ import annotations
+
+import ast
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dischargekit import cli, corpus
-from dischargekit.corpus import CorpusError, ExtractedTargets, GeneratedCandidate, TargetKind
+import dischargekit
+from dischargekit import cli, corpus, des, reorder, scores
+from dischargekit.corpus import (
+    CorpusError, DischargeSummary, ExtractedTargets, GeneratedCandidate, TargetKind,
+)
 from dischargekit.textprep import word_count
 
 # Commas, quotes and newlines are the characters CSV quoting must carry.
@@ -52,6 +60,72 @@ def test_submission_round_trip(tmp_path, rows):
     path = tmp_path / "sub.csv"
     cli._write_submission(path, rows)
     assert cli._read_submission(path) == rows
+
+
+@FILE_EXAMPLES
+@given(rows=st.lists(st.tuples(TEXT.filter(bool), TEXT), unique_by=lambda r: r[0], max_size=6))
+def test_corpus_round_trip(tmp_path, rows):
+    path = tmp_path / "corpus.jsonl"
+    corpus.write_corpus(path, [DischargeSummary(h, text, "") for h, text in rows])
+    assert [(s.hadm_id, s.full_text) for s in corpus.load_corpus(path)] == rows
+
+
+@FILE_EXAMPLES
+@given(rows=st.lists(st.tuples(TEXT, TEXT), unique_by=lambda r: r[0], max_size=6))
+def test_bodies_round_trip(tmp_path, rows):
+    path = tmp_path / "bodies.jsonl"
+    corpus.write_jsonl_records(path, ("hadm_id", "body"), rows)
+    assert cli._load_bodies(path) == dict(rows)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@FILE_EXAMPLES
+@given(ranking=st.dictionaries(TEXT, FINITE, max_size=6))
+def test_header_ranking_round_trip(tmp_path, ranking):
+    path = tmp_path / "ranking.json"
+    reorder.write_header_ranking(path, ranking)
+    assert reorder.load_header_ranking(path) == ranking
+
+
+WEIGHT = FINITE | st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99))
+CRITERION = st.builds(des.Criterion, TEXT, WEIGHT, st.sampled_from(list(des.Scope)))
+
+
+@FILE_EXAMPLES
+@given(name=TEXT, criteria=st.lists(CRITERION, min_size=1, max_size=4))
+def test_des_config_round_trip(tmp_path, name, criteria):
+    config = des.DesConfig(name, tuple(criteria))
+    path = tmp_path / "cfg.json"
+    corpus.write_json(path, des.des_config_to_json(config))
+    loaded = des.load_des_config(path)
+    assert loaded == config
+    assert [type(c.weight) for c in loaded.criteria] == [type(c.weight) for c in criteria]
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """A write-mode ``open``, ``csv.writer`` or ``json.dump`` call."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        if (func.value.id, func.attr) in (("csv", "writer"), ("json", "dump")):
+            return True
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[1:2]
+    return any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+") for m in modes)
+
+
+def test_only_corpus_writes_files():
+    """Every output goes through the writers in corpus.py, next to the readers."""
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(dischargekit.__file__).parent.glob("*.py"))
+        if path.name != "corpus.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _writes_a_file(node)
+    ]
+    assert not offenders, f"files written outside corpus.py: {offenders}"
 
 
 def _insert_copy(data, n: int) -> tuple[int, int]:
