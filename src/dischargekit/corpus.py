@@ -225,11 +225,15 @@ def read_jsonl_records(
 
 def write_csv_records(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write ``header`` and then ``rows`` as CSV with "\\n" line ends, each
-    ``float`` cell to 10 significant digits; ``read_csv_records`` reads it back."""
+    ``float`` cell to 10 significant digits (in full from 1.797693134e308 up,
+    where 10 digits could round to inf); ``read_csv_records`` reads it back."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([f"{v:.10g}" if isinstance(v, float) else v for v in row] for row in rows)
+        writer.writerows(
+            [f"{v:.10g}" if isinstance(v, float) and abs(v) < 1.797693134e308 else v for v in row]
+            for row in rows
+        )
 
 
 def write_jsonl_records(path, fields: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import dischargekit
 from dischargekit import cli, corpus, des, reorder, scores
@@ -79,6 +79,17 @@ def test_bodies_round_trip(tmp_path, rows):
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@FILE_EXAMPLES
+@given(rows=st.lists(st.tuples(TEXT, TEXT, st.sampled_from(["bhc", "di"]), TEXT, FINITE), max_size=6))
+@example(rows=[("d", "m", "di", "x", -0.0), ("d", "m", "di", "x", 1.7976931345e308)])
+def test_score_csv_round_trip(tmp_path, rows):
+    """Values come back to 10 digits, or in full where 10 digits would round to inf."""
+    path = tmp_path / "scores.csv"
+    scores.write_score_csv(path, rows)
+    values = [v if abs(v) >= 1.797693134e308 else float(f"{v:.10g}") for *_, v in rows]
+    assert scores.read_score_csv(path) == [(*row[:4], v) for row, v in zip(rows, values)]
 
 
 @FILE_EXAMPLES
