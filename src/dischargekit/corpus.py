@@ -358,15 +358,7 @@ _FILLER_SECTIONS = (
 
 def _sentences(rng: random.Random, n_words: int) -> str:
     """n_words pool words chunked into period-terminated sentences."""
-    tokens = [rng.choice(_WORD_POOL) for _ in range(n_words)]
-    out: list[str] = []
-    i = 0
-    while i < len(tokens):
-        k = min(rng.randint(6, 14), len(tokens) - i)
-        chunk = tokens[i : i + k]
-        out.append(" ".join(chunk).capitalize() + ".")
-        i += k
-    return " ".join(out)
+    return _resentence(rng, [rng.choice(_WORD_POOL) for _ in range(n_words)])
 
 
 def _target_length(rng: random.Random, mean: int) -> int:
