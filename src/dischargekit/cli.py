@@ -169,7 +169,10 @@ def _preset_or_file(name: str, choices: str) -> des.DesConfig:
     if name in des.PRESETS:
         return des.PRESETS[name]
     if Path(name).exists():
-        return des.load_des_config(name)
+        try:
+            return des.load_des_config(name)
+        except des.DesConfigError as exc:
+            raise des.DesConfigError(f"{name}: {exc}") from None
     raise des.DesConfigError(f"unknown config {name!r}: expected one of {choices} or a JSON path")
 
 

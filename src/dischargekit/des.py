@@ -62,6 +62,9 @@ class DesConfig:
             raise DesConfigError(f"unsupported tie_break {self.tie_break!r}")
         if not self.criteria:
             raise DesConfigError("config needs at least one criterion")
+        for c in self.criteria:
+            if not math.isfinite(c.weight):
+                raise DesConfigError(f"criterion {c.metric!r} has non-finite weight {c.weight!r}")
 
     def criteria_for(self, target: TargetKind) -> tuple[Criterion, ...]:
         crits = tuple(c for c in self.criteria if c.scope.applies_to(target))

@@ -345,6 +345,23 @@ def test_select_unknown_preset_exits_one(pipeline_dir, capsys):
     assert "unknown config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+def test_select_non_finite_weight_names_config_and_metric(pipeline_dir, capsys, weight):
+    cfg = pipeline_dir / "cfg.json"
+    cfg.write_text(f'{{"criteria": [{{"metric": "medcon", "weight": {weight}}}]}}', encoding="utf-8")
+    code = run(
+        "select",
+        "--scores", select_setup(pipeline_dir),
+        "--candidates", pipeline_dir / "candidates.jsonl",
+        "--config", cfg,
+        "--target", "di",
+        "--out", pipeline_dir / "never.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "cfg.json" in err and "medcon" in err and "non-finite" in err
+
+
 def test_select_missing_cells_exit_one(pipeline_dir, capsys):
     desin = pipeline_dir / "gappy.csv"
     cands = corpus.load_candidates(pipeline_dir / "candidates.jsonl")
