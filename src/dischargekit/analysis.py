@@ -67,8 +67,9 @@ def correlation_matrix(
         raise AnalysisError("need one overall map per table")
     named: list[dict[str, Mapping[tuple[str, str], float]]] = []
     for entry in overalls:
-        keys = list(entry.keys())
-        if keys and isinstance(keys[0], tuple):
+        if not entry:
+            raise AnalysisError("the overall map is empty")
+        if isinstance(next(iter(entry)), tuple):
             named.append({"overall": entry})
         else:
             named.append({str(k): v for k, v in entry.items()})

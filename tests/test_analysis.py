@@ -114,6 +114,15 @@ def test_correlation_matrix_rejects_constant_column():
         correlation_matrix(table, overall)
 
 
+def test_correlation_matrix_rejects_empty_overall_map():
+    docs = [f"d{i}" for i in range(5)]
+    table = table_from_columns({"x": [float(i) for i in range(5)]}, docs)
+    with pytest.raises(AnalysisError, match="overall map is empty"):
+        correlation_matrix(table, {})
+    with pytest.raises(AnalysisError, match="overall map is empty"):
+        correlation_matrix([table, table], [{(d, "m"): 1.0 for d in docs}, {}])
+
+
 def test_correlation_matrix_pooled_tables():
     docs = [f"d{i}" for i in range(10)]
     col_a = [float(i) for i in range(10)]
