@@ -1,4 +1,4 @@
-"""Discharge-summary corpora: target extraction, JSONL I/O, synthetic data.
+"""Discharge-summary corpora: target extraction, record readers and writers, synthetic data.
 
 A corpus document carries a hospital-admission key (``hadm_id``) and free
 text organized into headed sections. Two sections are generation targets:
