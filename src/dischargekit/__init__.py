@@ -1,103 +1,76 @@
-"""Evaluation, selection, and section tooling for generated discharge-summary text."""
+"""Evaluation, selection, and section tooling for generated discharge-summary text.
 
-from .analysis import CorrelationMatrix, correlation_matrix, normalize_clinician_scores, pearson
-from .corpus import (
-    DischargeSummary,
-    ExtractedTargets,
-    GeneratedCandidate,
-    TargetKind,
-    extract_targets,
-    generate_synthetic_corpus,
-    load_candidates,
-    load_corpus,
-)
-from .des import (
-    Criterion,
-    DesConfig,
-    LengthSelectConfig,
-    PRESETS,
-    Scope,
-    SelectionResult,
-    derive_des4_weights,
-    min_max_normalize,
-    select_by_length,
-    select_experts,
-)
-# The Coleman-Liau function stays at dischargekit.readability.cli so the
-# name "cli" can refer to the command-line module here.
-from .readability import ReadabilityScores, dcrs, fkgl, readability_scores
-from .relevance import bleu4, meteor, rouge_1, rouge_2, rouge_l, rouge_n
-from .reorder import (
-    SectionedDocument,
-    apply_header_ranking,
-    global_header_ranking,
-    rank_sections,
-    split_sections,
-    truncate_words,
-)
-from .scores import (
-    OVERALL_METRICS,
-    OverallScore,
-    ScoreTable,
-    compute_factuality_proxies,
-    compute_native_scores,
-    load_external_scores,
-    overall_by_document,
-    overall_score,
-)
-from .textprep import TokenizedText, count_syllables, tokenize, word_count
+The public names below load their submodule on first access (PEP 562), so a
+command that never scores or selects never imports numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorrelationMatrix",
-    "Criterion",
-    "DesConfig",
-    "DischargeSummary",
-    "ExtractedTargets",
-    "GeneratedCandidate",
-    "LengthSelectConfig",
-    "OVERALL_METRICS",
-    "OverallScore",
-    "PRESETS",
-    "ReadabilityScores",
-    "Scope",
-    "ScoreTable",
-    "SectionedDocument",
-    "SelectionResult",
-    "TargetKind",
-    "TokenizedText",
-    "apply_header_ranking",
-    "bleu4",
-    "compute_factuality_proxies",
-    "compute_native_scores",
-    "correlation_matrix",
-    "count_syllables",
-    "dcrs",
-    "derive_des4_weights",
-    "extract_targets",
-    "fkgl",
-    "generate_synthetic_corpus",
-    "global_header_ranking",
-    "load_candidates",
-    "load_corpus",
-    "load_external_scores",
-    "meteor",
-    "min_max_normalize",
-    "normalize_clinician_scores",
-    "overall_by_document",
-    "overall_score",
-    "pearson",
-    "rank_sections",
-    "readability_scores",
-    "rouge_1",
-    "rouge_2",
-    "rouge_l",
-    "rouge_n",
-    "select_by_length",
-    "select_experts",
-    "split_sections",
-    "tokenize",
-    "truncate_words",
-    "word_count",
-]
+# Public name -> submodule that defines it. The Coleman-Liau function stays at
+# dischargekit.readability.cli so the name "cli" can refer to the
+# command-line module here.
+_SUBMODULE = {
+    "CorrelationMatrix": "analysis",
+    "correlation_matrix": "analysis",
+    "normalize_clinician_scores": "analysis",
+    "pearson": "analysis",
+    "DischargeSummary": "corpus",
+    "ExtractedTargets": "corpus",
+    "GeneratedCandidate": "corpus",
+    "TargetKind": "corpus",
+    "extract_targets": "corpus",
+    "generate_synthetic_corpus": "corpus",
+    "load_candidates": "corpus",
+    "load_corpus": "corpus",
+    "Criterion": "des",
+    "DesConfig": "des",
+    "LengthSelectConfig": "des",
+    "PRESETS": "des",
+    "Scope": "des",
+    "SelectionResult": "des",
+    "derive_des4_weights": "des",
+    "min_max_normalize": "des",
+    "select_by_length": "des",
+    "select_experts": "des",
+    "ReadabilityScores": "readability",
+    "dcrs": "readability",
+    "fkgl": "readability",
+    "readability_scores": "readability",
+    "bleu4": "relevance",
+    "meteor": "relevance",
+    "rouge_1": "relevance",
+    "rouge_2": "relevance",
+    "rouge_l": "relevance",
+    "rouge_n": "relevance",
+    "SectionedDocument": "reorder",
+    "apply_header_ranking": "reorder",
+    "global_header_ranking": "reorder",
+    "rank_sections": "reorder",
+    "split_sections": "reorder",
+    "truncate_words": "reorder",
+    "OVERALL_METRICS": "scores",
+    "OverallScore": "scores",
+    "ScoreTable": "scores",
+    "compute_factuality_proxies": "scores",
+    "compute_native_scores": "scores",
+    "load_external_scores": "scores",
+    "overall_by_document": "scores",
+    "overall_score": "scores",
+    "TokenizedText": "textprep",
+    "count_syllables": "textprep",
+    "tokenize": "textprep",
+    "word_count": "textprep",
+}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    # Not cached here, so each access reads the submodule's current binding.
+    try:
+        submodule = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{submodule}", __name__), name)

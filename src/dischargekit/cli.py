@@ -17,7 +17,10 @@ import traceback
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, analysis, corpus, des, reorder, scores
+# Only corpus is imported at module level. scores, des and analysis load
+# numpy, so each subcommand imports the modules it uses and extract and
+# reorder never load numpy.
+from . import __version__, corpus
 from .corpus import TargetKind
 
 USER_ERRORS = (ValueError, OSError, json.JSONDecodeError)
@@ -62,6 +65,8 @@ def _write_submission(path, rows) -> None:
 
 
 def _read_overall_csv(path) -> dict[TargetKind, dict[tuple[str, str], float]]:
+    from . import scores
+
     out: dict[TargetKind, dict[tuple[str, str], float]] = {}
     header = ("hadm_id", "model_id", "target", "value")
     records = corpus.read_csv_records(path, header, scores.ScoreError, key=header[:3])
@@ -72,6 +77,8 @@ def _read_overall_csv(path) -> dict[TargetKind, dict[tuple[str, str], float]]:
 
 
 def _load_score_rows(paths) -> list[tuple[str, str, str, str, float]]:
+    from . import scores
+
     rows = []
     for path in paths:
         rows.extend(scores.read_score_csv(path))
@@ -103,6 +110,8 @@ def _load_bodies(path) -> dict[str, str]:
 
 
 def cmd_score(args) -> int:
+    from . import scores
+
     if args.against_ds and args.references:
         raise scores.ScoreError(
             "--against-ds scores against the note body, so --references cannot be given with it"
@@ -146,6 +155,8 @@ def cmd_score(args) -> int:
 
 def _resolve_config(args, table, target):
     """Map --config to either a DesConfig or a LengthSelectConfig."""
+    from . import des, scores
+
     name = args.config
     if name == "des5":
         if not args.ranking:
@@ -166,6 +177,8 @@ def _resolve_config(args, table, target):
 
 def _preset_or_file(name: str, choices: str) -> des.DesConfig:
     """The des1..des3 preset called ``name``, else the config in the JSON file ``name``."""
+    from . import des
+
     if name in des.PRESETS:
         return des.PRESETS[name]
     if Path(name).exists():
@@ -177,6 +190,8 @@ def _preset_or_file(name: str, choices: str) -> des.DesConfig:
 
 
 def cmd_select(args) -> int:
+    from . import des, scores
+
     target = TargetKind.parse(args.target)
     candidates = corpus.load_candidates(args.candidates)
     pool = [c for c in candidates if c.target is target]
@@ -213,6 +228,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_reorder(args) -> int:
+    from . import reorder
+
     target = TargetKind.parse(args.target)
     headers = corpus.load_known_headers(args.headers) if args.headers else None
     summaries = corpus.load_corpus(args.corpus, known_headers=headers)
@@ -259,6 +276,8 @@ def cmd_reorder(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import scores
+
     target = TargetKind.parse(args.target)
     submission = _read_submission(args.submission)
     targets = corpus.load_targets(args.references)
@@ -306,6 +325,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_correlate(args) -> int:
+    from . import analysis, scores
+
     rows = _load_score_rows(args.scores)
     overalls = _read_overall_csv(args.overall)
     if not overalls:
@@ -338,6 +359,8 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import des, scores
+
     # A bad --config fails here, before anything is generated or written.
     config = None
     if args.config not in ("oracle", "des5"):
