@@ -8,7 +8,7 @@ stages (exact, then Porter-stemmed); no synonym stage is applied.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Sequence
 from functools import lru_cache
 
@@ -112,39 +112,48 @@ def rouge_l(candidate: str, reference: str) -> float:
     return _overlap_f1(_lcs_length(c, r), len(c), len(r))
 
 
-def _match_stage(
-    pairs: list[tuple[int, int]],
-    cand: list[tuple[int, str]],
-    ref: list[tuple[int, str]],
-) -> tuple[list[tuple[int, int]], list[tuple[int, str]], list[tuple[int, str]]]:
-    """Greedy matching: each candidate token takes the first unmatched
-    reference token with an equal key, in reference order."""
-    available: dict[str, deque[int]] = {}
-    for ri, rkey in ref:
-        available.setdefault(rkey, deque()).append(ri)
-    cand_left = []
-    taken: set[int] = set()
-    for ci, ckey in cand:
-        queue = available.get(ckey)
-        if queue:
-            ri = queue.popleft()
-            pairs.append((ci, ri))
-            taken.add(ri)
-        else:
-            cand_left.append((ci, ckey))
-    ref_left = [(ri, rkey) for ri, rkey in ref if ri not in taken]
-    return pairs, cand_left, ref_left
+@lru_cache(maxsize=4)
+def _positions(text: str) -> dict[str, list[int]]:
+    """Word type -> its token positions in ``text``, ascending.
+
+    A note body is scored against each of its candidates in turn, so the
+    last few indexes are kept. Callers only read them.
+    """
+    index: dict[str, list[int]] = {}
+    for i, word in enumerate(words(text)):
+        index.setdefault(word, []).append(i)
+    return index
 
 
-def _align(c: list[str], r: list[str]) -> list[tuple[int, int]]:
+def _align(candidate: str, reference: str) -> list[tuple[int, int]]:
+    """Greedy two-stage alignment, worked out per word type.
+
+    Each candidate token, in order, takes the first unmatched reference
+    token with an equal word, then with an equal stem. For one key this
+    pairs the k-th candidate occurrence with the k-th reference occurrence,
+    so the stem stage pairs the merged, sorted leftovers of each stem.
+    """
+    cand = _positions(candidate)
+    ref = _positions(reference)
     pairs: list[tuple[int, int]] = []
-    cand = list(enumerate(c))
-    ref = list(enumerate(r))
-    pairs, cand, ref = _match_stage(pairs, cand, ref)
-    cand = [(i, stem(w)) for i, w in cand]
-    ref = [(i, stem(w)) for i, w in ref]
-    pairs, _, _ = _match_stage(pairs, cand, ref)
-    return sorted(pairs)
+    cand_left: dict[str, list[int]] = {}
+    for word, cpos in cand.items():
+        rpos = ref.get(word, ())
+        pairs.extend(zip(cpos, rpos))
+        if len(cpos) > len(rpos):
+            cand_left.setdefault(stem(word), []).extend(cpos[len(rpos):])
+    if cand_left:
+        ref_left: dict[str, list[int]] = {}
+        for word, rpos in ref.items():
+            taken = len(cand.get(word, ()))
+            if len(rpos) > taken:
+                key = stem(word)
+                if key in cand_left:
+                    ref_left.setdefault(key, []).extend(rpos[taken:])
+        for key, rpos in ref_left.items():
+            pairs.extend(zip(sorted(cand_left[key]), sorted(rpos)))
+    pairs.sort()
+    return pairs
 
 
 def _chunk_count(pairs: list[tuple[int, int]]) -> int:
@@ -166,7 +175,7 @@ def meteor(candidate: str, reference: str) -> float:
     r = words(reference)
     if not c or not r:
         return 0.0
-    pairs = _align(c, r)
+    pairs = _align(candidate, reference)
     matches = len(pairs)
     if matches == 0:
         return 0.0

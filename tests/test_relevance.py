@@ -128,6 +128,26 @@ def test_meteor_matches_formula_oracle_on_random_pairs():
         )
 
 
+# Inflection families: several word types share a stem ("run", "runs",
+# "running"; "relate", "relational"), so a stem key's leftovers come from
+# more than one type and the order they are merged in decides the pairs.
+INFLECTIONS = ["cat", "cats", "run", "runs", "running", "ran", "relate", "relational", "y", "yes"]
+INFLECTED_TEXT = st.lists(st.sampled_from(INFLECTIONS), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(INFLECTED_TEXT, INFLECTED_TEXT)
+def test_meteor_matches_formula_oracle_on_inflection_families(c, r):
+    assert meteor(" ".join(c), " ".join(r)) == pytest.approx(oracles.formula_meteor(c, r), abs=1e-9)
+
+
+@given(INFLECTED_TEXT.filter(bool))
+def test_meteor_identity_with_repeated_words_is_one_chunk(tokens):
+    text = " ".join(tokens)
+    m = len(tokens)
+    assert meteor(text, text) == pytest.approx(1 - 0.5 / m**3, abs=1e-12)
+
+
 def test_metric_tokenization_ignores_case_and_punctuation():
     assert rouge_1("The cat, sat!", "the cat sat") == 1.0
     assert words("The cat, sat!") == ["the", "cat", "sat"]
