@@ -7,61 +7,66 @@ the step leaves the word unchanged.
 
 from __future__ import annotations
 
-_VOWELS = "aeiou"
+
+class _ConsonantTable(dict):
+    """str.translate table: a character it does not list is a consonant."""
+
+    def __missing__(self, code: int) -> str:
+        return "c"
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+# "v" for a vowel, "c" for a consonant; "y" is resolved by position in _form.
+_CV = _ConsonantTable.fromkeys(range(128), "c")
+_CV.update(dict.fromkeys(map(ord, "aeiou"), "v"))
+_CV[ord("y")] = "y"
+
+
+def _form(word: str) -> str:
+    """``word`` spelled as consonants ("c") and vowels ("v").
+
+    y is a consonant at index 0 or after a vowel, and a vowel after a
+    consonant.
+    """
+    form = word.translate(_CV)
+    if "y" not in form:
+        return form
+    letters = []
+    prev = "v"
+    for ch in form:
+        if ch == "y":
+            ch = "c" if prev == "v" else "v"
+        letters.append(ch)
+        prev = ch
+    return "".join(letters)
 
 
 def _measure(stem: str) -> int:
     """Number of vowel-consonant sequences in the stem."""
-    m = 0
-    prev_cons = True
-    for i in range(len(stem)):
-        cons = _is_consonant(stem, i)
-        if cons and not prev_cons:
-            m += 1
-        prev_cons = cons
-    return m
+    return _form(stem).count("vc")
 
 
 def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return "v" in _form(stem)
 
 
 def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+    return len(word) >= 2 and word[-1] == word[-2] and _form(word)[-1] == "c"
 
 
 def _ends_cvc(stem: str) -> bool:
-    if len(stem) < 3:
-        return False
-    n = len(stem)
-    return (
-        _is_consonant(stem, n - 3)
-        and not _is_consonant(stem, n - 2)
-        and _is_consonant(stem, n - 1)
-        and stem[-1] not in "wxy"
-    )
+    return _form(stem).endswith("cvc") and stem[-1] not in "wxy"
 
 
-def _apply_longest(word: str, rules: list[tuple[str, str, int]]) -> str:
+def _apply_longest(word: str, rules: list[tuple[str, str, int]], suffixes: tuple[str, ...]) -> str:
     """Apply the longest-suffix rule whose measure condition holds.
 
     Each rule is (suffix, replacement, min_measure), listed longest suffix
     first; min_measure is checked with strict > against the stem left after
-    removing the suffix.
+    removing the suffix. ``suffixes`` holds every rule's suffix, so one
+    ``endswith`` call turns away most words.
     """
+    if not word.endswith(suffixes):
+        return word
     for suffix, replacement, min_m in rules:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
@@ -145,17 +150,21 @@ _STEP3_RULES = [
     ("ness", "", 0),
 ]
 
-_STEP4_SUFFIXES = [
+_STEP4_SUFFIXES = (
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-]
+)
 
 _STEP2_RULES.sort(key=lambda r: -len(r[0]))
 _STEP3_RULES.sort(key=lambda r: -len(r[0]))
-_STEP4_SUFFIXES.sort(key=len, reverse=True)
+_STEP4_SUFFIXES = tuple(sorted(_STEP4_SUFFIXES, key=len, reverse=True))
+_STEP2_SUFFIXES = tuple(rule[0] for rule in _STEP2_RULES)
+_STEP3_SUFFIXES = tuple(rule[0] for rule in _STEP3_RULES)
 
 
 def _step4(word: str) -> str:
+    if not word.endswith(_STEP4_SUFFIXES):
+        return word
     for suffix in _STEP4_SUFFIXES:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
@@ -189,8 +198,8 @@ def stem(word: str) -> str:
     word = _step1a(word)
     word = _step1b(word)
     word = _step1c(word)
-    word = _apply_longest(word, _STEP2_RULES)
-    word = _apply_longest(word, _STEP3_RULES)
+    word = _apply_longest(word, _STEP2_RULES, _STEP2_SUFFIXES)
+    word = _apply_longest(word, _STEP3_RULES, _STEP3_SUFFIXES)
     word = _step4(word)
     word = _step5a(word)
     word = _step5b(word)

@@ -11,8 +11,6 @@ import math
 import string
 from itertools import combinations
 
-from dischargekit.stemmer import stem
-
 
 def ngram_list(tokens, n):
     return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
@@ -102,7 +100,7 @@ def formula_meteor(cand_tokens, ref_tokens):
         return 0.0
     ref_taken = [False] * len(ref_tokens)
     cand_match = [None] * len(cand_tokens)
-    for stage_key in (lambda w: w, stem):
+    for stage_key in (lambda w: w, reference_stem):
         cand_keys = [stage_key(w) for w in cand_tokens]
         ref_keys = [stage_key(w) for w in ref_tokens]
         for i in range(len(cand_tokens)):
@@ -201,3 +199,198 @@ def naive_split_sentences(text, abbreviations):
             current = ""
     sentences.append(current)
     return [s.strip() for s in sentences if s.strip()]
+
+
+# --- Porter stemmer ------------------------------------------------------------
+# The character-at-a-time stemmer that dischargekit.stemmer replaced with a
+# consonant/vowel form and suffix pre-checks, kept as written; only the entry
+# point is renamed to reference_stem.
+
+_VOWELS = "aeiou"
+
+
+def _is_consonant(word: str, i: int) -> bool:
+    ch = word[i]
+    if ch in _VOWELS:
+        return False
+    if ch == "y":
+        return i == 0 or not _is_consonant(word, i - 1)
+    return True
+
+
+def _measure(stem: str) -> int:
+    """Number of vowel-consonant sequences in the stem."""
+    m = 0
+    prev_cons = True
+    for i in range(len(stem)):
+        cons = _is_consonant(stem, i)
+        if cons and not prev_cons:
+            m += 1
+        prev_cons = cons
+    return m
+
+
+def _has_vowel(stem: str) -> bool:
+    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+
+
+def _ends_double_consonant(word: str) -> bool:
+    return (
+        len(word) >= 2
+        and word[-1] == word[-2]
+        and _is_consonant(word, len(word) - 1)
+    )
+
+
+def _ends_cvc(stem: str) -> bool:
+    if len(stem) < 3:
+        return False
+    n = len(stem)
+    return (
+        _is_consonant(stem, n - 3)
+        and not _is_consonant(stem, n - 2)
+        and _is_consonant(stem, n - 1)
+        and stem[-1] not in "wxy"
+    )
+
+
+def _apply_longest(word: str, rules: list[tuple[str, str, int]]) -> str:
+    """Apply the longest-suffix rule whose measure condition holds.
+
+    Each rule is (suffix, replacement, min_measure), listed longest suffix
+    first; min_measure is checked with strict > against the stem left after
+    removing the suffix.
+    """
+    for suffix, replacement, min_m in rules:
+        if word.endswith(suffix):
+            stem = word[: len(word) - len(suffix)]
+            if _measure(stem) > min_m:
+                return stem + replacement
+            return word
+    return word
+
+
+def _step1a(word: str) -> str:
+    if word.endswith("sses"):
+        return word[:-2]
+    if word.endswith("ies"):
+        return word[:-2]
+    if word.endswith("ss"):
+        return word
+    if word.endswith("s"):
+        return word[:-1]
+    return word
+
+
+def _step1b(word: str) -> str:
+    if word.endswith("eed"):
+        stem = word[:-3]
+        return stem + "ee" if _measure(stem) > 0 else word
+    removed = False
+    if word.endswith("ed") and _has_vowel(word[:-2]):
+        word = word[:-2]
+        removed = True
+    elif word.endswith("ing") and _has_vowel(word[:-3]):
+        word = word[:-3]
+        removed = True
+    if removed:
+        if word.endswith(("at", "bl", "iz")):
+            return word + "e"
+        if _ends_double_consonant(word) and word[-1] not in "lsz":
+            return word[:-1]
+        if _measure(word) == 1 and _ends_cvc(word):
+            return word + "e"
+    return word
+
+
+def _step1c(word: str) -> str:
+    if word.endswith("y") and _has_vowel(word[:-1]):
+        return word[:-1] + "i"
+    return word
+
+
+# Each table is sorted longest suffix first once, below, so that the first
+# suffix that matches is the longest one.
+_STEP2_RULES = [
+    ("ational", "ate", 0),
+    ("tional", "tion", 0),
+    ("enci", "ence", 0),
+    ("anci", "ance", 0),
+    ("izer", "ize", 0),
+    ("abli", "able", 0),
+    ("alli", "al", 0),
+    ("entli", "ent", 0),
+    ("eli", "e", 0),
+    ("ousli", "ous", 0),
+    ("ization", "ize", 0),
+    ("ation", "ate", 0),
+    ("ator", "ate", 0),
+    ("alism", "al", 0),
+    ("iveness", "ive", 0),
+    ("fulness", "ful", 0),
+    ("ousness", "ous", 0),
+    ("aliti", "al", 0),
+    ("iviti", "ive", 0),
+    ("biliti", "ble", 0),
+]
+
+_STEP3_RULES = [
+    ("icate", "ic", 0),
+    ("ative", "", 0),
+    ("alize", "al", 0),
+    ("iciti", "ic", 0),
+    ("ical", "ic", 0),
+    ("ful", "", 0),
+    ("ness", "", 0),
+]
+
+_STEP4_SUFFIXES = [
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+    "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+]
+
+_STEP2_RULES.sort(key=lambda r: -len(r[0]))
+_STEP3_RULES.sort(key=lambda r: -len(r[0]))
+_STEP4_SUFFIXES.sort(key=len, reverse=True)
+
+
+def _step4(word: str) -> str:
+    for suffix in _STEP4_SUFFIXES:
+        if word.endswith(suffix):
+            stem = word[: len(word) - len(suffix)]
+            if suffix == "ion" and not stem.endswith(("s", "t")):
+                return word
+            if _measure(stem) > 1:
+                return stem
+            return word
+    return word
+
+
+def _step5a(word: str) -> str:
+    if word.endswith("e"):
+        stem = word[:-1]
+        m = _measure(stem)
+        if m > 1 or (m == 1 and not _ends_cvc(stem)):
+            return stem
+    return word
+
+
+def _step5b(word: str) -> str:
+    if _measure(word) > 1 and _ends_double_consonant(word) and word.endswith("l"):
+        return word[:-1]
+    return word
+
+
+def reference_stem(word: str) -> str:
+    """Stem a lowercase word."""
+    if len(word) <= 2:
+        return word
+    word = _step1a(word)
+    word = _step1b(word)
+    word = _step1c(word)
+    word = _apply_longest(word, _STEP2_RULES)
+    word = _apply_longest(word, _STEP3_RULES)
+    word = _step4(word)
+    word = _step5a(word)
+    word = _step5b(word)
+    return word

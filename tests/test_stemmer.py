@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from dischargekit import stemmer
 from dischargekit.stemmer import stem
+from dischargekit.textprep import words
+from oracles import reference_stem
 
 # Known input/output pairs for the classic suffix-stripping cascade.
 KNOWN_PAIRS = [
@@ -107,3 +109,34 @@ def test_rule_tables_are_longest_suffix_first():
     ):
         lengths = [len(s) for s in suffixes]
         assert lengths == sorted(lengths, reverse=True), suffixes
+
+
+# Metric words are [a-z0-9']+; y is weighted up because its consonant or
+# vowel role depends on the letter before it.
+WORD_CHARS = string.ascii_lowercase + "yyyyyy" + "aeiou" + "0'"
+SUFFIXES = sorted(
+    {rule[0] for rule in stemmer._STEP2_RULES + stemmer._STEP3_RULES}
+    | set(stemmer._STEP4_SUFFIXES)
+    | {"s", "ss", "ies", "sses", "ed", "eed", "ing", "y", "e", "ll"}
+)
+
+
+@given(
+    st.text(alphabet=WORD_CHARS, min_size=1, max_size=10),
+    st.lists(st.sampled_from(SUFFIXES), max_size=2).map("".join),
+)
+def test_stem_matches_reference_stemmer(base, suffix):
+    word = base + suffix
+    assert stem(word) == reference_stem(word)
+
+
+def test_stem_matches_reference_stemmer_on_packaged_word_lists():
+    from importlib import resources
+
+    data = resources.files("dischargekit.data")
+    # Non-ASCII letters are not in the consonant/vowel table; like every
+    # character but a, e, i, o, u and y they count as consonants.
+    vocabulary = {"naïve", "café", "ŷes", "façade", "déjà"}
+    for name in ("familiar_words.txt", "discharge_headers.txt", "abbreviations.txt"):
+        vocabulary.update(words(data.joinpath(name).read_text("utf-8")))
+    assert [w for w in sorted(vocabulary) if stem(w) != reference_stem(w)] == []
