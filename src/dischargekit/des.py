@@ -333,36 +333,49 @@ def derive_des4_weights(
 # --- config file format ------------------------------------------------------
 
 
-def _parse_weight(value) -> Fraction | float:
+def _parse_weight(metric: str, value) -> Fraction | float:
     if isinstance(value, str):
         try:
             num, den = value.split("/")
             return Fraction(int(num), int(den))
-        except ValueError:
-            raise DesConfigError(f"cannot parse weight {value!r}") from None
-    if isinstance(value, (int, float)):
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif isinstance(value, (int, float)):
         return float(value)
-    raise DesConfigError(f"cannot parse weight {value!r}")
+    raise DesConfigError(f"criterion {metric!r}: cannot parse weight {value!r}")
+
+
+def _parse_criterion(index: int, entry) -> Criterion:
+    if not isinstance(entry, dict):
+        raise DesConfigError(
+            f"criterion {index} must be an object with 'metric' and 'weight', got {entry!r}"
+        )
+    metric = entry.get("metric")
+    if not isinstance(metric, str):
+        raise DesConfigError(f"criterion {index} needs a 'metric' string, got {metric!r}")
+    if "weight" not in entry:
+        raise DesConfigError(f"criterion {metric!r} is missing 'weight'")
+    scope = entry.get("scope", "both")
+    try:
+        scope = Scope(scope)
+    except ValueError:
+        raise DesConfigError(f"criterion {metric!r}: unknown scope {scope!r}") from None
+    return Criterion(metric, _parse_weight(metric, entry["weight"]), scope)
 
 
 def parse_des_config(data: Mapping) -> DesConfig:
     """Build a DesConfig from its JSON object form."""
-    try:
-        raw_criteria = data["criteria"]
-    except KeyError:
-        raise DesConfigError("config is missing 'criteria'") from None
-    criteria = []
-    for entry in raw_criteria:
-        scope = entry.get("scope", "both")
-        try:
-            scope = Scope(scope)
-        except ValueError:
-            raise DesConfigError(f"unknown scope {scope!r}") from None
-        criteria.append(Criterion(entry["metric"], _parse_weight(entry["weight"]), scope))
+    if not isinstance(data, Mapping):
+        raise DesConfigError(f"config must be a JSON object, got {type(data).__name__}")
+    raw_criteria = data.get("criteria")
+    if raw_criteria is None:
+        raise DesConfigError("config is missing 'criteria'")
+    if not isinstance(raw_criteria, list):
+        raise DesConfigError(f"'criteria' must be a list, got {type(raw_criteria).__name__}")
     tie = data.get("tie_break", "first")
     return DesConfig(
         name=data.get("name", "custom"),
-        criteria=tuple(criteria),
+        criteria=tuple(_parse_criterion(i, entry) for i, entry in enumerate(raw_criteria)),
         normalization=data.get("normalization", "min_max"),
         tie_break="first_model_in_input_order" if tie in ("first", "first_model_in_input_order") else tie,
     )
@@ -370,7 +383,11 @@ def parse_des_config(data: Mapping) -> DesConfig:
 
 def load_des_config(path) -> DesConfig:
     with open(path, encoding="utf-8") as fh:
-        return parse_des_config(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise DesConfigError(f"not a JSON file: {exc}") from None
+    return parse_des_config(data)
 
 
 def des_config_to_json(config: DesConfig) -> dict:

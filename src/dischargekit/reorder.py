@@ -207,6 +207,23 @@ def write_header_ranking(path, ranking: Mapping[str, float]) -> None:
 
 
 def load_header_ranking(path) -> dict[str, float]:
+    """Read a JSON object of header -> finite score."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return {str(k): float(v) for k, v in data.items()}
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise SectionScoreError(f"{path}: not a JSON file: {exc}") from None
+    if not isinstance(data, dict):
+        raise SectionScoreError(
+            f"{path}: expected a JSON object of header -> score, got {type(data).__name__}"
+        )
+    ranking = {}
+    for header, raw in data.items():
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            raise SectionScoreError(f"{path}: header {header!r}: score {raw!r} is not a number") from None
+        if not math.isfinite(value):
+            raise SectionScoreError(f"{path}: header {header!r}: score is not finite")
+        ranking[header] = value
+    return ranking

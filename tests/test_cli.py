@@ -433,6 +433,26 @@ def test_reorder_global_mode_emits_ranking(pipeline_dir):
     assert all(word_count(json.loads(l)["text"]) <= 2000 for l in lines)
 
 
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        ("[1, 2]", "expected a JSON object of header -> score, got list"),
+        ('{"history of present illness": "x"}', "header 'history of present illness': score 'x' is not a number"),
+        ('{"medications": null}', "header 'medications': score None is not a number"),
+        ('{"medications": NaN}', "header 'medications': score is not finite"),
+        ("{", "not a JSON file"),
+    ],
+)
+def test_reorder_apply_ranking_of_wrong_shape_names_file_and_header(pipeline_dir, capsys, content, expected):
+    ranking = pipeline_dir / "r.json"
+    ranking.write_text(content, encoding="utf-8")
+    out = pipeline_dir / "never.jsonl"
+    assert run("reorder", "--corpus", pipeline_dir / "corpus.jsonl", "--apply-ranking", ranking, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"{ranking}: {expected}" in err
+    assert not out.exists()
+
+
 def test_reorder_budget_truncates(pipeline_dir):
     out = pipeline_dir / "tight.jsonl"
     assert (
@@ -788,6 +808,28 @@ def test_simulate_unknown_config_writes_nothing(tmp_path, capsys):
     assert "unknown config 'nosuch'" in capsys.readouterr().err
     assert not (out / "corpus.jsonl").exists()
     assert not (out / "candidates.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        ("[]", "config must be a JSON object, got list"),
+        ('{"criteria": {"metric": "medcon"}}', "'criteria' must be a list, got dict"),
+        ('{"criteria": ["medcon"]}', "criterion 0 must be an object with 'metric' and 'weight'"),
+        ('{"criteria": [{"weight": 1}]}', "criterion 0 needs a 'metric' string, got None"),
+        ('{"criteria": [{"metric": "medcon"}]}', "criterion 'medcon' is missing 'weight'"),
+        ('{"criteria": [{"metric": "medcon", "weight": "1/0"}]}', "criterion 'medcon': cannot parse weight '1/0'"),
+        ('{"criteria": [{"metric": "medcon", "weight": 1, "scope": "all"}]}', "criterion 'medcon': unknown scope"),
+        ("{", "not a JSON file"),
+    ],
+)
+def test_simulate_config_of_wrong_shape_names_file_and_metric(tmp_path, capsys, content, expected):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(content, encoding="utf-8")
+    out = tmp_path / "sim"
+    assert run("simulate", "--docs", 2, "--models", 1, "--config", cfg, "--out", out) == 1
+    assert f"{cfg}: {expected}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_single_model_equals_des(tmp_path):
