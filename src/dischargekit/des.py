@@ -242,8 +242,10 @@ def select_experts(
     # A nan score never wins and a model wins only above -inf, as in a `>` scan.
     score[np.isnan(score)] = -math.inf
     best = score.argmax(axis=1)
+    # The winner's own score: max() may return 0.0 where the first maximum is -0.0.
+    bases = np.take_along_axis(score, best[:, None], axis=1)[:, 0]
     selections = []
-    for doc, b, basis in zip(table.documents, best.tolist(), score.max(axis=1).tolist()):
+    for doc, b, basis in zip(table.documents, best.tolist(), bases.tolist()):
         model = table.models[b] if basis > -math.inf else None
         selections.append(
             Selection(hadm_id=doc, model_id=model, text=texts.get((doc, model)), basis=basis)

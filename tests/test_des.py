@@ -37,6 +37,16 @@ def make_table(docs, models, metrics, value_fn, target=TargetKind.DI):
     return ScoreTable.from_rows(rows, target, documents=docs, models=models)
 
 
+def test_select_experts_basis_is_the_winners_own_score():
+    # The scores are -0.25, -0.0 and 0.0: the first maximum is m1 with -0.0,
+    # while the row's max() can return m2's 0.0.
+    raw = {"m0": 0.5, "m1": 5e-324, "m2": 0.0}
+    table = make_table(["d1"], list(raw), ["a"], lambda d, m, k: raw[m])
+    config = DesConfig("signed_zero", criteria=(Criterion("a", 0.0), Criterion("a", -0.5)))
+    (sel,) = select_experts(table, config, TargetKind.DI).selections
+    assert (sel.model_id, float.hex(sel.basis)) == ("m1", "-0x0.0p+0")
+
+
 def length_candidate(doc, model, n_words, target=TargetKind.DI):
     text = " ".join(["w"] * n_words)
     return GeneratedCandidate(
