@@ -112,13 +112,8 @@ def rouge_l(candidate: str, reference: str) -> float:
     return _overlap_f1(_lcs_length(c, r), len(c), len(r))
 
 
-@lru_cache(maxsize=4)
 def _positions(text: str) -> dict[str, list[int]]:
-    """Word type -> its token positions in ``text``, ascending.
-
-    A note body is scored against each of its candidates in turn, so the
-    last few indexes are kept. Callers only read them.
-    """
+    """Word type -> its token positions in ``text``, ascending."""
     index: dict[str, list[int]] = {}
     for i, word in enumerate(words(text)):
         index.setdefault(word, []).append(i)
