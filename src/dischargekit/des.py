@@ -385,11 +385,7 @@ def parse_des_config(data: Mapping) -> DesConfig:
 
 def load_des_config(path) -> DesConfig:
     with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise DesConfigError(f"not a JSON file: {exc}") from None
-    return parse_des_config(data)
+        return parse_des_config(json.load(fh))
 
 
 def des_config_to_json(config: DesConfig) -> dict:

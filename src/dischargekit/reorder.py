@@ -209,10 +209,7 @@ def write_header_ranking(path, ranking: Mapping[str, float]) -> None:
 def load_header_ranking(path) -> dict[str, float]:
     """Read a JSON object of header -> finite score."""
     with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise SectionScoreError(f"{path}: not a JSON file: {exc}") from None
+        data = json.load(fh)
     if not isinstance(data, dict):
         raise SectionScoreError(
             f"{path}: expected a JSON object of header -> score, got {type(data).__name__}"
