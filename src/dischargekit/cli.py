@@ -13,13 +13,13 @@ import hashlib
 import json
 import math
 import sys
-import traceback
 from datetime import datetime, timezone
 from pathlib import Path
 
-# Only corpus is imported at module level. scores, des and analysis load
-# numpy, so each subcommand imports the modules it uses and extract and
-# reorder never load numpy.
+# Only corpus is imported at module level; each subcommand imports the
+# modules it uses. des and analysis load numpy, and scores loads it only to
+# build or read a ScoreTable, so extract, reorder and score without
+# --external never load numpy.
 from . import __version__, corpus
 from .corpus import TargetKind
 
@@ -129,16 +129,15 @@ def cmd_score(args) -> int:
         ]
     for target in targets_present:
         if args.against_ds:
-            table = scores.compute_factuality_proxies(
-                candidates,
-                summaries,
-                metrics=tuple(metrics) if metrics else ("meteor",),
-                target=target,
+            job = scores.factuality_proxy_job(
+                candidates, summaries, tuple(metrics) if metrics else ("meteor",), target
             )
         else:
-            table = scores.compute_native_scores(
-                candidates, references=references, metrics=metrics, target=target
-            )
+            job = scores.native_score_job(candidates, references, metrics, target)
+        if not args.external:
+            all_rows.extend(scores.score_pool(*job))
+            continue
+        table = scores.score_table(*job)
         for path in args.external:
             table = scores.load_external_scores(path, table)
         all_rows.extend(table.to_rows())
@@ -428,7 +427,7 @@ def cmd_simulate(args) -> int:
         columns = {m: m for m in ("meteor", "medcon", "alignscore", "fkgl", "dcrs", "cli")}
         def run(target):
             # DES chooses without the gold target, so its scores compare with the note body.
-            table = scores.score_pool(pool_by_target[target], target, columns, bodies)
+            table = scores.score_table(pool_by_target[target], target, columns, bodies)
             return des.select_experts(table, config, target, candidates=pool_by_target[target])
 
     leaderboard.append((f"des:{args.config}", strategy_mean(run)))
@@ -545,6 +544,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 2
 

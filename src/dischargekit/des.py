@@ -384,8 +384,13 @@ def parse_des_config(data: Mapping) -> DesConfig:
 
 
 def load_des_config(path) -> DesConfig:
+    """Read a DES config file; errors do not name it, the caller does."""
     with open(path, encoding="utf-8") as fh:
-        return parse_des_config(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DesConfigError(f"not valid JSON: {exc}") from None
+    return parse_des_config(data)
 
 
 def des_config_to_json(config: DesConfig) -> dict:

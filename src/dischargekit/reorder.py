@@ -209,7 +209,10 @@ def write_header_ranking(path, ranking: Mapping[str, float]) -> None:
 def load_header_ranking(path) -> dict[str, float]:
     """Read a JSON object of header -> finite score."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SectionScoreError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SectionScoreError(
             f"{path}: expected a JSON object of header -> score, got {type(data).__name__}"

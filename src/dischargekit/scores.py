@@ -1,9 +1,18 @@
-"""Score tables and the eight-metric overall score.
+"""Score rows, score tables and the eight-metric overall score.
 
-A :class:`ScoreTable` is a dense (document x model x metric) store for one
-target kind, with NaN marking missing cells. Native metrics are computed
-here; neural or licensed metrics (bertscore, alignscore, medcon, summac)
-are ingested from external CSV files and merged into the same table.
+:func:`score_pool` scores a pool of candidates into long-form rows
+``(hadm_id, model_id, target, metric, value)``. A :class:`ScoreTable` is a
+dense (document x model x metric) store for one target kind, with NaN
+marking missing cells. Native metrics are computed here; neural or licensed
+metrics (bertscore, alignscore, medcon, summac) are ingested from external
+CSV files and merged into the same table.
+
+Only the code that builds or reads a table's array imports numpy, where it
+runs: ``ScoreTable.empty``, ``to_rows``, ``pair_index``, ``from_rows`` and
+``equals``, :func:`merge_tables` and :func:`overall_by_document`. Importing
+numpy costs a fresh process about 0.1 s and 13 MB, so ``score`` without
+``--external``, which writes :func:`score_pool`'s rows as they are, never
+loads it.
 """
 
 from __future__ import annotations
@@ -14,8 +23,6 @@ from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-
-import numpy as np
 
 from . import readability, relevance
 from .corpus import (
@@ -131,6 +138,8 @@ class ScoreTable:
         models: Sequence[str],
         metrics: Sequence[str],
     ) -> "ScoreTable":
+        import numpy as np
+
         metrics = tuple(sorted(metrics))
         values = np.full((len(documents), len(models), len(metrics)), np.nan)
         return cls(target, tuple(documents), tuple(models), metrics, values)
@@ -146,6 +155,8 @@ class ScoreTable:
 
     def to_rows(self) -> list[tuple[str, str, str, str, float]]:
         """Non-missing cells as (hadm_id, model_id, target, metric, value)."""
+        import numpy as np
+
         i, j, k = np.nonzero(~np.isnan(self.values))
         target = self.target.value
         return [
@@ -155,6 +166,8 @@ class ScoreTable:
 
     def pair_index(self, pairs: Collection[tuple[str, ...]]) -> tuple[np.ndarray, np.ndarray]:
         """Document and model positions of the (hadm_id, model_id, ...) pairs, in order."""
+        import numpy as np
+
         doc_pos, model_pos, _ = self._positions
         try:
             return (
@@ -174,19 +187,25 @@ class ScoreTable:
         target: TargetKind,
         documents: Sequence[str] | None = None,
         models: Sequence[str] | None = None,
+        metrics: Collection[str] | None = None,
     ) -> "ScoreTable":
         """Build a table from long-form rows, keeping only the given target.
 
         Document and model universes default to first-seen order in the
-        rows; when given explicitly, rows outside them are an error.
+        rows, and the metrics to those the rows name; when given
+        explicitly, rows outside them are an error.
         """
+        import numpy as np
+
         wanted = target.value
         kept = [r for r in rows if r[2] == wanted]
         if documents is None:
             documents = first_seen(map(itemgetter(0), kept))
         if models is None:
             models = first_seen(map(itemgetter(1), kept))
-        table = cls.empty(target, documents, models, set(map(itemgetter(3), kept)))
+        if metrics is None:
+            metrics = set(map(itemgetter(3), kept))
+        table = cls.empty(target, documents, models, metrics)
         doc_pos, model_pos, metric_pos = table._positions
         try:
             docs, mods = table.pair_index(kept)
@@ -196,7 +215,11 @@ class ScoreTable:
                 | {r[1] for r in kept if r[1] not in model_pos}
             )
             raise ScoreError(f"rows reference unknown hadm_id/model_id: {', '.join(unknown)}") from None
-        mets = np.fromiter(map(metric_pos.__getitem__, map(itemgetter(3), kept)), np.intp, len(kept))
+        try:
+            mets = np.fromiter(map(metric_pos.__getitem__, map(itemgetter(3), kept)), np.intp, len(kept))
+        except KeyError:
+            unknown = sorted({r[3] for r in kept if r[3] not in metric_pos})
+            raise ScoreError(f"rows reference unknown metrics: {', '.join(unknown)}") from None
         cells = np.ravel_multi_index((docs, mods, mets), table.values.shape)
         if np.bincount(cells, minlength=1).max() > 1:
             # Name the first row whose cell an earlier row already filled.
@@ -210,6 +233,8 @@ class ScoreTable:
         return table
 
     def equals(self, other: "ScoreTable") -> bool:
+        import numpy as np
+
         return (
             self.target == other.target
             and self.documents == other.documents
@@ -253,42 +278,69 @@ def score_pool(
     target: TargetKind,
     columns: Mapping[str, str],
     against: Mapping[str, str],
-) -> ScoreTable:
-    """Score a one-target pool into a table with one column per ``columns`` key.
+) -> list[tuple[str, str, str, str, float]]:
+    """Score a one-target pool into long-form rows, one per ``columns`` key.
 
     Column ``name`` holds metric ``columns[name]`` of :data:`METRICS`.
     Readability metrics read the candidate alone, tokenized at most once;
     every other metric compares the candidate with ``against[hadm_id]``.
+    Rows come in :meth:`ScoreTable.to_rows` order: documents, then models,
+    each in first-seen pool order, then columns, sorted; NaN values are
+    dropped, and a later candidate for a (hadm_id, model_id) pair replaces
+    an earlier one.
     """
-    docs, mods = first_seen(c.hadm_id for c in pool), first_seen(c.model_id for c in pool)
-    table = ScoreTable.empty(target, docs, mods, columns)
-    doc_pos, model_pos, column_pos = table._positions
+    scored: dict[tuple[str, str], dict[str, float]] = {}
     for c in pool:
-        cells = table.values[doc_pos[c.hadm_id], model_pos[c.model_id]]
+        cells = scored[c.hadm_id, c.model_id] = {}
         tok = None
         for column, metric in columns.items():
             if metric not in READABILITY_METRICS:
-                cells[column_pos[column]] = METRICS[metric](c.text, against[c.hadm_id])
+                cells[column] = float(METRICS[metric](c.text, against[c.hadm_id]))
                 continue
             if tok is None:
                 tok = tokenize(c.text)
             try:
-                cells[column_pos[column]] = METRICS[metric](tok)
+                cells[column] = float(METRICS[metric](tok))
             except readability.DegenerateTextError as exc:
                 raise readability.DegenerateTextError(
                     f"candidate (hadm_id={c.hadm_id!r}, model_id={c.model_id!r}, "
                     f"metric={column!r}): {exc}"
                 ) from None
-    return table
+    doc_pos = {doc: i for i, doc in enumerate(first_seen(c.hadm_id for c in pool))}
+    model_pos = {model: j for j, model in enumerate(first_seen(c.model_id for c in pool))}
+    order = sorted(scored, key=lambda pair: (doc_pos[pair[0]], model_pos[pair[1]]))
+    wanted = target.value
+    return [
+        (doc, model, wanted, column, value)
+        for doc, model in order
+        for column, value in sorted(scored[doc, model].items())
+        if value == value  # False only for NaN
+    ]
 
 
-def compute_native_scores(
+def score_table(
+    pool: Sequence[GeneratedCandidate],
+    target: TargetKind,
+    columns: Mapping[str, str],
+    against: Mapping[str, str],
+) -> ScoreTable:
+    """:func:`score_pool`'s rows as a table over the pool's documents, models and columns."""
+    return ScoreTable.from_rows(
+        score_pool(pool, target, columns, against),
+        target,
+        first_seen(c.hadm_id for c in pool),
+        first_seen(c.model_id for c in pool),
+        columns,
+    )
+
+
+def native_score_job(
     candidates: Sequence[GeneratedCandidate],
     references: Mapping[str, ExtractedTargets] | Mapping[str, str] | None = None,
     metrics: Sequence[str] | None = None,
     target: TargetKind | None = None,
-) -> ScoreTable:
-    """Score candidates with the native metric suite.
+) -> tuple[list[GeneratedCandidate], TargetKind, dict[str, str], dict[str, str]]:
+    """The :func:`score_pool` arguments that score candidates with the native suite.
 
     Reference-based metrics need a reference per hadm_id; readability
     metrics are reference-free and may be requested alone.
@@ -306,19 +358,20 @@ def compute_native_scores(
             f"metrics {', '.join(ref_metrics)} need references but none were given"
         )
     against = _against(pool, references, "reference") if ref_metrics else {}
-    return score_pool(pool, target, {m: m for m in metrics}, against)
+    return pool, target, {m: m for m in metrics}, against
 
 
-def compute_factuality_proxies(
+def factuality_proxy_job(
     candidates: Sequence[GeneratedCandidate],
     summaries: Sequence[DischargeSummary],
     metrics: Sequence[str] = ("meteor",),
     target: TargetKind | None = None,
-) -> ScoreTable:
-    """Score candidates against the whole document body (targets removed).
+) -> tuple[list[GeneratedCandidate], TargetKind, dict[str, str], dict[str, str]]:
+    """The :func:`score_pool` arguments that score candidates against the document body.
 
-    Metric names gain a ``_ds`` suffix so they never shadow the same metric
-    computed against the gold target.
+    The body is the whole note with its targets removed. Metric names gain
+    a ``_ds`` suffix so they never shadow the same metric computed against
+    the gold target.
     """
     bad = [m for m in metrics if m not in REFERENCE_METRICS]
     if bad:
@@ -327,11 +380,33 @@ def compute_factuality_proxies(
     pool = [c for c in candidates if c.target is target]
     bodies = {s.hadm_id: s.body_without_targets for s in summaries}
     columns = {m + DS_SUFFIX: m for m in metrics}
-    return score_pool(pool, target, columns, _against(pool, bodies, "discharge summary"))
+    return pool, target, columns, _against(pool, bodies, "discharge summary")
+
+
+def compute_native_scores(
+    candidates: Sequence[GeneratedCandidate],
+    references: Mapping[str, ExtractedTargets] | Mapping[str, str] | None = None,
+    metrics: Sequence[str] | None = None,
+    target: TargetKind | None = None,
+) -> ScoreTable:
+    """Score candidates with the native metric suite (see :func:`native_score_job`)."""
+    return score_table(*native_score_job(candidates, references, metrics, target))
+
+
+def compute_factuality_proxies(
+    candidates: Sequence[GeneratedCandidate],
+    summaries: Sequence[DischargeSummary],
+    metrics: Sequence[str] = ("meteor",),
+    target: TargetKind | None = None,
+) -> ScoreTable:
+    """Score candidates against the document body (see :func:`factuality_proxy_job`)."""
+    return score_table(*factuality_proxy_job(candidates, summaries, metrics, target))
 
 
 def merge_tables(base: ScoreTable, extra: ScoreTable) -> ScoreTable:
     """Union of two tables over the same target/documents/models."""
+    import numpy as np
+
     if base.target != extra.target:
         raise ScoreError("cannot merge tables with different targets")
     if base.documents != extra.documents or base.models != extra.models:
@@ -462,7 +537,8 @@ def synthetic_external_rows(
         on_body = score_pool(
             pool, target, {"alignscore": "alignscore"}, _against(pool, bodies, "discharge summary")
         )
-        rows.extend(merge_tables(on_refs, on_body).to_rows())
+        docs, models = first_seen(c.hadm_id for c in pool), first_seen(c.model_id for c in pool)
+        rows.extend(ScoreTable.from_rows(on_refs + on_body, target, docs, models).to_rows())
     return rows
 
 
@@ -472,6 +548,8 @@ def overall_by_document(table: ScoreTable) -> dict[tuple[str, str], float]:
     The columns are added one at a time in ``OVERALL_METRICS`` order, the
     additions :func:`overall_score` makes, so both give the same bits.
     """
+    import numpy as np
+
     missing_metrics = [m for m in OVERALL_METRICS if m not in table.metrics]
     if missing_metrics:
         raise ScoreError(f"table lacks overall-score metrics: {', '.join(missing_metrics)}")

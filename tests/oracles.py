@@ -394,3 +394,28 @@ def reference_stem(word: str) -> str:
     word = _step5a(word)
     word = _step5b(word)
     return word
+
+
+def cube_filled_scores(pool, target, columns, against):
+    """``scores.score_pool`` as a loop that writes each value into a NaN-filled cube.
+
+    The table's documents and models are the pool's, in first-seen order;
+    a later candidate for a (hadm_id, model_id) pair overwrites an earlier
+    one. Readability metrics read the tokenized candidate, every other
+    metric compares it with ``against[hadm_id]``.
+    """
+    from dischargekit import scores
+    from dischargekit.textprep import tokenize
+
+    docs = list(dict.fromkeys(c.hadm_id for c in pool))
+    models = list(dict.fromkeys(c.model_id for c in pool))
+    table = scores.ScoreTable.empty(target, docs, models, columns)
+    for c in pool:
+        for column, metric in columns.items():
+            if metric in scores.READABILITY_METRICS:
+                value = scores.METRICS[metric](tokenize(c.text))
+            else:
+                value = scores.METRICS[metric](c.text, against[c.hadm_id])
+            k = table.metrics.index(column)
+            table.values[docs.index(c.hadm_id), models.index(c.model_id), k] = value
+    return table

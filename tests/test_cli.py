@@ -834,9 +834,15 @@ def test_config_files_that_are_not_json_exit_1(pipeline_dir, capsys):
     broken = pipeline_dir / "broken.json"
     broken.write_text("{", encoding="utf-8")
     out = pipeline_dir / "never"
-    assert run("reorder", "--corpus", pipeline_dir / "corpus.jsonl", "--apply-ranking", broken, "--out", out) == 1
-    assert run("simulate", "--docs", 2, "--models", 1, "--config", broken, "--out", out) == 1
-    assert capsys.readouterr().err.count("error: Expecting property name") == 2
+    expected = f"error: {broken}: not valid JSON: Expecting property name enclosed in double quotes"
+    for argv in (
+        ("reorder", "--corpus", pipeline_dir / "corpus.jsonl", "--apply-ranking", broken, "--out", out),
+        ("simulate", "--docs", 2, "--models", 1, "--config", broken, "--out", out),
+    ):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(expected), err
+        assert err.count(str(broken)) == 1, err
     assert not out.exists()
 
 

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import dischargekit
-from dischargekit import corpus
+from dischargekit import cli, corpus
 
-# Modules that extract and reorder never need; scores, des and analysis
-# import numpy.
+# numpy and the modules that import it at load time. dischargekit.scores is
+# not among them: it loads numpy only where a ScoreTable is built or read.
 HEAVY = ("numpy", "dischargekit.scores", "dischargekit.des", "dischargekit.analysis")
 
 PROBE = """
@@ -21,27 +21,17 @@ import json, sys
 heavy = {heavy!r}
 loaded = lambda: sorted(m for m in heavy if m in sys.modules)
 from dischargekit import cli
-seen = {{"import": loaded()}}
-codes = [cli.main({extract!r})]
-seen["extract"] = loaded()
-codes.append(cli.main({reorder!r}))
-seen["reorder"] = loaded()
-print(json.dumps({{"codes": codes, "seen": seen}}))
+report = {{"import": loaded(), "traceback": "traceback" in sys.modules, "codes": [], "seen": []}}
+for argv in {steps!r}:
+    report["codes"].append(cli.main(argv))
+    report["seen"].append(loaded())
+print(json.dumps(report))
 """
 
 
-def test_extract_and_reorder_never_load_numpy_or_scoring_modules(tmp_path):
-    summaries, _ = corpus.generate_synthetic_corpus(3, 1, seed=4)
-    corpus_path = tmp_path / "corpus.jsonl"
-    corpus.write_corpus(corpus_path, summaries)
-    extract = ["extract", "--corpus", str(corpus_path), "--out", str(tmp_path / "ext")]
-    reorder = [
-        "reorder", "--mode", "per-doc",
-        "--corpus", str(corpus_path),
-        "--reference-targets", str(tmp_path / "ext" / "targets.jsonl"),
-        "--out", str(tmp_path / "reordered.jsonl"),
-    ]
-    code = PROBE.format(heavy=HEAVY, extract=extract, reorder=reorder)
+def run_probe(tmp_path, steps) -> dict:
+    """Import the CLI in a fresh interpreter, run ``steps`` and report the heavy modules after each."""
+    code = PROBE.format(heavy=HEAVY, steps=[[str(a) for a in argv] for argv in steps])
     src = str(Path(dischargekit.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
@@ -49,9 +39,64 @@ def test_extract_and_reorder_never_load_numpy_or_scoring_modules(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0], proc.stderr
-    assert report["seen"] == {"import": [], "extract": [], "reorder": []}
+    assert report["codes"] == [0] * len(steps), proc.stderr
+    return report
+
+
+@pytest.fixture
+def tiny_corpus(tmp_path):
+    summaries, candidates = corpus.generate_synthetic_corpus(3, 2, seed=4)
+    corpus.write_corpus(tmp_path / "corpus.jsonl", summaries)
+    corpus.write_candidates(tmp_path / "candidates.jsonl", candidates)
+    return tmp_path
+
+
+def test_importing_the_cli_loads_no_traceback(tiny_corpus):
+    report = run_probe(tiny_corpus, [])
+    assert report["import"] == []
+    assert report["traceback"] is False
+
+
+def test_extract_and_reorder_never_load_numpy_or_scoring_modules(tiny_corpus):
+    tmp_path = tiny_corpus
+    extract = ["extract", "--corpus", tmp_path / "corpus.jsonl", "--out", tmp_path / "ext"]
+    reorder = [
+        "reorder", "--mode", "per-doc",
+        "--corpus", tmp_path / "corpus.jsonl",
+        "--reference-targets", tmp_path / "ext" / "targets.jsonl",
+        "--out", tmp_path / "reordered.jsonl",
+    ]
+    report = run_probe(tmp_path, [extract, reorder])
+    assert report["import"] == []
+    assert report["seen"] == [[], []]
     assert (tmp_path / "reordered.jsonl").read_text(encoding="utf-8").count("\n") == 3
+
+
+def test_score_loads_numpy_only_to_merge_external_scores(tiny_corpus):
+    tmp_path = tiny_corpus
+    ext = tmp_path / "ext"
+    assert cli.main(["extract", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(ext)]) == 0
+    candidates = corpus.load_candidates(tmp_path / "candidates.jsonl")
+    external = tmp_path / "external.csv"
+    corpus.write_csv_records(
+        external,
+        ("hadm_id", "model_id", "target", "metric", "value"),
+        [(c.hadm_id, c.model_id, c.target.value, "bertscore", 0.5) for c in candidates],
+    )
+    score = ["score", "--candidates", tmp_path / "candidates.jsonl"]
+    references, bodies = ["--references", ext / "targets.jsonl"], ["--against-ds", ext / "bodies.jsonl"]
+    steps = [
+        [*score, *references, "--out", tmp_path / "native.csv"],
+        [*score, *bodies, "--metrics", "meteor,rouge_l", "--out", tmp_path / "ds.csv"],
+        [*score, *references, "--external", external, "--out", tmp_path / "merged.csv"],
+    ]
+    report = run_probe(tmp_path, steps)
+    assert report["seen"][:2] == [["dischargekit.scores"], ["dischargekit.scores"]]
+    assert "numpy" in report["seen"][2]
+    assert not {"dischargekit.des", "dischargekit.analysis"} & set(report["seen"][2])
+    native = (tmp_path / "native.csv").read_text(encoding="utf-8").splitlines()
+    merged = (tmp_path / "merged.csv").read_text(encoding="utf-8").splitlines()
+    assert len(merged) == len(native) + len(candidates)
 
 
 def test_every_public_name_resolves_to_its_submodule_binding():

@@ -1,5 +1,9 @@
 """Differential tests: the column code on ``ScoreTable.values`` against per-cell recomputation.
 
+``score_pool`` writes long-form rows with no table; they are checked
+against the order ``ScoreTable.to_rows`` gives and against the cube-filling
+loop in ``oracles.cube_filled_scores``.
+
 ``select_experts``, ``overall_by_document``, ``derive_des4_weights`` and
 ``correlation_matrix`` read whole columns of the table. Each is checked here
 against a recomputation that reads one cell at a time through
@@ -18,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from dischargekit.analysis import AnalysisError, correlation_matrix, pearson
-from dischargekit.corpus import TargetKind
+from dischargekit.corpus import TargetKind, corpus_targets, generate_synthetic_corpus
 from dischargekit.des import (
     Criterion,
     DesConfig,
@@ -30,10 +34,17 @@ from dischargekit.des import (
 )
 from dischargekit.scores import (
     OVERALL_METRICS,
+    REFERENCE_METRICS,
     ScoreError,
     ScoreTable,
+    compute_factuality_proxies,
+    compute_native_scores,
+    factuality_proxy_job,
+    first_seen,
+    native_score_job,
     overall_by_document,
     overall_score,
+    score_pool,
 )
 
 METRICS = ("a", "b", "c")
@@ -232,3 +243,50 @@ def test_from_rows_names_the_first_repeated_row():
     ]
     with pytest.raises(ScoreError, match=r"duplicate cell \(hadm_id='1', model_id='m', metric='a'\)"):
         ScoreTable.from_rows(rows, TargetKind.DI)
+
+
+@pytest.fixture(scope="module")
+def ragged_pool():
+    """Both targets, listed model-major from model_b, which lacks two documents."""
+    summaries, candidates = generate_synthetic_corpus(5, 3, seed=11)
+    missing = {(summaries[1].hadm_id, "model_b"), (summaries[3].hadm_id, "model_b")}
+    kept = [c for c in candidates if (c.hadm_id, c.model_id) not in missing]
+    kept.sort(key=lambda c: (c.model_id == "model_b", c.model_id, c.target.value, c.hadm_id), reverse=True)
+    assert len(kept) == len(candidates) - 4
+    targets = {t.hadm_id: t for t in corpus_targets(summaries)}
+    return kept, targets, summaries
+
+
+def _hex_rows(rows):
+    return [(*row[:4], float.hex(row[4])) for row in rows]
+
+
+@pytest.mark.parametrize("kind", [TargetKind.BHC, TargetKind.DI])
+@pytest.mark.parametrize("against", ["reference", "body"])
+def test_score_pool_rows_are_in_table_order_and_match_the_cube(ragged_pool, kind, against):
+    candidates, targets, summaries = ragged_pool
+    if against == "reference":
+        job = native_score_job(candidates, targets, None, kind)
+        table = compute_native_scores(candidates, targets, None, kind)
+    else:
+        job = factuality_proxy_job(candidates, summaries, REFERENCE_METRICS, kind)
+        table = compute_factuality_proxies(candidates, summaries, REFERENCE_METRICS, kind)
+    pool = job[0]
+    docs, models = first_seen(c.hadm_id for c in pool), first_seen(c.model_id for c in pool)
+    # Ragged and model-major: the first model's documents come first, the two it lacks last.
+    assert models[0] == "model_b" and docs[-2:] == (summaries[3].hadm_id, summaries[1].hadm_id)
+    rows = score_pool(*job)
+    assert all(type(row[4]) is float for row in rows)
+    rebuilt = ScoreTable.from_rows(rows, kind, docs, models).to_rows()
+    assert _hex_rows(rows) == _hex_rows(rebuilt)
+    cube = oracles.cube_filled_scores(*job)
+    assert (table.documents, table.models, table.metrics) == (cube.documents, cube.models, cube.metrics)
+    assert table.values.tobytes() == cube.values.tobytes()
+    assert np.isnan(table.values).sum() == 2 * len(table.metrics)
+
+
+def test_empty_pool_keeps_its_metric_columns():
+    table = compute_native_scores([], {}, ["rouge_l", "bleu4"], TargetKind.DI)
+    assert table.metrics == ("bleu4", "rouge_l")
+    assert table.values.shape == (0, 0, 2)
+    assert score_pool([], TargetKind.DI, {"bleu4": "bleu4"}, {}) == []
