@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__, corpus
 from .corpus import TargetKind
 
-USER_ERRORS = (ValueError, OSError, json.JSONDecodeError)
+USER_ERRORS = (ValueError, OSError)
 
 
 def _sha256(path) -> str:

@@ -290,3 +290,5 @@ def test_empty_pool_keeps_its_metric_columns():
     assert table.metrics == ("bleu4", "rouge_l")
     assert table.values.shape == (0, 0, 2)
     assert score_pool([], TargetKind.DI, {"bleu4": "bleu4"}, {}) == []
+    with pytest.raises(ScoreError, match="rows reference unknown metrics: x"):
+        ScoreTable.from_rows([("1", "m", "di", "x", 0.5)], TargetKind.DI, metrics=["y"])
