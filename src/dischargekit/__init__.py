@@ -1,7 +1,7 @@
 """Evaluation, selection, and section tooling for generated discharge-summary text.
 
 The public names below load their submodule on first access (PEP 562), so a
-command that never scores or selects never imports numpy.
+command pays only for the modules it uses.
 """
 
 import importlib

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from operator import add
 
 from .scores import ScoreTable
 
@@ -14,37 +15,64 @@ class AnalysisError(ValueError):
     """Degenerate or mismatched analysis input."""
 
 
+def _pairwise(a: list[float], start: int, n: int) -> float:
+    # numpy's pairwise_sum: under 8 terms a plain loop; up to 128, eight
+    # interleaved partial sums added as a tree, then the tail; above, two
+    # halves split at a multiple of 8.
+    if n < 8:
+        return reduce(add, a[start : start + n], 0.0)
+    if n <= 128:
+        end = start + n - n % 8
+        r = [reduce(add, a[start + k : end : 8]) for k in range(8)]
+        return reduce(add, a[end : start + n], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2 - n // 2 % 8
+    return _pairwise(a, start, half) + _pairwise(a, start + half, n - half)
+
+
+def pairwise_sum(values: list[float]) -> float:
+    """The sum of floats in the order ``numpy.add.reduce`` adds a float64
+    vector, so the result has the same bits: 0.0 plus numpy's pairwise sum."""
+    return 0.0 + _pairwise(values, 0, len(values))
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson correlation; errors on constant or short vectors."""
+    """Sample Pearson correlation; errors on constant or short vectors.
+
+    Every sum is a :func:`pairwise_sum`, and every other step is one IEEE
+    operation per element, so the result has the bits of the same formula
+    on numpy float64 arrays.
+    """
     if len(x) != len(y):
         raise AnalysisError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 3:
         raise AnalysisError(f"need at least 3 observations, got {len(x)}")
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    xd = xa - xa.mean()
-    yd = ya - ya.mean()
-    sx = float(np.sqrt((xd * xd).sum()))
-    sy = float(np.sqrt((yd * yd).sum()))
+    xs = [float(v) for v in x]
+    ys = [float(v) for v in y]
+    x_mean = pairwise_sum(xs) / len(xs)
+    y_mean = pairwise_sum(ys) / len(ys)
+    xd = [v - x_mean for v in xs]
+    yd = [v - y_mean for v in ys]
+    sx = math.sqrt(pairwise_sum([v * v for v in xd]))
+    sy = math.sqrt(pairwise_sum([v * v for v in yd]))
     if sx == 0.0 or sy == 0.0:
         raise AnalysisError("correlation is undefined for a constant vector")
-    return float((xd * yd).sum() / (sx * sy))
+    return pairwise_sum([a * b for a, b in zip(xd, yd)]) / (sx * sy)
 
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
     metrics: tuple[str, ...]
     variants: tuple[str, ...]
-    values: np.ndarray
+    values: tuple[tuple[float, ...], ...]  # values[i][j]: metrics[i] against variants[j]
 
     def get(self, metric: str, variant: str) -> float:
-        return float(self.values[self.metrics.index(metric), self.variants.index(variant)])
+        return self.values[self.metrics.index(metric)][self.variants.index(variant)]
 
     def to_rows(self) -> list[tuple[str, str, float]]:
         return [
-            (metric, variant, float(self.values[i, j]))
-            for i, metric in enumerate(self.metrics)
-            for j, variant in enumerate(self.variants)
+            (metric, variant, r)
+            for metric, row in zip(self.metrics, self.values)
+            for variant, r in zip(self.variants, row)
         ]
 
 
@@ -84,32 +112,35 @@ def correlation_matrix(
         metrics = tuple(sorted(shared))
     if not metrics:
         raise AnalysisError("no metrics to correlate")
-    # Per table and variant: the observations' document and model positions, and y.
+    # Per table and variant: the observations' cell positions, and y.
     observations = [
         {
-            variant: (*table.pair_index(entry[variant].keys()), np.fromiter(entry[variant].values(), float))
+            variant: (table.pair_cells(entry[variant].keys()), [float(y) for y in entry[variant].values()])
             for variant in variant_names
         }
         for table, entry in zip(tables, named)
     ]
-    values = np.empty((len(metrics), len(variant_names)))
-    for i, metric in enumerate(metrics):
-        for j, variant in enumerate(variant_names):
-            xs: list[np.ndarray] = []
-            ys: list[np.ndarray] = []
+    values = []
+    for metric in metrics:
+        row = []
+        for variant in variant_names:
+            xs: list[float] = []
+            ys: list[float] = []
             for table, by_variant in zip(tables, observations):
                 if metric not in table.metrics:
                     raise AnalysisError(f"table lacks metric {metric!r}")
-                docs, models, y = by_variant[variant]
-                x = table.values[docs, models, table.metrics.index(metric)]
-                present = ~np.isnan(x)
-                xs.append(x[present])
-                ys.append(y[present])
+                column = table.column(metric)
+                for cell, y in zip(*by_variant[variant]):
+                    x = column[cell]
+                    if x == x:  # False only for NaN
+                        xs.append(x)
+                        ys.append(y)
             try:
-                values[i, j] = pearson(np.concatenate(xs), np.concatenate(ys))
+                row.append(pearson(xs, ys))
             except AnalysisError as exc:
                 raise AnalysisError(f"metric {metric!r} vs {variant!r}: {exc}") from None
-    return CorrelationMatrix(metrics=tuple(metrics), variants=variant_names, values=values)
+        values.append(tuple(row))
+    return CorrelationMatrix(metrics=tuple(metrics), variants=variant_names, values=tuple(values))
 
 
 def normalize_clinician_scores(scores: Sequence[float]) -> list[float]:

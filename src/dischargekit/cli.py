@@ -14,12 +14,12 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 # Only corpus is imported at module level; each subcommand imports the
-# modules it uses. des and analysis load numpy, and scores loads it only to
-# build or read a ScoreTable, so extract, reorder and score without
-# --external never load numpy.
+# modules it uses, so extract and reorder never load the scoring modules.
 from . import __version__, corpus
 from .corpus import TargetKind
 
@@ -76,13 +76,21 @@ def _read_overall_csv(path) -> dict[TargetKind, dict[tuple[str, str], float]]:
     return out
 
 
-def _load_score_rows(paths) -> list[tuple[str, str, str, str, float]]:
+def _load_score_tables(paths, targets, documents=None, models=None) -> dict:
+    """One ScoreTable per target, filled from the score CSVs in one pass over each."""
     from . import scores
 
-    rows = []
+    builder = scores.ScoreTableBuilder(targets, documents, models)
     for path in paths:
-        rows.extend(scores.read_score_csv(path))
-    return rows
+        builder.read_csv(path)
+    return builder.tables()
+
+
+def _mean(values) -> float:
+    """Left-to-right float mean (0.0 when empty); ``sum()`` compensates from
+    Python 3.12 on, which would move the last bit between interpreters."""
+    values = list(values)
+    return reduce(add, values, 0.0) / max(len(values), 1)
 
 
 # --- subcommands --------------------------------------------------------------
@@ -198,8 +206,7 @@ def cmd_select(args) -> int:
         raise corpus.CorpusError(f"no candidates for target {target.value}")
     docs = scores.first_seen(c.hadm_id for c in pool)
     models = scores.first_seen(c.model_id for c in pool)
-    rows = _load_score_rows(args.scores)
-    table = scores.ScoreTable.from_rows(rows, target, documents=docs, models=models)
+    table = _load_score_tables(args.scores, (target,), docs, models)[target]
     config = _resolve_config(args, table, target)
     if isinstance(config, des.LengthSelectConfig):
         result = des.select_by_length(pool, config, target=target)
@@ -302,16 +309,15 @@ def cmd_evaluate(args) -> int:
         table = scores.load_external_scores(path, table)
     overall = scores.overall_by_document(table)
     report_rows: list[tuple[str, str, float]] = []
-    for doc, cells in zip(table.documents, table.values[:, 0].tolist()):
-        for metric, value in zip(table.metrics, cells):
+    for i, doc in enumerate(table.documents):
+        for metric, column in zip(table.metrics, table.columns):
+            value = column[i * len(table.models)]  # the first model's cell
             if not math.isnan(value):
                 report_rows.append((doc, metric, value))
         report_rows.append((doc, "overall", overall[(doc, args.model_id)]))
     metric_names = list(table.metrics) + ["overall"]
     means = {
-        metric: sum(v for _, m, v in report_rows if m == metric)
-        / max(sum(1 for _, m, v in report_rows if m == metric), 1)
-        for metric in metric_names
+        metric: _mean(v for _, m, v in report_rows if m == metric) for metric in metric_names
     }
     mean_rows = [("MEAN", metric, means[metric]) for metric in metric_names]
     corpus.write_csv_records(args.out, ("hadm_id", "metric", "value"), report_rows + mean_rows)
@@ -326,14 +332,11 @@ def cmd_evaluate(args) -> int:
 def cmd_correlate(args) -> int:
     from . import analysis, scores
 
-    rows = _load_score_rows(args.scores)
     overalls = _read_overall_csv(args.overall)
     if not overalls:
         raise scores.ScoreError(f"{args.overall}: no overall rows")
     metrics = tuple(args.metrics.split(",")) if args.metrics else None
-    tables = {}
-    for target in sorted(overalls, key=lambda t: t.value):
-        tables[target] = scores.ScoreTable.from_rows(rows, target)
+    tables = _load_score_tables(args.scores, sorted(overalls, key=lambda t: t.value))
     out_rows: list[tuple[str, str, float]] = []
     try:
         if args.mode == "pooled":
@@ -390,8 +393,8 @@ def cmd_simulate(args) -> int:
         means = []
         for target, overall in per_target_overall.items():
             docs = sorted({doc for doc, _ in overall})
-            means.append(sum(overall[(doc, model)] for doc in docs) / len(docs))
-        leaderboard.append((f"model:{model}", sum(means) / len(means)))
+            means.append(_mean(overall[(doc, model)] for doc in docs))
+        leaderboard.append((f"model:{model}", _mean(means)))
 
     def strategy_mean(select_fn) -> float:
         means = []
@@ -399,8 +402,8 @@ def cmd_simulate(args) -> int:
             result = select_fn(target)
             chosen = result.by_document()
             docs = [s.hadm_id for s in result.selections]
-            means.append(sum(overall[(doc, chosen[doc].model_id)] for doc in docs) / len(docs))
-        return sum(means) / len(means)
+            means.append(_mean(overall[(doc, chosen[doc].model_id)] for doc in docs))
+        return _mean(means)
 
     if args.config == "oracle":
         def run(target):

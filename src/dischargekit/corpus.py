@@ -154,9 +154,10 @@ def _unique(
     path, fields: Sequence[str], key: Sequence[str], unit: str, error: type[ValueError], what: str = ""
 ):
     """The duplicate-key rule: the returned ``check(line, values)`` raises
-    ``error`` naming the file and both lines when the ``key`` fields repeat."""
+    ``error`` naming the file and both lines when the ``key`` fields repeat;
+    None when there is no ``key``."""
     if not key:
-        return lambda line, values: None
+        return None
     positions = [fields.index(name) for name in key]
     pick, seen = itemgetter(*positions), {}
 
@@ -181,6 +182,7 @@ def read_csv_records(
     repeat of the ``key`` columns each raise ``error`` naming the file.
     """
     check = _unique(path, header, key, "rows", error)
+    width = len(header)
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
@@ -189,9 +191,10 @@ def read_csv_records(
         start = reader.line_num + 1
         for row in reader:
             if row:
-                if len(row) != len(header):
-                    raise error(f"{path}: row {start}: expected {len(header)} fields, got {len(row)}")
-                check(start, row)
+                if len(row) != width:
+                    raise error(f"{path}: row {start}: expected {width} fields, got {len(row)}")
+                if check is not None:
+                    check(start, row)
                 yield start, row
             start = reader.line_num + 1
 
@@ -219,7 +222,8 @@ def read_jsonl_records(
             for name, value in zip(fields, values):
                 if not isinstance(value, str):
                     raise CorpusError(f"{path}: line {lineno}: missing or non-string {name!r}")
-            check(lineno, values)
+            if check is not None:
+                check(lineno, values)
             yield lineno, values
 
 

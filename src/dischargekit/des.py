@@ -15,8 +15,8 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-
-import numpy as np
+from functools import reduce
+from operator import add
 
 from .corpus import GeneratedCandidate, TargetKind
 from .scores import ScoreTable
@@ -146,24 +146,20 @@ PRESETS: dict[str, DesConfig] = {
 PRESET_NAMES = ("des1", "des2", "des3", "des4", "des5")
 
 
-def _min_max(values: np.ndarray) -> np.ndarray:
-    """Rescale ``values`` to [0, 1] along the last axis (the models).
+def _min_max(values: Sequence[float]) -> list[float]:
+    """Rescale finite ``values`` to [0, 1].
 
     A constant row normalizes to all zeros. When ``hi - lo`` overflows, the
     halved values are rescaled instead, so a finite row never gives nan;
     every other row keeps the bits of ``(v - lo) / (hi - lo)``.
     """
-    lo = values.min(axis=-1, keepdims=True)
-    hi = values.max(axis=-1, keepdims=True)
-    with np.errstate(all="ignore"):
-        span = hi - lo
-        norm = values - lo
-        norm /= span
-        wide = np.isinf(span)
-        if wide.any():
-            np.copyto(norm, (values / 2 - lo / 2) / (hi / 2 - lo / 2), where=wide)
-    np.copyto(norm, 0.0, where=hi == lo)
-    return norm
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        return [0.0] * len(values)
+    span = hi - lo
+    if span == math.inf:
+        return [(v / 2 - lo / 2) / (hi / 2 - lo / 2) for v in values]
+    return [(v - lo) / span for v in values]
 
 
 def min_max_normalize(raw: Mapping[str, float]) -> dict[str, float]:
@@ -176,7 +172,7 @@ def min_max_normalize(raw: Mapping[str, float]) -> dict[str, float]:
     bad = [k for k, v in raw.items() if not math.isfinite(v)]
     if bad:
         raise ValueError(f"non-finite scores for models: {', '.join(sorted(bad))}")
-    return dict(zip(raw, _min_max(np.fromiter(raw.values(), float, len(raw))).tolist()))
+    return dict(zip(raw, _min_max([float(v) for v in raw.values()])))
 
 
 def select_experts(
@@ -203,50 +199,54 @@ def select_experts(
             f"table lacks metrics required by {config.name!r}: {', '.join(missing_metrics)}"
         )
     texts = {(c.hadm_id, c.model_id): c.text for c in candidates or () if c.target is target}
-    metric_pos = table._positions[2]
-    columns = [table.values[:, :, metric_pos[c.metric]] for c in crits]
-    # usable[d, c]: every model has a value for criterion c on document d.
-    usable = np.stack([~np.isnan(col).any(axis=1) for col in columns], axis=1)
-    if strict and not usable.all():
-        d, c = np.argwhere(~usable)[0]
-        model = table.models[np.argmax(np.isnan(columns[c][d]))]
-        raise MissingCellError(
-            f"missing cell (hadm_id={table.documents[d]!r}, model_id={model!r}, "
-            f"metric={crits[c].metric!r})"
-        )
-    for col, keep in zip(columns, usable.T):
-        infinite = np.isinf(col) & keep[:, None]
-        if infinite.any():
-            row = infinite[np.argmax(infinite.any(axis=1))]
-            names = sorted(table.models[m] for m in np.flatnonzero(row))
-            raise ValueError(f"non-finite scores for models: {', '.join(names)}")
+    n_models = len(table.models)
+    columns = [table.column(c.metric) for c in crits]
+    # rows[d][c]: document d's values of criterion c, one per model; a row
+    # is usable when no model lacks its value.
+    rows = [
+        [column[d * n_models : (d + 1) * n_models].tolist() for column in columns]
+        for d in range(len(table.documents))
+    ]
+    usable = [[all(v == v for v in values) for values in row] for row in rows]
+    if strict:
+        for doc, row, keep in zip(table.documents, rows, usable):
+            if not all(keep):
+                c = keep.index(False)
+                model = next(m for m, v in zip(table.models, row[c]) if v != v)
+                raise MissingCellError(
+                    f"missing cell (hadm_id={doc!r}, model_id={model!r}, metric={crits[c].metric!r})"
+                )
+    for c in range(len(crits)):
+        for row, keep in zip(rows, usable):
+            if keep[c] and not all(map(math.isfinite, row[c])):
+                names = sorted(m for m, v in zip(table.models, row[c]) if math.isinf(v))
+                raise ValueError(f"non-finite scores for models: {', '.join(names)}")
     weights = [float(c.weight) for c in crits]
-    # Weight sums add in criterion order, starting from 0.0, as a scalar loop would.
-    full_weight, kept_weight = 0.0, np.zeros(len(table.documents))
-    for weight, keep in zip(weights, usable.T):
-        full_weight += weight
-        kept_weight += np.where(keep, weight, 0.0)
-    partial = ~usable.all(axis=1)
-    lacking = np.flatnonzero(~usable.any(axis=1) | (partial & (kept_weight == 0)))
-    if len(lacking):
-        doc = table.documents[lacking[0]]
-        if not usable[lacking[0]].any():
-            raise MissingCellError(f"no usable criteria for hadm_id {doc!r}")
-        raise MissingCellError(f"remaining criteria for hadm_id {doc!r} have zero total weight")
-    with np.errstate(all="ignore"):
-        scale = np.where(partial, full_weight / kept_weight, 1.0)[:, None]
-        total = np.zeros((len(table.documents), len(table.models)))
-        for weight, column, keep in zip(weights, columns, usable.T):
-            total += np.where(keep[:, None], (weight * scale) * _min_max(column), 0.0)
-        score = total / usable.sum(axis=1)[:, None]
-    # A nan score never wins and a model wins only above -inf, as in a `>` scan.
-    score[np.isnan(score)] = -math.inf
-    best = score.argmax(axis=1)
-    # The winner's own score: max() may return 0.0 where the first maximum is -0.0.
-    bases = np.take_along_axis(score, best[:, None], axis=1)[:, 0]
+    # Weight sums add left to right in criterion order, starting from 0.0.
+    full_weight = reduce(add, weights, 0.0)
     selections = []
-    for doc, b, basis in zip(table.documents, best.tolist(), bases.tolist()):
-        model = table.models[b] if basis > -math.inf else None
+    for doc, row, keep in zip(table.documents, rows, usable):
+        kept = [(w, values) for w, values, ok in zip(weights, row, keep) if ok]
+        if not kept:
+            raise MissingCellError(f"no usable criteria for hadm_id {doc!r}")
+        scale = 1.0
+        if len(kept) < len(crits):
+            kept_weight = reduce(add, (w for w, _ in kept), 0.0)
+            if kept_weight == 0:
+                raise MissingCellError(f"remaining criteria for hadm_id {doc!r} have zero total weight")
+            scale = full_weight / kept_weight
+        totals = [0.0] * n_models
+        for weight, values in kept:
+            factor = weight * scale
+            for j, norm in enumerate(_min_max(values)):
+                totals[j] += factor * norm
+        # A nan score never wins and a model wins only above -inf, as in a `>` scan;
+        # the basis is the winner's own score, which may be -0.0.
+        model, basis = None, -math.inf
+        for name, total in zip(table.models, totals):
+            score = total / len(kept)
+            if score > basis:
+                model, basis = name, score
         selections.append(
             Selection(hadm_id=doc, model_id=model, text=texts.get((doc, model)), basis=basis)
         )
@@ -316,19 +316,19 @@ def derive_des4_weights(
     from .analysis import pearson
 
     metrics = tuple(metrics) if metrics is not None else table.metrics
-    docs, models = table.pair_index(overall.keys())
-    ys = np.fromiter(overall.values(), float, len(overall))
+    cells = table.pair_cells(overall.keys())
+    ys = [float(y) for y in overall.values()]
     criteria = []
     for metric in metrics:
         if metric not in table.metrics:
             raise DesConfigError(f"table lacks metric {metric!r}")
-        xs = table.values[docs, models, table.metrics.index(metric)]
-        present = ~np.isnan(xs)
-        if present.sum() < 3:
+        column = table.column(metric)
+        present = [(column[cell], y) for cell, y in zip(cells, ys) if column[cell] == column[cell]]
+        if len(present) < 3:
             raise DesConfigError(
-                f"metric {metric!r} has {present.sum()} usable observations; need at least 3"
+                f"metric {metric!r} has {len(present)} usable observations; need at least 3"
             )
-        criteria.append(Criterion(metric, pearson(xs[present], ys[present])))
+        criteria.append(Criterion(metric, pearson(*zip(*present))))
     return DesConfig("des4", criteria=tuple(criteria))
 
 

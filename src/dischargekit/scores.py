@@ -7,22 +7,21 @@ marking missing cells. Native metrics are computed here; neural or licensed
 metrics (bertscore, alignscore, medcon, summac) are ingested from external
 CSV files and merged into the same table.
 
-Only the code that builds or reads a table's array imports numpy, where it
-runs: ``ScoreTable.empty``, ``to_rows``, ``pair_index``, ``from_rows`` and
-``equals``, :func:`merge_tables` and :func:`overall_by_document`. Importing
-numpy costs a fresh process about 0.1 s and 13 MB, so ``score`` without
-``--external``, which writes :func:`score_pool`'s rows as they are, never
-loads it.
+A table keeps one stdlib ``array('d')`` per metric, and
+:class:`ScoreTableBuilder` fills it from score records one at a time, so
+reading a score CSV holds 8 bytes per cell and no row list. The package
+needs no numpy: importing it would cost a fresh process about 0.1 s and
+13 MB, more than the table work it would speed up.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 
 from . import readability, relevance
 from .corpus import (
@@ -102,32 +101,35 @@ def first_seen(values: Iterable[str]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Dense per-target score store; treat instances as immutable."""
+    """Dense per-target score store; treat instances as immutable.
+
+    ``columns[k]`` holds metric ``metrics[k]`` as one ``array('d')`` with the
+    cell of document ``i`` and model ``j`` at ``i * len(models) + j``; NaN
+    marks a missing cell.
+    """
 
     target: TargetKind
     documents: tuple[str, ...]
     models: tuple[str, ...]
     metrics: tuple[str, ...]
-    values: np.ndarray = field(repr=False)
+    columns: tuple[array, ...] = field(repr=False)
 
     def __post_init__(self):
-        expected = (len(self.documents), len(self.models), len(self.metrics))
-        if self.values.shape != expected:
-            raise ScoreError(f"values shape {self.values.shape} != {expected}")
+        cells = len(self.documents) * len(self.models)
+        lengths = [len(column) for column in self.columns]
+        if lengths != [cells] * len(self.metrics):
+            raise ScoreError(f"column lengths {lengths} != {len(self.metrics)} x {cells} cells")
         if tuple(self.metrics) != tuple(sorted(self.metrics)):
             raise ScoreError("metrics must be sorted")
-        axes = (("hadm_id", self.documents), ("model_id", self.models), ("metric", self.metrics))
-        for (axis, labels), positions in zip(axes, self._positions):
-            if len(positions) != len(labels):
-                repeated = sorted(label for label, n in Counter(labels).items() if n > 1)
-                raise ScoreError(f"duplicate {axis} labels: {', '.join(repeated)}")
+        self._positions  # noqa: B018  (building the label maps rejects a repeated label)
 
     @cached_property
     def _positions(self) -> tuple[dict[str, int], ...]:
         """Label -> position maps for the document, model and metric axes."""
-        return tuple(
-            {label: i for i, label in enumerate(labels)}
-            for labels in (self.documents, self.models, self.metrics)
+        return (
+            _label_positions("hadm_id", self.documents),
+            _label_positions("model_id", self.models),
+            _label_positions("metric", self.metrics),
         )
 
     @classmethod
@@ -138,16 +140,17 @@ class ScoreTable:
         models: Sequence[str],
         metrics: Sequence[str],
     ) -> "ScoreTable":
-        import numpy as np
-
         metrics = tuple(sorted(metrics))
-        values = np.full((len(documents), len(models), len(metrics)), np.nan)
-        return cls(target, tuple(documents), tuple(models), metrics, values)
+        columns = tuple(_missing(len(documents) * len(models)) for _ in metrics)
+        return cls(target, tuple(documents), tuple(models), metrics, columns)
+
+    def column(self, metric: str) -> array:
+        return self.columns[self._positions[2][metric]]
 
     def get(self, doc: str, model: str, metric: str) -> float:
         docs, models, metrics = self._positions
         try:
-            return float(self.values[docs[doc], models[model], metrics[metric]])
+            return self.columns[metrics[metric]][docs[doc] * len(models) + models[model]]
         except KeyError:
             raise ScoreError(
                 f"unknown cell (hadm_id={doc!r}, model_id={model!r}, metric={metric!r})"
@@ -155,25 +158,21 @@ class ScoreTable:
 
     def to_rows(self) -> list[tuple[str, str, str, str, float]]:
         """Non-missing cells as (hadm_id, model_id, target, metric, value)."""
-        import numpy as np
-
-        i, j, k = np.nonzero(~np.isnan(self.values))
         target = self.target.value
+        pairs = ((doc, model) for doc in self.documents for model in self.models)
         return [
-            (self.documents[a], self.models[b], target, self.metrics[c], v)
-            for a, b, c, v in zip(i.tolist(), j.tolist(), k.tolist(), self.values[i, j, k].tolist())
+            (doc, model, target, metric, value)
+            for (doc, model), cells in zip(pairs, zip(*self.columns))
+            for metric, value in zip(self.metrics, cells)
+            if value == value  # False only for NaN
         ]
 
-    def pair_index(self, pairs: Collection[tuple[str, ...]]) -> tuple[np.ndarray, np.ndarray]:
-        """Document and model positions of the (hadm_id, model_id, ...) pairs, in order."""
-        import numpy as np
-
+    def pair_cells(self, pairs: Collection[tuple[str, ...]]) -> list[int]:
+        """Cell positions of the (hadm_id, model_id, ...) pairs, in order."""
         doc_pos, model_pos, _ = self._positions
+        n_models = len(self.models)
         try:
-            return (
-                np.fromiter(map(doc_pos.__getitem__, map(itemgetter(0), pairs)), np.intp, len(pairs)),
-                np.fromiter(map(model_pos.__getitem__, map(itemgetter(1), pairs)), np.intp, len(pairs)),
-            )
+            return [doc_pos[p[0]] * n_models + model_pos[p[1]] for p in pairs]
         except KeyError:
             doc, model = next(p for p in pairs if p[0] not in doc_pos or p[1] not in model_pos)[:2]
             raise ScoreError(
@@ -191,57 +190,153 @@ class ScoreTable:
     ) -> "ScoreTable":
         """Build a table from long-form rows, keeping only the given target.
 
-        Document and model universes default to first-seen order in the
-        rows, and the metrics to those the rows name; when given
-        explicitly, rows outside them are an error.
+        See :class:`ScoreTableBuilder`; errors number the rows from 1.
         """
-        import numpy as np
-
-        wanted = target.value
-        kept = [r for r in rows if r[2] == wanted]
-        if documents is None:
-            documents = first_seen(map(itemgetter(0), kept))
-        if models is None:
-            models = first_seen(map(itemgetter(1), kept))
-        if metrics is None:
-            metrics = set(map(itemgetter(3), kept))
-        table = cls.empty(target, documents, models, metrics)
-        doc_pos, model_pos, metric_pos = table._positions
-        try:
-            docs, mods = table.pair_index(kept)
-        except ScoreError:
-            unknown = sorted(
-                {r[0] for r in kept if r[0] not in doc_pos}
-                | {r[1] for r in kept if r[1] not in model_pos}
-            )
-            raise ScoreError(f"rows reference unknown hadm_id/model_id: {', '.join(unknown)}") from None
-        try:
-            mets = np.fromiter(map(metric_pos.__getitem__, map(itemgetter(3), kept)), np.intp, len(kept))
-        except KeyError:
-            unknown = sorted({r[3] for r in kept if r[3] not in metric_pos})
-            raise ScoreError(f"rows reference unknown metrics: {', '.join(unknown)}") from None
-        cells = np.ravel_multi_index((docs, mods, mets), table.values.shape)
-        if np.bincount(cells, minlength=1).max() > 1:
-            # Name the first row whose cell an earlier row already filled.
-            first = np.zeros(len(cells), dtype=bool)
-            first[np.unique(cells, return_index=True)[1]] = True
-            doc, model, _, metric, _ = kept[int(np.argmin(first))]
-            raise ScoreError(
-                f"duplicate cell (hadm_id={doc!r}, model_id={model!r}, metric={metric!r})"
-            )
-        table.values.flat[cells] = np.fromiter(map(itemgetter(4), kept), float, len(kept))
-        return table
+        builder = ScoreTableBuilder((target,), documents, models, metrics)
+        builder.add_records(enumerate(rows, 1))
+        return builder.tables()[target]
 
     def equals(self, other: "ScoreTable") -> bool:
-        import numpy as np
-
+        """Same target, axes and cells; NaN equals NaN."""
         return (
             self.target == other.target
             and self.documents == other.documents
             and self.models == other.models
             and self.metrics == other.metrics
-            and np.array_equal(self.values, other.values, equal_nan=True)
+            and all(
+                x == y or (x != x and y != y)
+                for mine, theirs in zip(self.columns, other.columns)
+                for x, y in zip(mine, theirs)
+            )
         )
+
+
+def _label_positions(axis: str, labels: Sequence[str]) -> dict[str, int]:
+    """Label -> position; a repeated label is an error."""
+    positions = {label: i for i, label in enumerate(labels)}
+    if len(positions) != len(labels):
+        repeated = sorted(label for label, n in Counter(labels).items() if n > 1)
+        raise ScoreError(f"duplicate {axis} labels: {', '.join(repeated)}")
+    return positions
+
+
+def _missing(cells: int) -> array:
+    """``cells`` missing values."""
+    return array("d", [math.nan]) * cells
+
+
+def _prefix(source) -> str:
+    """The start of an error message about a record of ``source``, None for rows in memory."""
+    return "" if source is None else f"{source}: "
+
+
+class _TargetFill:
+    """The growing axes and columns of one target's table."""
+
+    def __init__(self, documents, models, metrics):
+        self.fixed = (documents is not None, models is not None, metrics is not None)
+        self.docs = _label_positions("hadm_id", tuple(documents or ()))
+        self.models = _label_positions("model_id", tuple(models or ()))
+        self.columns = {metric: array("d") for metric in metrics or ()}
+
+    def add_model(self, model: str) -> int:
+        """Give ``model`` the next position, spreading every column to the wider stride."""
+        n = len(self.models)
+        for metric, column in self.columns.items():
+            wide = _missing(len(column) // n * (n + 1) if n else 0)
+            for j in range(n):
+                wide[j :: n + 1] = column[j::n]
+            self.columns[metric] = wide
+        self.models[model] = n
+        return n
+
+
+class ScoreTableBuilder:
+    """Score tables filled from score records one at a time; no row list is kept.
+
+    A record is ``(hadm_id, model_id, target, metric, value)``, the value a
+    number or its text. Every record is checked: its target must be known
+    and its value a finite number. Records of targets not asked for are then
+    dropped. For each wanted target, documents and models default to
+    first-seen order among its records and metrics to those its records
+    name; given explicitly, a record outside them is an error. A cell may be
+    filled once. Each error names the first record at fault.
+    """
+
+    def __init__(
+        self,
+        targets: Iterable[TargetKind],
+        documents: Sequence[str] | None = None,
+        models: Sequence[str] | None = None,
+        metrics: Collection[str] | None = None,
+    ):
+        self._fills = {kind: _TargetFill(documents, models, metrics) for kind in targets}
+        self._by_value = {kind.value: fill for kind, fill in self._fills.items()}
+
+    def read_csv(self, path) -> None:
+        """Add the records of a long-form score CSV; errors name the file and row."""
+        self.add_records(read_csv_records(path, EXTERNAL_CSV_HEADER, ScoreError), path)
+
+    def add_records(self, records: Iterable[tuple[int, Sequence]], source=None) -> None:
+        """Add ``(line, record)`` pairs; errors name ``source`` (when given) and the line."""
+        by_value, isfinite = self._by_value, math.isfinite
+        for line, (doc, model, target, metric, raw) in records:
+            fill = by_value.get(target)
+            try:
+                value = float(raw)
+            except ValueError:
+                value = math.nan
+            if fill is None or not isfinite(value):
+                if fill is None and target in _TARGET_VALUES and isfinite(value):
+                    continue  # a good record of another target
+                parse_score_cell(source, line, target, raw)  # words the error
+            columns = fill.columns
+            m = fill.models.get(model)
+            if m is None:
+                m = None if fill.fixed[1] else fill.add_model(model)
+            d = fill.docs.get(doc)
+            if d is None and not fill.fixed[0]:
+                d = fill.docs[doc] = len(fill.docs)
+            column = columns.get(metric)
+            if column is None and not fill.fixed[2]:
+                column = columns[metric] = array("d")
+            if m is None or d is None or column is None:
+                what, unknown = "hadm_id/model_id", [label for label, pos in ((doc, d), (model, m)) if pos is None]
+                if not unknown:
+                    what, unknown = "metrics", [metric]
+                raise ScoreError(
+                    f"{_prefix(source)}rows reference unknown {what}: {', '.join(sorted(unknown))} on row {line}"
+                )
+            n_models = len(fill.models)
+            cell = d * n_models + m
+            if cell >= len(column):
+                column.extend(_missing((d + 1) * n_models - len(column)))
+            elif column[cell] == column[cell]:  # already filled
+                raise ScoreError(
+                    f"{_prefix(source)}duplicate cell (hadm_id={doc!r}, model_id={model!r}, "
+                    f"metric={metric!r}) on row {line}"
+                )
+            column[cell] = value
+
+    def metrics(self, target: TargetKind) -> tuple[str, ...]:
+        """The metrics of ``target``'s table so far, sorted."""
+        return tuple(sorted(self._fills[target].columns))
+
+    def tables(self) -> dict[TargetKind, ScoreTable]:
+        """One table per wanted target, in the order the targets were given;
+        call it once, after the last record."""
+        tables = {}
+        for kind, fill in self._fills.items():
+            documents, models = tuple(fill.docs), tuple(fill.models)
+            cells = len(documents) * len(models)
+            metrics = tuple(sorted(fill.columns))
+            columns = []
+            for metric in metrics:
+                column = fill.columns[metric]
+                column.extend(_missing(cells - len(column)))
+                columns.append(column)
+            tables[kind] = ScoreTable(kind, documents, models, metrics, tuple(columns))
+        return tables
 
 
 def _infer_target(candidates: Sequence[GeneratedCandidate], target: TargetKind | None) -> TargetKind:
@@ -404,46 +499,56 @@ def compute_factuality_proxies(
 
 
 def merge_tables(base: ScoreTable, extra: ScoreTable) -> ScoreTable:
-    """Union of two tables over the same target/documents/models."""
-    import numpy as np
+    """Union of two tables over the same target/documents/models.
 
+    A cell filled in both is an error naming the first such cell in
+    (document, model, metric) order.
+    """
     if base.target != extra.target:
         raise ScoreError("cannot merge tables with different targets")
     if base.documents != extra.documents or base.models != extra.models:
         raise ScoreError("cannot merge tables with different document/model sets")
-    metrics = sorted(set(base.metrics) | set(extra.metrics))
-    merged = ScoreTable.empty(base.target, base.documents, base.models, metrics)
-    metric_pos = merged._positions[2]
-    for src in (base, extra):
-        columns = [metric_pos[m] for m in src.metrics]
-        dest = merged.values[:, :, columns]
-        present = ~np.isnan(src.values)
-        clashes = np.argwhere(present & ~np.isnan(dest))
-        if len(clashes):
-            i, j, k = clashes[0]
-            raise ScoreError(
-                f"duplicate cell (hadm_id={base.documents[i]!r}, model_id={base.models[j]!r}, "
-                f"metric={src.metrics[k]!r})"
-            )
-        merged.values[:, :, columns] = np.where(present, src.values, dest)
-    return merged
+    merged = {metric: column[:] for metric, column in zip(base.metrics, base.columns)}
+    clashes = []
+    for metric, column in zip(extra.metrics, extra.columns):
+        dest = merged.get(metric)
+        if dest is None:
+            merged[metric] = column[:]
+            continue
+        for cell, value in enumerate(column):
+            if value == value:
+                if dest[cell] == dest[cell]:
+                    clashes.append((cell, metric))
+                    break
+                dest[cell] = value
+    if clashes:
+        cell, metric = min(clashes)
+        doc, model = divmod(cell, len(base.models))
+        raise ScoreError(
+            f"duplicate cell (hadm_id={base.documents[doc]!r}, model_id={base.models[model]!r}, "
+            f"metric={metric!r})"
+        )
+    metrics = tuple(sorted(merged))
+    return ScoreTable(base.target, base.documents, base.models, metrics, tuple(map(merged.get, metrics)))
 
 
 EXTERNAL_CSV_HEADER = ("hadm_id", "model_id", "target", "metric", "value")
 
 
 def parse_score_cell(path, rowno: int, target: str, raw: str) -> tuple[TargetKind, float]:
-    """The target kind and finite value of one score-CSV row; errors name the row."""
+    """The target kind and finite value of one score-CSV row; errors name the
+    row, after the file unless ``path`` is None."""
+    where = f"{_prefix(path)}row {rowno}"
     try:
         kind = TargetKind.parse(target)
     except CorpusError as exc:
-        raise ScoreError(f"{path}: row {rowno}: {exc}") from None
+        raise ScoreError(f"{where}: {exc}") from None
     try:
         value = float(raw)
     except ValueError:
-        raise ScoreError(f"{path}: row {rowno}: value {raw!r} is not a number") from None
+        raise ScoreError(f"{where}: value {raw!r} is not a number") from None
     if not math.isfinite(value):
-        raise ScoreError(f"{path}: row {rowno}: value {raw!r} is not finite")
+        raise ScoreError(f"{where}: value {raw!r} is not finite")
     return kind, value
 
 
@@ -451,20 +556,13 @@ _TARGET_VALUES = frozenset(kind.value for kind in TargetKind)
 
 
 def read_score_csv(path) -> list[tuple[str, str, str, str, float]]:
-    """Read a long-form score CSV (hadm_id,model_id,target,metric,value)."""
-    rows = []
-    for rowno, (hadm_id, model_id, target, metric, raw) in read_csv_records(
-        path, EXTERNAL_CSV_HEADER, ScoreError
-    ):
-        try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan
-        if target not in _TARGET_VALUES or not math.isfinite(value):
-            # Only a bad row gets here; parse_score_cell words its error.
-            _, value = parse_score_cell(path, rowno, target, raw)
-        rows.append((hadm_id, model_id, target, metric, value))
-    return rows
+    """Read a long-form score CSV (hadm_id,model_id,target,metric,value) into rows."""
+    return [
+        (hadm_id, model_id, target, metric, parse_score_cell(path, rowno, target, raw)[1])
+        for rowno, (hadm_id, model_id, target, metric, raw) in read_csv_records(
+            path, EXTERNAL_CSV_HEADER, ScoreError
+        )
+    ]
 
 
 def write_score_csv(path, rows: Iterable[tuple[str, str, str, str, float]]) -> None:
@@ -478,16 +576,15 @@ def load_external_scores(path, table: ScoreTable) -> ScoreTable:
     address a known (document, model) pair of the table; cells may be
     assigned once. Rows for other target kinds are ignored.
     """
-    rows = read_score_csv(path)
-    try:
-        collisions = sorted(
-            {r[3] for r in rows if r[2] == table.target.value and r[3] in RESERVED_METRIC_NAMES}
+    builder = ScoreTableBuilder((table.target,), table.documents, table.models)
+    builder.read_csv(path)
+    collisions = sorted(RESERVED_METRIC_NAMES.intersection(builder.metrics(table.target)))
+    if collisions:
+        raise ScoreError(
+            f"{path}: external metric names collide with native metrics: {', '.join(collisions)}"
         )
-        if collisions:
-            raise ScoreError(
-                f"external metric names collide with native metrics: {', '.join(collisions)}"
-            )
-        extra = ScoreTable.from_rows(rows, table.target, table.documents, table.models)
+    extra = builder.tables()[table.target]
+    try:
         return merge_tables(table, extra)
     except ScoreError as exc:
         raise ScoreError(f"{path}: {exc}") from None
@@ -548,22 +645,18 @@ def overall_by_document(table: ScoreTable) -> dict[tuple[str, str], float]:
     The columns are added one at a time in ``OVERALL_METRICS`` order, the
     additions :func:`overall_score` makes, so both give the same bits.
     """
-    import numpy as np
-
     missing_metrics = [m for m in OVERALL_METRICS if m not in table.metrics]
     if missing_metrics:
         raise ScoreError(f"table lacks overall-score metrics: {', '.join(missing_metrics)}")
-    metric_pos = table._positions[2]
-    block = table.values[:, :, [metric_pos[m] for m in OVERALL_METRICS]]
-    gaps = np.argwhere(np.isnan(block))
-    if len(gaps):
-        i, j, k = gaps[0]
-        raise ScoreError(
-            f"missing cell (hadm_id={table.documents[i]!r}, model_id={table.models[j]!r}, "
-            f"metric={OVERALL_METRICS[k]!r})"
-        )
-    total = np.zeros(block.shape[:2])
-    for k in range(len(OVERALL_METRICS)):
-        total += block[:, :, k]
     pairs = ((doc, model) for doc in table.documents for model in table.models)
-    return dict(zip(pairs, (total / len(OVERALL_METRICS)).ravel().tolist()))
+    overall = {}
+    for (doc, model), cells in zip(pairs, zip(*map(table.column, OVERALL_METRICS))):
+        total = 0.0
+        for metric, value in zip(OVERALL_METRICS, cells):
+            if value != value:
+                raise ScoreError(
+                    f"missing cell (hadm_id={doc!r}, model_id={model!r}, metric={metric!r})"
+                )
+            total += value
+        overall[doc, model] = total / len(OVERALL_METRICS)
+    return overall

@@ -417,5 +417,5 @@ def cube_filled_scores(pool, target, columns, against):
             else:
                 value = scores.METRICS[metric](c.text, against[c.hadm_id])
             k = table.metrics.index(column)
-            table.values[docs.index(c.hadm_id), models.index(c.model_id), k] = value
+            table.columns[k][docs.index(c.hadm_id) * len(models) + models.index(c.model_id)] = value
     return table

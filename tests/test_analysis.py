@@ -1,8 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +10,7 @@ from dischargekit.analysis import (
     AnalysisError,
     correlation_matrix,
     normalize_clinician_scores,
+    pairwise_sum,
     pearson,
 )
 from dischargekit.corpus import TargetKind
@@ -31,12 +32,43 @@ def test_pearson_input_validation():
 
 
 def test_pearson_recovers_planted_signal():
-    rng = np.random.default_rng(123)
+    rng = random.Random(123)
     n = 10_000
     r = 0.6
-    y = rng.standard_normal(n)
-    x = r * y + np.sqrt(1 - r * r) * rng.standard_normal(n)
-    assert pearson(list(x), list(y)) == pytest.approx(r, abs=0.03)
+    y = [rng.gauss(0, 1) for _ in range(n)]
+    x = [r * v + math.sqrt(1 - r * r) * rng.gauss(0, 1) for v in y]
+    assert pearson(x, y) == pytest.approx(r, abs=0.03)
+
+
+PAIRWISE_LENGTHS = [*range(301), 5600]
+
+
+def test_pairwise_sum_has_the_bits_of_numpy_sum_and_mean():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(2405)
+    for n in PAIRWISE_LENGTHS:
+        values = [rng.uniform(-1, 1) * 10 ** rng.randint(-6, 6) for _ in range(n)]
+        if n % 7 == 3:
+            values[: n // 2] = [-0.0] * (n // 2)  # signed zeros, as numpy adds them
+        array = np.array(values)
+        assert pairwise_sum(values).hex() == float(np.add.reduce(array)).hex(), n
+        if n:
+            assert (pairwise_sum(values) / n).hex() == float(array.mean()).hex(), n
+
+
+def numpy_pearson(np, x, y):
+    """The numpy formula pearson reproduces."""
+    xd, yd = x - x.mean(), y - y.mean()
+    return float((xd * yd).sum() / (float(np.sqrt((xd * xd).sum())) * float(np.sqrt((yd * yd).sum()))))
+
+
+def test_pearson_has_the_bits_of_the_numpy_formula():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(11)
+    for n in [*range(3, 301, 7), 1000, 5600]:
+        x = [rng.uniform(0, 1) for _ in range(n)]
+        y = [v * 0.3 + rng.gauss(0, 0.2) for v in x]
+        assert pearson(x, y).hex() == numpy_pearson(np, np.array(x), np.array(y)).hex(), n
 
 
 @given(
@@ -91,7 +123,9 @@ def test_correlation_matrix_order_invariance():
     shuffled = dict(sorted(overall.items(), key=lambda kv: hash(kv[0])))
     a = correlation_matrix(table, overall)
     b = correlation_matrix(table, shuffled)
-    assert np.allclose(a.values, b.values)
+    # numpy.allclose's test, |a - b| <= atol + rtol * |b|, at its default tolerances.
+    cells = [(x, y) for row_a, row_b in zip(a.values, b.values) for x, y in zip(row_a, row_b)]
+    assert len(cells) == 1 and all(abs(x - y) <= 1e-8 + 1e-5 * abs(y) for x, y in cells)
 
 
 def test_correlation_matrix_affine_rescaling_invariance():
@@ -141,7 +175,8 @@ def test_matrix_values_within_bounds():
     cols = {f"m{j}": [rng.uniform(-3, 3) for _ in docs] for j in range(4)}
     overall = {(d, "m"): rng.uniform(0, 1) for d in docs}
     matrix = correlation_matrix(table_from_columns(cols, docs), overall)
-    assert np.all(matrix.values <= 1.0) and np.all(matrix.values >= -1.0)
+    assert len(matrix.values) == 4
+    assert all(-1.0 <= r <= 1.0 for row in matrix.values for r in row)
 
 
 def test_normalize_clinician_scores_endpoints():

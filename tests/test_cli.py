@@ -386,6 +386,45 @@ def test_select_missing_cells_exit_one(pipeline_dir, capsys):
     assert "missing cell" in capsys.readouterr().err
 
 
+def test_select_cell_repeated_across_score_files_names_file_and_row(pipeline_dir, capsys):
+    desin = select_setup(pipeline_dir)
+    doc = read_csv_rows(desin)[1][0]
+    again = pipeline_dir / "again.csv"
+    write_external(again, [[doc, "model_b", "bhc", "meteor", "0.5"], [doc, "model_a", "di", "medcon", "0.5"]])
+    code = run(
+        "select", "--scores", desin, "--scores", again, "--candidates", pipeline_dir / "candidates.jsonl",
+        "--config", "des1", "--target", "di", "--out", pipeline_dir / "never.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{again}: duplicate cell (hadm_id='{doc}', model_id='model_a', metric='medcon') on row 3" in err
+
+
+def test_correlate_cell_repeated_in_score_file_names_file_and_row(pipeline_dir, capsys):
+    scores_path = pipeline_dir / "rep_scores.csv"
+    write_external(scores_path, [[d, "m", "di", "medcon", f"0.{d}"] for d in "1231"])
+    overall_path = pipeline_dir / "rep_overall.csv"
+    overall_path.write_text("hadm_id,model_id,target,value\n1,m,di,0.5\n2,m,di,0.7\n3,m,di,0.2\n", encoding="utf-8")
+    code = run("correlate", "--scores", scores_path, "--overall", overall_path, "--out", pipeline_dir / "never.csv")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{scores_path}: duplicate cell (hadm_id='1', model_id='m', metric='medcon') on row 5" in err
+
+
+def test_select_unknown_ids_name_file_and_row(pipeline_dir, capsys):
+    desin = select_setup(pipeline_dir)
+    stray = pipeline_dir / "stray.csv"
+    write_external(stray, [["9", "model_a", "bhc", "medcon", "0.5"], ["9", "mx", "di", "medcon", "0.5"],
+                           ["8", "model_a", "di", "medcon", "0.5"]])
+    code = run(
+        "select", "--scores", desin, "--scores", stray, "--candidates", pipeline_dir / "candidates.jsonl",
+        "--config", "des1", "--target", "di", "--out", pipeline_dir / "never.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{stray}: rows reference unknown hadm_id/model_id: 9, mx on row 3" in err
+
+
 def test_select_des4_derives_weights(pipeline_dir):
     desin = select_setup(pipeline_dir)
     overall_path = pipeline_dir / "overall.csv"

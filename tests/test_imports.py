@@ -12,8 +12,8 @@ import pytest
 import dischargekit
 from dischargekit import cli, corpus
 
-# numpy and the modules that import it at load time. dischargekit.scores is
-# not among them: it loads numpy only where a ScoreTable is built or read.
+# numpy, which the package never needs, and the scoring and selection modules,
+# which extract and reorder never load.
 HEAVY = ("numpy", "dischargekit.scores", "dischargekit.des", "dischargekit.analysis")
 
 PROBE = """
@@ -72,28 +72,56 @@ def test_extract_and_reorder_never_load_numpy_or_scoring_modules(tiny_corpus):
     assert (tmp_path / "reordered.jsonl").read_text(encoding="utf-8").count("\n") == 3
 
 
-def test_score_loads_numpy_only_to_merge_external_scores(tiny_corpus):
+def test_no_subcommand_loads_numpy(tiny_corpus):
     tmp_path = tiny_corpus
     ext = tmp_path / "ext"
     assert cli.main(["extract", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(ext)]) == 0
     candidates = corpus.load_candidates(tmp_path / "candidates.jsonl")
+    header = ("hadm_id", "model_id", "target", "metric", "value")
     external = tmp_path / "external.csv"
     corpus.write_csv_records(
         external,
-        ("hadm_id", "model_id", "target", "metric", "value"),
-        [(c.hadm_id, c.model_id, c.target.value, "bertscore", 0.5) for c in candidates],
+        header,
+        [(c.hadm_id, c.model_id, c.target.value, "medcon", 0.1 + 0.07 * i) for i, c in enumerate(candidates)],
     )
-    score = ["score", "--candidates", tmp_path / "candidates.jsonl"]
+    overall = tmp_path / "overall.csv"
+    corpus.write_csv_records(
+        overall,
+        ("hadm_id", "model_id", "target", "value"),
+        [(c.hadm_id, c.model_id, c.target.value, (i * 0.37) % 1) for i, c in enumerate(candidates)],
+    )
+    di_docs = [c.hadm_id for c in candidates if c.target.value == "di" and c.model_id == "model_a"]
+    submission_external = tmp_path / "submission_external.csv"
+    corpus.write_csv_records(
+        submission_external,
+        header,
+        [(doc, "submission", "di", metric, 0.5) for doc in di_docs for metric in ("alignscore", "bertscore", "medcon")],
+    )
+    cands = tmp_path / "candidates.jsonl"
+    score = ["score", "--candidates", cands]
     references, bodies = ["--references", ext / "targets.jsonl"], ["--against-ds", ext / "bodies.jsonl"]
+    select = ["select", "--scores", tmp_path / "native.csv", "--scores", external, "--candidates", cands,
+              "--target", "di"]
     steps = [
+        ["extract", "--corpus", tmp_path / "corpus.jsonl", "--out", tmp_path / "ext2"],
+        ["reorder", "--mode", "per-doc", "--corpus", tmp_path / "corpus.jsonl",
+         "--reference-targets", ext / "targets.jsonl", "--out", tmp_path / "reordered.jsonl"],
         [*score, *references, "--out", tmp_path / "native.csv"],
         [*score, *bodies, "--metrics", "meteor,rouge_l", "--out", tmp_path / "ds.csv"],
         [*score, *references, "--external", external, "--out", tmp_path / "merged.csv"],
+        [*select, "--config", "des1", "--out", tmp_path / "des1.csv"],
+        [*select, "--config", "des4", "--overall", overall, "--out", tmp_path / "des4.csv"],
+        [*select, "--config", "des5", "--ranking", "model_b,model_a", "--out", tmp_path / "des5.csv"],
+        ["correlate", "--scores", tmp_path / "native.csv", "--scores", external, "--overall", overall,
+         "--out", tmp_path / "corr.csv"],
+        ["evaluate", "--submission", tmp_path / "des1.csv", "--references", ext / "targets.jsonl",
+         "--target", "di", "--external", submission_external, "--out", tmp_path / "evaluate.csv"],
+        ["simulate", "--docs", "2", "--models", "2", "--config", "des1", "--out", tmp_path / "sim"],
     ]
     report = run_probe(tmp_path, steps)
-    assert report["seen"][:2] == [["dischargekit.scores"], ["dischargekit.scores"]]
-    assert "numpy" in report["seen"][2]
-    assert not {"dischargekit.des", "dischargekit.analysis"} & set(report["seen"][2])
+    assert [("numpy" in seen) for seen in report["seen"]] == [False] * len(steps)
+    assert report["seen"][:2] == [[], []]
+    assert report["seen"][2:5] == [["dischargekit.scores"]] * 3
     native = (tmp_path / "native.csv").read_text(encoding="utf-8").splitlines()
     merged = (tmp_path / "merged.csv").read_text(encoding="utf-8").splitlines()
     assert len(merged) == len(native) + len(candidates)

@@ -1,4 +1,4 @@
-"""Differential tests: the column code on ``ScoreTable.values`` against per-cell recomputation.
+"""Differential tests: the column code on ``ScoreTable.columns`` against per-cell recomputation.
 
 ``score_pool`` writes long-form rows with no table; they are checked
 against the order ``ScoreTable.to_rows`` gives and against the cube-filling
@@ -15,8 +15,8 @@ constant columns, ties, and negative, ``Fraction`` and zero weights.
 from __future__ import annotations
 
 import math
+from array import array
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -65,12 +65,14 @@ def tables(draw, metrics=METRICS, max_docs=6, max_models=5, max_gaps=3):
     """A DI table with every metric column and up to ``max_gaps`` missing cells."""
     n_docs = draw(st.integers(1, max_docs))
     n_models = draw(st.integers(1, max_models))
-    shape = (n_docs, n_models, len(metrics))
-    values = np.array([draw(VALUES) for _ in range(math.prod(shape))]).reshape(shape)
-    values.flat[draw(st.lists(st.integers(0, values.size - 1), max_size=max_gaps))] = math.nan
+    # Drawn flat in (document, model, metric) order, then split into one column per metric.
+    flat = [draw(VALUES) for _ in range(n_docs * n_models * len(metrics))]
+    for i in draw(st.lists(st.integers(0, len(flat) - 1), max_size=max_gaps)):
+        flat[i] = math.nan
+    columns = tuple(array("d", flat[k :: len(metrics)]) for k in range(len(metrics)))
     docs = tuple(f"d{i}" for i in range(n_docs))
     models = tuple(f"m{j}" for j in range(n_models))
-    return ScoreTable(TargetKind.DI, docs, models, tuple(sorted(metrics)), values)
+    return ScoreTable(TargetKind.DI, docs, models, tuple(sorted(metrics)), columns)
 
 
 def per_document_select(table, criteria, strict):
@@ -281,14 +283,15 @@ def test_score_pool_rows_are_in_table_order_and_match_the_cube(ragged_pool, kind
     assert _hex_rows(rows) == _hex_rows(rebuilt)
     cube = oracles.cube_filled_scores(*job)
     assert (table.documents, table.models, table.metrics) == (cube.documents, cube.models, cube.metrics)
-    assert table.values.tobytes() == cube.values.tobytes()
-    assert np.isnan(table.values).sum() == 2 * len(table.metrics)
+    assert [c.tobytes() for c in table.columns] == [c.tobytes() for c in cube.columns]
+    assert sum(math.isnan(v) for column in table.columns for v in column) == 2 * len(table.metrics)
 
 
 def test_empty_pool_keeps_its_metric_columns():
     table = compute_native_scores([], {}, ["rouge_l", "bleu4"], TargetKind.DI)
     assert table.metrics == ("bleu4", "rouge_l")
-    assert table.values.shape == (0, 0, 2)
+    assert (len(table.documents), len(table.models), len(table.metrics)) == (0, 0, 2)
+    assert table.columns == (array("d"), array("d"))
     assert score_pool([], TargetKind.DI, {"bleu4": "bleu4"}, {}) == []
     with pytest.raises(ScoreError, match="rows reference unknown metrics: x"):
         ScoreTable.from_rows([("1", "m", "di", "x", 0.5)], TargetKind.DI, metrics=["y"])

@@ -3,10 +3,11 @@ from __future__ import annotations
 import csv
 import gc
 import math
+import random
 import time
+import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from dischargekit.corpus import (
@@ -27,6 +28,7 @@ from dischargekit.scores import (
     OVERALL_METRICS,
     ScoreError,
     ScoreTable,
+    ScoreTableBuilder,
     compute_factuality_proxies,
     compute_native_scores,
     load_external_scores,
@@ -82,7 +84,7 @@ def test_score_pool_tokenizes_each_candidate_once(monkeypatch):
     pool = [cand(model_id="a", text="Rest at home. Drink water."), cand(model_id="b")]
     table = compute_native_scores(pool, refs(**{"1": {"di": "rest at home"}}), target=TargetKind.DI)
     assert len(calls) == 2
-    assert not np.isnan(table.values).any()
+    assert not any(math.isnan(v) for column in table.columns for v in column)
 
 
 def test_readability_only_needs_no_references():
@@ -101,8 +103,9 @@ def test_full_native_suite_fills_every_cell_on_100_docs():
     summaries, candidates = generate_synthetic_corpus(100, 1, seed=4)
     targets = {t.hadm_id: t for t in corpus_targets(summaries)}
     table = compute_native_scores(candidates, references=targets, target=TargetKind.DI)
-    assert table.values.shape == (100, 1, 8)
-    assert not np.isnan(table.values).any()
+    assert (len(table.documents), len(table.models), len(table.metrics)) == (100, 1, 8)
+    assert [len(column) for column in table.columns] == [100] * 8
+    assert not any(math.isnan(v) for column in table.columns for v in column)
     assert table.metrics == tuple(sorted(["bleu4", "rouge_1", "rouge_2", "rouge_l", "meteor", "fkgl", "dcrs", "cli"]))
 
 
@@ -245,12 +248,12 @@ def test_table_rejects_duplicate_axis_labels():
 
 
 def _index_rows(n_docs: int) -> list[tuple[str, str, str, str, float]]:
-    values = np.random.default_rng(n_docs).random((n_docs, 4, len(OVERALL_METRICS)))
+    rng = random.Random(n_docs)
     return [
-        (f"d{i}", f"m{j}", "di", metric, float(values[i, j, k]))
+        (f"d{i}", f"m{j}", "di", metric, rng.random())
         for i in range(n_docs)
         for j in range(4)
-        for k, metric in enumerate(OVERALL_METRICS)
+        for metric in OVERALL_METRICS
     ]
 
 
@@ -273,6 +276,43 @@ def test_index_layers_scale_linearly_in_documents():
             best[n] = min(best[n], time.perf_counter() - start)
     ratio = best[2000] / best[500]
     assert ratio < 6, f"t(2000)/t(500) = {best[2000]:.3f}/{best[500]:.3f} s = {ratio:.1f}"
+
+
+def _write_random_score_csv(path: Path, n_docs: int) -> int:
+    """Both targets, 4 models and 11 metrics per document, as select_large writes them."""
+    rng = random.Random(n_docs)
+    metrics = sorted(NATIVE_METRICS + ("alignscore", "bertscore", "medcon"))
+    rows = [
+        (f"{30000000 + d}", f"model_{m}", target, metric, rng.random())
+        for target in ("bhc", "di")
+        for d in range(n_docs)
+        for m in range(4)
+        for metric in metrics
+    ]
+    write_score_csv(path, rows)
+    return len(rows)
+
+
+def test_reading_a_score_csv_into_a_table_holds_bytes_per_cell_not_per_row(tmp_path):
+    # One target of two is kept, at 8 bytes per cell; a row list of tuples
+    # took about 330 bytes per row. Both sizes must stay under the bounds,
+    # so growth faster than linear shows in the larger one.
+    for n_docs in (100, 400):
+        path = tmp_path / f"scores_{n_docs}.csv"
+        n_rows = _write_random_score_csv(path, n_docs)
+        docs = [f"{30000000 + d}" for d in range(n_docs)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            builder = ScoreTableBuilder((TargetKind.DI,), docs, [f"model_{m}" for m in range(4)])
+            builder.read_csv(path)
+            table = builder.tables()[TargetKind.DI]
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table.columns) == 11 and not math.isnan(table.get(docs[-1], "model_3", "rouge_l"))
+        assert held / n_rows < 12, f"{n_docs} docs: {held / n_rows:.1f} bytes held per row"
+        assert peak / n_rows < 16, f"{n_docs} docs: {peak / n_rows:.1f} bytes at peak per row"
 
 
 def test_score_csv_roundtrip(tmp_path):
