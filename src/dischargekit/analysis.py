@@ -24,7 +24,8 @@ def _pairwise(a: list[float], start: int, n: int) -> float:
     if n <= 128:
         end = start + n - n % 8
         r = [reduce(add, a[start + k : end : 8]) for k in range(8)]
-        return reduce(add, a[end : start + n], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+        tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, a[end : start + n], tree)
     half = n // 2 - n // 2 % 8
     return _pairwise(a, start, half) + _pairwise(a, start + half, n - half)
 

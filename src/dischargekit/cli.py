@@ -309,9 +309,9 @@ def cmd_evaluate(args) -> int:
         table = scores.load_external_scores(path, table)
     overall = scores.overall_by_document(table)
     report_rows: list[tuple[str, str, float]] = []
-    for i, doc in enumerate(table.documents):
-        for metric, column in zip(table.metrics, table.columns):
-            value = column[i * len(table.models)]  # the first model's cell
+    for doc in table.documents:
+        for metric in table.metrics:
+            value = table.get(doc, args.model_id, metric)
             if not math.isnan(value):
                 report_rows.append((doc, metric, value))
         report_rows.append((doc, "overall", overall[(doc, args.model_id)]))

@@ -199,14 +199,9 @@ def select_experts(
             f"table lacks metrics required by {config.name!r}: {', '.join(missing_metrics)}"
         )
     texts = {(c.hadm_id, c.model_id): c.text for c in candidates or () if c.target is target}
-    n_models = len(table.models)
-    columns = [table.column(c.metric) for c in crits]
     # rows[d][c]: document d's values of criterion c, one per model; a row
     # is usable when no model lacks its value.
-    rows = [
-        [column[d * n_models : (d + 1) * n_models].tolist() for column in columns]
-        for d in range(len(table.documents))
-    ]
+    rows = list(zip(*(table.document_rows(c.metric) for c in crits)))
     usable = [[all(v == v for v in values) for values in row] for row in rows]
     if strict:
         for doc, row, keep in zip(table.documents, rows, usable):
@@ -235,7 +230,7 @@ def select_experts(
             if kept_weight == 0:
                 raise MissingCellError(f"remaining criteria for hadm_id {doc!r} have zero total weight")
             scale = full_weight / kept_weight
-        totals = [0.0] * n_models
+        totals = [0.0] * len(table.models)
         for weight, values in kept:
             factor = weight * scale
             for j, norm in enumerate(_min_max(values)):

@@ -147,6 +147,11 @@ class ScoreTable:
     def column(self, metric: str) -> array:
         return self.columns[self._positions[2][metric]]
 
+    def document_rows(self, metric: str) -> list[list[float]]:
+        """Per document, in order, the metric's value for each model, in order."""
+        column, n = self.column(metric), len(self.models)
+        return [column[i * n : (i + 1) * n].tolist() for i in range(len(self.documents))]
+
     def get(self, doc: str, model: str, metric: str) -> float:
         docs, models, metrics = self._positions
         try:
@@ -301,11 +306,13 @@ class ScoreTableBuilder:
             if column is None and not fill.fixed[2]:
                 column = columns[metric] = array("d")
             if m is None or d is None or column is None:
-                what, unknown = "hadm_id/model_id", [label for label, pos in ((doc, d), (model, m)) if pos is None]
+                what = "hadm_id/model_id"
+                unknown = [label for label, pos in ((doc, d), (model, m)) if pos is None]
                 if not unknown:
                     what, unknown = "metrics", [metric]
                 raise ScoreError(
-                    f"{_prefix(source)}rows reference unknown {what}: {', '.join(sorted(unknown))} on row {line}"
+                    f"{_prefix(source)}rows reference unknown {what}: "
+                    f"{', '.join(sorted(unknown))} on row {line}"
                 )
             n_models = len(fill.models)
             cell = d * n_models + m

@@ -404,8 +404,12 @@ def test_correlate_cell_repeated_in_score_file_names_file_and_row(pipeline_dir, 
     scores_path = pipeline_dir / "rep_scores.csv"
     write_external(scores_path, [[d, "m", "di", "medcon", f"0.{d}"] for d in "1231"])
     overall_path = pipeline_dir / "rep_overall.csv"
-    overall_path.write_text("hadm_id,model_id,target,value\n1,m,di,0.5\n2,m,di,0.7\n3,m,di,0.2\n", encoding="utf-8")
-    code = run("correlate", "--scores", scores_path, "--overall", overall_path, "--out", pipeline_dir / "never.csv")
+    overall_path.write_text(
+        "hadm_id,model_id,target,value\n1,m,di,0.5\n2,m,di,0.7\n3,m,di,0.2\n", encoding="utf-8"
+    )
+    code = run(
+        "correlate", "--scores", scores_path, "--overall", overall_path, "--out", pipeline_dir / "never.csv"
+    )
     assert code == 1
     err = capsys.readouterr().err
     assert f"{scores_path}: duplicate cell (hadm_id='1', model_id='m', metric='medcon') on row 5" in err

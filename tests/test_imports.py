@@ -95,7 +95,7 @@ def test_no_subcommand_loads_numpy(tiny_corpus):
     corpus.write_csv_records(
         submission_external,
         header,
-        [(doc, "submission", "di", metric, 0.5) for doc in di_docs for metric in ("alignscore", "bertscore", "medcon")],
+        [(doc, "submission", "di", m, 0.5) for doc in di_docs for m in ("alignscore", "bertscore", "medcon")],
     )
     cands = tmp_path / "candidates.jsonl"
     score = ["score", "--candidates", cands]

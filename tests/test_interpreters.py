@@ -26,7 +26,8 @@ VERSIONS = ("3.10", "3.12", "3.13")
 def find_python(version: str) -> str | None:
     """A CPython ``version`` interpreter that starts and reports that version, else None."""
     root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
-    for exe in [*sorted(root.glob(f"{version}.*/bin/python"), reverse=True), shutil.which(f"python{version}")]:
+    installed = sorted(root.glob(f"{version}.*/bin/python"), reverse=True)
+    for exe in [*installed, shutil.which(f"python{version}")]:
         if exe is None:
             continue
         probe = subprocess.run(
