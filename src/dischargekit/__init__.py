@@ -52,12 +52,12 @@ _SUBMODULE = {
     "truncate_words": "reorder",
     "OVERALL_METRICS": "scores",
     "OverallScore": "scores",
-    "ScoreTable": "scores",
-    "compute_factuality_proxies": "scores",
-    "compute_native_scores": "scores",
-    "load_external_scores": "scores",
-    "overall_by_document": "scores",
     "overall_score": "scores",
+    "ScoreTable": "tables",
+    "compute_factuality_proxies": "tables",
+    "compute_native_scores": "tables",
+    "load_external_scores": "tables",
+    "overall_by_document": "tables",
     "TokenizedText": "textprep",
     "count_syllables": "textprep",
     "tokenize": "textprep",

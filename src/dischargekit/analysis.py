@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
-from .scores import ScoreTable
+from .tables import ScoreTable
 
 
 class AnalysisError(ValueError):

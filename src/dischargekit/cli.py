@@ -78,9 +78,9 @@ def _read_overall_csv(path) -> dict[TargetKind, dict[tuple[str, str], float]]:
 
 def _load_score_tables(paths, targets, documents=None, models=None) -> dict:
     """One ScoreTable per target, filled from the score CSVs in one pass over each."""
-    from . import scores
+    from . import tables
 
-    builder = scores.ScoreTableBuilder(targets, documents, models)
+    builder = tables.ScoreTableBuilder(targets, documents, models)
     for path in paths:
         builder.read_csv(path)
     return builder.tables()
@@ -145,9 +145,11 @@ def cmd_score(args) -> int:
         if not args.external:
             all_rows.extend(scores.score_pool(*job))
             continue
-        table = scores.score_table(*job)
+        from . import tables
+
+        table = tables.score_table(*job)
         for path in args.external:
-            table = scores.load_external_scores(path, table)
+            table = tables.load_external_scores(path, table)
         all_rows.extend(table.to_rows())
     if args.against_ds:
         inputs.append(args.against_ds)
@@ -282,7 +284,7 @@ def cmd_reorder(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from . import scores
+    from . import scores, tables
 
     target = TargetKind.parse(args.target)
     submission = _read_submission(args.submission)
@@ -302,12 +304,12 @@ def cmd_evaluate(args) -> int:
         )
         for hadm_id, text in submission
     ]
-    table = scores.compute_native_scores(
+    table = tables.compute_native_scores(
         candidates, references=targets, metrics=scores.REFERENCE_METRICS, target=target
     )
     for path in args.external:
-        table = scores.load_external_scores(path, table)
-    overall = scores.overall_by_document(table)
+        table = tables.load_external_scores(path, table)
+    overall = tables.overall_by_document(table)
     report_rows: list[tuple[str, str, float]] = []
     for doc in table.documents:
         for metric in table.metrics:
@@ -336,18 +338,18 @@ def cmd_correlate(args) -> int:
     if not overalls:
         raise scores.ScoreError(f"{args.overall}: no overall rows")
     metrics = tuple(args.metrics.split(",")) if args.metrics else None
-    tables = _load_score_tables(args.scores, sorted(overalls, key=lambda t: t.value))
+    by_target = _load_score_tables(args.scores, sorted(overalls, key=lambda t: t.value))
     out_rows: list[tuple[str, str, float]] = []
     try:
         if args.mode == "pooled":
             matrix = analysis.correlation_matrix(
-                list(tables.values()),
-                [{"overall_pooled": overalls[t]} for t in tables],
+                list(by_target.values()),
+                [{"overall_pooled": overalls[t]} for t in by_target],
                 metrics=metrics,
             )
             out_rows.extend(matrix.to_rows())
         else:
-            for target, table in tables.items():
+            for target, table in by_target.items():
                 matrix = analysis.correlation_matrix(
                     table, {f"overall_{target.value}": overalls[target]}, metrics=metrics
                 )
@@ -361,7 +363,7 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from . import des, scores
+    from . import des, scores, tables
 
     # A bad --config fails here, before anything is generated or written.
     config = None
@@ -380,15 +382,15 @@ def cmd_simulate(args) -> int:
         t: [c for c in candidates if c.target is t] for t in (TargetKind.BHC, TargetKind.DI)
     }
     for target, pool in pool_by_target.items():
-        native = scores.compute_native_scores(
+        native = tables.compute_native_scores(
             pool, references=targets_map, metrics=scores.REFERENCE_METRICS, target=target
         )
         proxy_rows = scores.synthetic_external_rows(pool, targets_map, summaries)
-        proxies = scores.ScoreTable.from_rows(
+        proxies = tables.ScoreTable.from_rows(
             proxy_rows, target, documents=native.documents, models=native.models
         )
-        merged = scores.merge_tables(native, proxies)
-        per_target_overall[target] = scores.overall_by_document(merged)
+        merged = tables.merge_tables(native, proxies)
+        per_target_overall[target] = tables.overall_by_document(merged)
     for model in model_ids:
         means = []
         for target, overall in per_target_overall.items():
@@ -413,7 +415,7 @@ def cmd_simulate(args) -> int:
                 for (doc, model), value in overall.items()
             ]
             docs = scores.first_seen(c.hadm_id for c in pool_by_target[target])
-            table = scores.ScoreTable.from_rows(rows, target, documents=docs, models=model_ids)
+            table = tables.ScoreTable.from_rows(rows, target, documents=docs, models=model_ids)
             config = des.DesConfig("oracle", criteria=(des.Criterion("overall", 1.0),))
             return des.select_experts(table, config, target, candidates=pool_by_target[target])
     elif args.config == "des5":
@@ -430,7 +432,7 @@ def cmd_simulate(args) -> int:
         columns = {m: m for m in ("meteor", "medcon", "alignscore", "fkgl", "dcrs", "cli")}
         def run(target):
             # DES chooses without the gold target, so its scores compare with the note body.
-            table = scores.score_table(pool_by_target[target], target, columns, bodies)
+            table = tables.score_table(pool_by_target[target], target, columns, bodies)
             return des.select_experts(table, config, target, candidates=pool_by_target[target])
 
     leaderboard.append((f"des:{args.config}", strategy_mean(run)))

@@ -19,7 +19,7 @@ from functools import reduce
 from operator import add
 
 from .corpus import GeneratedCandidate, TargetKind
-from .scores import ScoreTable
+from .tables import ScoreTable
 
 
 class DesConfigError(ValueError):

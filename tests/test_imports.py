@@ -12,9 +12,9 @@ import pytest
 import dischargekit
 from dischargekit import cli, corpus
 
-# numpy, which the package never needs, and the scoring and selection modules,
-# which extract and reorder never load.
-HEAVY = ("numpy", "dischargekit.scores", "dischargekit.des", "dischargekit.analysis")
+# numpy, which the package never needs, and the scoring, table and selection
+# modules, which extract and reorder never load.
+HEAVY = ("numpy", "dischargekit.scores", "dischargekit.tables", "dischargekit.des", "dischargekit.analysis")
 
 PROBE = """
 import json, sys
@@ -121,7 +121,8 @@ def test_no_subcommand_loads_numpy(tiny_corpus):
     report = run_probe(tmp_path, steps)
     assert [("numpy" in seen) for seen in report["seen"]] == [False] * len(steps)
     assert report["seen"][:2] == [[], []]
-    assert report["seen"][2:5] == [["dischargekit.scores"]] * 3
+    # score loads the table code only to merge --external scores.
+    assert report["seen"][2:5] == [["dischargekit.scores"]] * 2 + [["dischargekit.scores", "dischargekit.tables"]]
     native = (tmp_path / "native.csv").read_text(encoding="utf-8").splitlines()
     merged = (tmp_path / "merged.csv").read_text(encoding="utf-8").splitlines()
     assert len(merged) == len(native) + len(candidates)
