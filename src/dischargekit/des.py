@@ -199,33 +199,40 @@ def select_experts(
             f"table lacks metrics required by {config.name!r}: {', '.join(missing_metrics)}"
         )
     texts = {(c.hadm_id, c.model_id): c.text for c in candidates or () if c.target is target}
-    # rows[d][c]: document d's values of criterion c, one per model; a row
-    # is usable when no model lacks its value.
+    # rows[d][c]: document d's values of criterion c, one per model. The
+    # criterion is usable on the document when no model lacks its value.
     rows = list(zip(*(table.document_rows(c.metric) for c in crits)))
-    usable = [[all(v == v for v in values) for values in row] for row in rows]
-    if strict:
+    finite = [[all(map(math.isfinite, values)) for values in row] for row in rows]
+    usable = [
+        [ok or not any(map(math.isnan, values)) for ok, values in zip(oks, row)]
+        for oks, row in zip(finite, rows)
+    ]
+    if strict and not all(map(all, usable)):
         for doc, row, keep in zip(table.documents, rows, usable):
-            if not all(keep):
+            if False in keep:
                 c = keep.index(False)
                 model = next(m for m, v in zip(table.models, row[c]) if v != v)
                 raise MissingCellError(
                     f"missing cell (hadm_id={doc!r}, model_id={model!r}, metric={crits[c].metric!r})"
                 )
-    for c in range(len(crits)):
-        for row, keep in zip(rows, usable):
-            if keep[c] and not all(map(math.isfinite, row[c])):
-                names = sorted(m for m, v in zip(table.models, row[c]) if math.isinf(v))
-                raise ValueError(f"non-finite scores for models: {', '.join(names)}")
+    if not all(map(all, finite)):
+        for c in range(len(crits)):
+            for row, keep, oks in zip(rows, usable, finite):
+                if keep[c] and not oks[c]:
+                    names = sorted(m for m, v in zip(table.models, row[c]) if math.isinf(v))
+                    raise ValueError(f"non-finite scores for models: {', '.join(names)}")
     weights = [float(c.weight) for c in crits]
     # Weight sums add left to right in criterion order, starting from 0.0.
     full_weight = reduce(add, weights, 0.0)
     selections = []
     for doc, row, keep in zip(table.documents, rows, usable):
-        kept = [(w, values) for w, values, ok in zip(weights, row, keep) if ok]
-        if not kept:
-            raise MissingCellError(f"no usable criteria for hadm_id {doc!r}")
         scale = 1.0
-        if len(kept) < len(crits):
+        if False not in keep:
+            kept = list(zip(weights, row))
+        else:
+            kept = [(w, values) for w, values, ok in zip(weights, row, keep) if ok]
+            if not kept:
+                raise MissingCellError(f"no usable criteria for hadm_id {doc!r}")
             kept_weight = reduce(add, (w for w, _ in kept), 0.0)
             if kept_weight == 0:
                 raise MissingCellError(f"remaining criteria for hadm_id {doc!r} have zero total weight")
@@ -233,8 +240,7 @@ def select_experts(
         totals = [0.0] * len(table.models)
         for weight, values in kept:
             factor = weight * scale
-            for j, norm in enumerate(_min_max(values)):
-                totals[j] += factor * norm
+            totals = [total + factor * norm for total, norm in zip(totals, _min_max(values))]
         # A nan score never wins and a model wins only above -inf, as in a `>` scan;
         # the basis is the winner's own score, which may be -0.0.
         model, basis = None, -math.inf

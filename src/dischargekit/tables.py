@@ -16,6 +16,7 @@ from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add
 
 from .corpus import DischargeSummary, ExtractedTargets, GeneratedCandidate, TargetKind, read_csv_records
 from .scores import (
@@ -31,7 +32,6 @@ from .scores import (
 )
 
 _TARGET_VALUES = frozenset(kind.value for kind in TargetKind)
-
 
 
 @dataclass(frozen=True)
@@ -381,15 +381,19 @@ def overall_by_document(table: ScoreTable) -> dict[tuple[str, str], float]:
     missing_metrics = [m for m in OVERALL_METRICS if m not in table.metrics]
     if missing_metrics:
         raise ScoreError(f"table lacks overall-score metrics: {', '.join(missing_metrics)}")
+    columns = [table.column(metric) for metric in OVERALL_METRICS]
+    totals = [0.0] * (len(table.documents) * len(table.models))
+    for column in columns:
+        totals = list(map(add, totals, column))
+    if any(map(math.isnan, totals)):
+        # Name the first missing cell in (document, model, metric) order.
+        for cell in range(len(totals)):
+            for metric, column in zip(OVERALL_METRICS, columns):
+                if column[cell] != column[cell]:
+                    doc, model = divmod(cell, len(table.models))
+                    raise ScoreError(
+                        f"missing cell (hadm_id={table.documents[doc]!r}, "
+                        f"model_id={table.models[model]!r}, metric={metric!r})"
+                    )
     pairs = ((doc, model) for doc in table.documents for model in table.models)
-    overall = {}
-    for (doc, model), cells in zip(pairs, zip(*map(table.column, OVERALL_METRICS))):
-        total = 0.0
-        for metric, value in zip(OVERALL_METRICS, cells):
-            if value != value:
-                raise ScoreError(
-                    f"missing cell (hadm_id={doc!r}, model_id={model!r}, metric={metric!r})"
-                )
-            total += value
-        overall[doc, model] = total / len(OVERALL_METRICS)
-    return overall
+    return dict(zip(pairs, [total / len(OVERALL_METRICS) for total in totals]))
