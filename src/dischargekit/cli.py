@@ -35,7 +35,8 @@ def _sha256(path) -> str:
 
 
 def _config_hash(args: argparse.Namespace) -> str:
-    payload = {k: str(v) for k, v in sorted(vars(args).items()) if k != "func"}
+    # --threads is left out: no output depends on it.
+    payload = {k: str(v) for k, v in sorted(vars(args).items()) if k not in ("func", "threads")}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
@@ -101,8 +102,7 @@ def cmd_extract(args) -> int:
     summaries = corpus.load_corpus(args.corpus, known_headers=headers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    targets = corpus.corpus_targets(summaries, known_headers=headers)
-    corpus.write_targets(out_dir / "targets.jsonl", targets)
+    corpus.write_targets(out_dir / "targets.jsonl", (s.targets for s in summaries))
     bodies = ((s.hadm_id, s.body_without_targets) for s in summaries)
     corpus.write_jsonl_records(out_dir / "bodies.jsonl", ("hadm_id", "body"), bodies)
     _write_manifest(out_dir, "extract", args, [args.corpus])
@@ -128,26 +128,25 @@ def cmd_score(args) -> int:
     metrics = args.metrics.split(",") if args.metrics else None
     references = corpus.load_targets(args.references) if args.references else None
     inputs = [args.candidates]
-    all_rows: list[tuple[str, str, str, str, float]] = []
     targets_present = sorted({c.target for c in candidates}, key=lambda t: t.value)
     if args.against_ds:
         summaries = [
             corpus.DischargeSummary(hadm_id=k, full_text=v, body_without_targets=v)
             for k, v in _load_bodies(args.against_ds).items()
         ]
-    for target in targets_present:
-        if args.against_ds:
-            job = scores.factuality_proxy_job(
-                candidates, summaries, tuple(metrics) if metrics else ("meteor",), target
-            )
-        else:
-            job = scores.native_score_job(candidates, references, metrics, target)
+        proxy_metrics = tuple(metrics) if metrics else ("meteor",)
+        jobs = [scores.factuality_proxy_job(candidates, summaries, proxy_metrics, t) for t in targets_present]
+    else:
+        jobs = [scores.native_score_job(candidates, references, metrics, t) for t in targets_present]
+    scored = scores.score_jobs(jobs, args.threads)
+    all_rows: list[tuple[str, str, str, str, float]] = []
+    for job, rows in zip(jobs, scored):
         if not args.external:
-            all_rows.extend(scores.score_pool(*job))
+            all_rows.extend(rows)
             continue
         from . import tables
 
-        table = tables.score_table(*job)
+        table = tables.job_table(job, rows)
         for path in args.external:
             table = tables.load_external_scores(path, table)
         all_rows.extend(table.to_rows())
@@ -304,9 +303,8 @@ def cmd_evaluate(args) -> int:
         )
         for hadm_id, text in submission
     ]
-    table = tables.compute_native_scores(
-        candidates, references=targets, metrics=scores.REFERENCE_METRICS, target=target
-    )
+    job = scores.native_score_job(candidates, targets, scores.REFERENCE_METRICS, target)
+    table = tables.job_table(job, scores.score_jobs([job], args.threads)[0])
     for path in args.external:
         table = tables.load_external_scores(path, table)
     overall = tables.overall_by_document(table)
@@ -372,7 +370,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summaries, candidates = corpus.generate_synthetic_corpus(args.docs, args.models, args.seed)
-    targets_map = {t.hadm_id: t for t in corpus.corpus_targets(summaries)}
+    targets_map = {s.hadm_id: s.targets for s in summaries}
     corpus.write_corpus(out_dir / "corpus.jsonl", summaries)
     corpus.write_candidates(out_dir / "candidates.jsonl", candidates)
     leaderboard: list[tuple[str, float]] = []
@@ -381,13 +379,27 @@ def cmd_simulate(args) -> int:
     pool_by_target = {
         t: [c for c in candidates if c.target is t] for t in (TargetKind.BHC, TargetKind.DI)
     }
+    # Every score of the run, in one score_jobs call.
+    jobs = {}
     for target, pool in pool_by_target.items():
-        native = tables.compute_native_scores(
-            pool, references=targets_map, metrics=scores.REFERENCE_METRICS, target=target
+        jobs["native", target] = scores.native_score_job(pool, targets_map, scores.REFERENCE_METRICS, target)
+        jobs["on_refs", target], jobs["on_body", target] = scores.synthetic_external_jobs(
+            pool, targets_map, summaries
         )
-        proxy_rows = scores.synthetic_external_rows(pool, targets_map, summaries)
+    if config is not None:
+        # DES chooses without the gold target, so its scores compare with the note body.
+        bodies = {s.hadm_id: s.body_without_targets for s in summaries}
+        columns = {m: m for m in ("meteor", "medcon", "alignscore", "fkgl", "dcrs", "cli")}
+        for target, pool in pool_by_target.items():
+            jobs["des", target] = (pool, target, columns, bodies)
+    scored = dict(zip(jobs, scores.score_jobs(list(jobs.values()), args.threads)))
+    for target in pool_by_target:
+        native = tables.job_table(jobs["native", target], scored["native", target])
         proxies = tables.ScoreTable.from_rows(
-            proxy_rows, target, documents=native.documents, models=native.models
+            scored["on_refs", target] + scored["on_body", target],
+            target,
+            documents=native.documents,
+            models=native.models,
         )
         merged = tables.merge_tables(native, proxies)
         per_target_overall[target] = tables.overall_by_document(merged)
@@ -428,11 +440,8 @@ def cmd_simulate(args) -> int:
                 pool_by_target[target], des.LengthSelectConfig(model_ranking=tuple(ranking)), target
             )
     else:
-        bodies = {s.hadm_id: s.body_without_targets for s in summaries}
-        columns = {m: m for m in ("meteor", "medcon", "alignscore", "fkgl", "dcrs", "cli")}
         def run(target):
-            # DES chooses without the gold target, so its scores compare with the note body.
-            table = tables.score_table(pool_by_target[target], target, columns, bodies)
+            table = tables.job_table(jobs["des", target], scored["des", target])
             return des.select_experts(table, config, target, candidates=pool_by_target[target])
 
     leaderboard.append((f"des:{args.config}", strategy_mean(run)))
@@ -453,8 +462,8 @@ def _add_threads(parser) -> None:
     parser.add_argument(
         "--threads",
         type=int,
-        default=1,
-        help="parallelism cap; results never depend on it (default 1)",
+        default=None,
+        help="cap on worker processes; default: usable CPUs; results never depend on it",
     )
 
 
@@ -491,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overall", help="per-document overall CSV (des4)")
     p.add_argument("--lenient", action="store_true", help="drop criteria with missing cells")
     p.add_argument("--out", required=True, help="submission CSV path")
-    _add_threads(p)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("reorder", help="split, rank, and truncate document sections")
@@ -540,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
+    threads = getattr(args, "threads", None)
+    if threads is not None and threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 1
     try:

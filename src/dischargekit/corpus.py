@@ -14,7 +14,7 @@ import json
 import random
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
@@ -52,6 +52,8 @@ class DischargeSummary:
     hadm_id: str
     full_text: str
     body_without_targets: str
+    # The targets extracted with the body, when it was loaded or generated.
+    targets: ExtractedTargets | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -256,16 +258,17 @@ def write_json(path, document) -> None:
 def load_corpus(path, known_headers: Sequence[str] | None = None) -> list[DischargeSummary]:
     """Load a corpus JSONL file ({"hadm_id", "discharge_summary"} per line).
 
-    Target extraction is applied to every document; input order is kept.
+    Target extraction is applied to every document, which keeps its targets;
+    input order is kept.
     """
     summaries: list[DischargeSummary] = []
     fields = ("hadm_id", "discharge_summary")
     for lineno, (hadm_id, text) in read_jsonl_records(path, fields, key=fields[:1]):
         if not hadm_id:
             raise CorpusError(f"{path}: line {lineno}: empty hadm_id")
-        _, body = extract_targets(text, hadm_id=hadm_id, known_headers=known_headers)
+        targets, body = extract_targets(text, hadm_id=hadm_id, known_headers=known_headers)
         summaries.append(
-            DischargeSummary(hadm_id=hadm_id, full_text=text, body_without_targets=body)
+            DischargeSummary(hadm_id=hadm_id, full_text=text, body_without_targets=body, targets=targets)
         )
     return summaries
 
@@ -274,6 +277,9 @@ def corpus_targets(
     summaries: Iterable[DischargeSummary],
     known_headers: Sequence[str] | None = None,
 ) -> list[ExtractedTargets]:
+    """Each summary's targets, extracted again with ``known_headers``; the
+    summaries of ``load_corpus`` and ``generate_synthetic_corpus`` already
+    carry theirs as ``targets``."""
     return [
         extract_targets(s.full_text, hadm_id=s.hadm_id, known_headers=known_headers)[0]
         for s in summaries
@@ -431,9 +437,11 @@ def generate_synthetic_corpus(
         parts.append("Followup Instructions:")
         parts.append(_sentences(rng, 10))
         full_text = "\n".join(parts)
-        _, body = extract_targets(full_text, hadm_id=hadm_id)
+        targets, body = extract_targets(full_text, hadm_id=hadm_id)
         summaries.append(
-            DischargeSummary(hadm_id=hadm_id, full_text=full_text, body_without_targets=body)
+            DischargeSummary(
+                hadm_id=hadm_id, full_text=full_text, body_without_targets=body, targets=targets
+            )
         )
         for model_id in model_ids:
             for target, reference in ((TargetKind.BHC, bhc_ref), (TargetKind.DI, di_ref)):

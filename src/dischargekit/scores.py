@@ -4,6 +4,8 @@
 ``(hadm_id, model_id, target, metric, value)``. Native metrics are computed
 here; neural or licensed metrics (bertscore, alignscore, medcon, summac) are
 ingested from external CSV files and merged into the same score table.
+:func:`score_jobs` scores several such pools at once, by document shards in
+forked worker processes, with the same rows as :func:`score_pool`.
 
 The table names (:class:`~dischargekit.tables.ScoreTable` and the functions
 that build or read one) live in :mod:`dischargekit.tables` and resolve here
@@ -15,7 +17,10 @@ more than the table work it would speed up.
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
+import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -37,6 +42,10 @@ from .textprep import tokenize, words
 
 class ScoreError(ValueError):
     """Inconsistent score data or requests."""
+
+
+# The arguments of one score_pool call: pool, target, columns, against.
+Job = tuple[Sequence[GeneratedCandidate], TargetKind, Mapping[str, str], Mapping[str, str]]
 
 
 REFERENCE_METRICS = ("bleu4", "rouge_1", "rouge_2", "rouge_l", "meteor")
@@ -141,23 +150,38 @@ def score_pool(
     dropped, and a later candidate for a (hadm_id, model_id) pair replaces
     an earlier one.
     """
-    scored: dict[tuple[str, str], dict[str, float]] = {}
-    for c in pool:
-        cells = scored[c.hadm_id, c.model_id] = {}
-        tok = None
-        for column, metric in columns.items():
-            if metric not in READABILITY_METRICS:
-                cells[column] = float(METRICS[metric](c.text, against[c.hadm_id]))
-                continue
-            if tok is None:
-                tok = tokenize(c.text)
-            try:
-                cells[column] = float(METRICS[metric](tok))
-            except readability.DegenerateTextError as exc:
-                raise readability.DegenerateTextError(
-                    f"candidate (hadm_id={c.hadm_id!r}, model_id={c.model_id!r}, "
-                    f"metric={column!r}): {exc}"
-                ) from None
+    return _pool_rows(pool, target, [_score_candidate(c, columns, against) for c in pool])
+
+
+def _score_candidate(
+    c: GeneratedCandidate, columns: Mapping[str, str], against: Mapping[str, str]
+) -> dict[str, float]:
+    """One candidate's value in each of ``columns``."""
+    cells = {}
+    tok = None
+    for column, metric in columns.items():
+        if metric not in READABILITY_METRICS:
+            cells[column] = float(METRICS[metric](c.text, against[c.hadm_id]))
+            continue
+        if tok is None:
+            tok = tokenize(c.text)
+        try:
+            cells[column] = float(METRICS[metric](tok))
+        except readability.DegenerateTextError as exc:
+            raise readability.DegenerateTextError(
+                f"candidate (hadm_id={c.hadm_id!r}, model_id={c.model_id!r}, "
+                f"metric={column!r}): {exc}"
+            ) from None
+    return cells
+
+
+def _pool_rows(
+    pool: Sequence[GeneratedCandidate],
+    target: TargetKind,
+    values: Sequence[dict[str, float]],
+) -> list[tuple[str, str, str, str, float]]:
+    """:func:`score_pool`'s rows from each candidate's cells, in pool order."""
+    scored = {(c.hadm_id, c.model_id): cells for c, cells in zip(pool, values)}
     doc_pos = {doc: i for i, doc in enumerate(first_seen(c.hadm_id for c in pool))}
     model_pos = {model: j for j, model in enumerate(first_seen(c.model_id for c in pool))}
     order = sorted(scored, key=lambda pair: (doc_pos[pair[0]], model_pos[pair[1]]))
@@ -170,12 +194,149 @@ def score_pool(
     ]
 
 
+# --- scoring in worker processes ----------------------------------------------
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def score_jobs(
+    jobs: Sequence[Job], workers: int | None = None
+) -> list[list[tuple[str, str, str, str, float]]]:
+    """:func:`score_pool`'s rows for each job, scored by up to ``workers`` processes.
+
+    The documents of all jobs, in first-seen order, are split into
+    ``min(workers, usable_cpus(), documents)`` contiguous shards of about
+    equal candidate text length (``workers`` None means no cap). This
+    process scores the first shard; each other shard is scored in a forked
+    child that returns its values through a pipe, and every child is reaped
+    before this returns or raises. Results, and the error a failing run
+    raises, never depend on the split: the error is the one the serial run
+    meets first, at the lowest (job, pool position). Without ``os.fork``
+    every job is scored here, and so it is in a process running other
+    threads, whose locks a forked child could inherit held.
+    """
+    n = usable_cpus() if workers is None else min(workers, usable_cpus())
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        n = 1
+    parts = _split(jobs, n)
+    if len(parts) <= 1:
+        return [score_pool(*job) for job in jobs]
+    pipes: dict[int, int] = {}  # worker pid -> read end of its pipe, until read
+    alive: list[int] = []  # worker pids, until reaped
+    try:
+        for part in parts[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _shard_child(jobs, part, [read_fd, *pipes.values()], write_fd)
+            os.close(write_fd)
+            pipes[pid] = read_fd
+            alive.append(pid)
+        results = [_score_shard(jobs, parts[0])]
+        for pid in list(alive):
+            with open(pipes.pop(pid), "rb") as pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            alive.remove(pid)
+            if code != 0:
+                how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
+                raise RuntimeError(f"score worker {pid} {how}")
+            results.append(marshal.loads(payload))
+    except BaseException:
+        import signal
+
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for read_fd in pipes.values():
+            os.close(read_fd)
+        for pid in alive:
+            os.waitpid(pid, 0)
+    values: list[list] = [[None] * len(job[0]) for job in jobs]
+    failures = []
+    for part, (failure, shard_values) in zip(parts, results):
+        if failure is not None:
+            failures.append(failure)
+        for job_values, positions, scored in zip(values, part, shard_values):
+            for pos, cells in zip(positions, scored):
+                job_values[pos] = cells
+    if failures:
+        j, pos = min(failures)
+        pool, _, columns, against = jobs[j]
+        _score_candidate(pool[pos], columns, against)  # raises the serial run's error
+        raise RuntimeError(f"a score worker failed on candidate {pos} of job {j}, which scores here")
+    return [_pool_rows(pool, target, v) for (pool, target, *_), v in zip(jobs, values)]
+
+
+def _split(jobs: Sequence[Job], n: int) -> list[list[list[int]]]:
+    """The non-empty shards of at most ``n`` contiguous runs of documents; each
+    shard holds, per job, the pool positions of its documents' candidates."""
+    weight: dict[str, int] = {}
+    for pool, *_ in jobs:
+        for c in pool:
+            weight[c.hadm_id] = weight.get(c.hadm_id, 0) + len(c.text) + 1
+    n, total, done = max(1, min(n, len(weight))), sum(weight.values()), 0
+    shard_of = {}
+    for doc, w in weight.items():
+        shard_of[doc] = (2 * done + w) * n // (2 * total)  # the shard of the document's midpoint
+        done += w
+    parts = [[[] for _ in jobs] for _ in range(n)]
+    for j, (pool, *_) in enumerate(jobs):
+        for pos, c in enumerate(pool):
+            parts[shard_of[c.hadm_id]][j].append(pos)
+    return [part for part in parts if any(part)]
+
+
+def _score_shard(jobs: Sequence[Job], part: list[list[int]]) -> tuple[tuple[int, int] | None, list[list]]:
+    """The first (job, position) of ``part`` that raised, else None, and each
+    job's values for its positions in ``part`` up to that one."""
+    values: list[list] = []
+    for j, ((pool, _, columns, against), positions) in enumerate(zip(jobs, part)):
+        scored: list = []
+        values.append(scored)
+        for pos in positions:
+            try:
+                scored.append(_score_candidate(pool[pos], columns, against))
+            except Exception:  # score_jobs raises it again, in order, by scoring pos anew
+                return (j, pos), values
+    return None, values
+
+
+def _shard_child(jobs: Sequence[Job], part: list[list[int]], close: list[int], write_fd: int):
+    """In a forked child: score ``part``, write it to ``write_fd`` and exit,
+    never returning to the caller's stack."""
+    code = 1
+    try:
+        for fd in close:
+            os.close(fd)
+        payload = memoryview(marshal.dumps(_score_shard(jobs, part)))
+        while payload:
+            payload = payload[os.write(write_fd, payload) :]
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def native_score_job(
     candidates: Sequence[GeneratedCandidate],
     references: Mapping[str, ExtractedTargets] | Mapping[str, str] | None = None,
     metrics: Sequence[str] | None = None,
     target: TargetKind | None = None,
-) -> tuple[list[GeneratedCandidate], TargetKind, dict[str, str], dict[str, str]]:
+) -> Job:
     """The :func:`score_pool` arguments that score candidates with the native suite.
 
     Reference-based metrics need a reference per hadm_id; readability
@@ -202,7 +363,7 @@ def factuality_proxy_job(
     summaries: Sequence[DischargeSummary],
     metrics: Sequence[str] = ("meteor",),
     target: TargetKind | None = None,
-) -> tuple[list[GeneratedCandidate], TargetKind, dict[str, str], dict[str, str]]:
+) -> Job:
     """The :func:`score_pool` arguments that score candidates against the document body.
 
     The body is the whole note with its targets removed. Metric names gain
@@ -275,6 +436,25 @@ def overall_score(components: Mapping[str, float]) -> OverallScore:
     return OverallScore(value=total / len(ordered), components=ordered)
 
 
+def synthetic_external_jobs(
+    candidates: Sequence[GeneratedCandidate],
+    references: Mapping[str, ExtractedTargets],
+    summaries: Sequence[DischargeSummary],
+) -> list[Job]:
+    """The :func:`score_pool` jobs of :func:`synthetic_external_rows`: per
+    target, in first-seen order, bertscore and medcon against the reference,
+    then alignscore against the document body."""
+    bodies = {s.hadm_id: s.body_without_targets for s in summaries}
+    jobs = []
+    for target in first_seen(c.target for c in candidates):
+        pool = [c for c in candidates if c.target is target]
+        refs = _against(pool, references, "reference")
+        jobs.append((pool, target, {"bertscore": "bertscore", "medcon": "medcon"}, refs))
+        on_body = _against(pool, bodies, "discharge summary")
+        jobs.append((pool, target, {"alignscore": "alignscore"}, on_body))
+    return jobs
+
+
 def synthetic_external_rows(
     candidates: Sequence[GeneratedCandidate],
     references: Mapping[str, ExtractedTargets],
@@ -290,17 +470,13 @@ def synthetic_external_rows(
     """
     from . import tables
 
-    bodies = {s.hadm_id: s.body_without_targets for s in summaries}
+    jobs = synthetic_external_jobs(candidates, references, summaries)
     rows = []
-    for target in first_seen(c.target for c in candidates):
-        pool = [c for c in candidates if c.target is target]
-        refs = _against(pool, references, "reference")
-        on_refs = score_pool(pool, target, {"bertscore": "bertscore", "medcon": "medcon"}, refs)
-        on_body = score_pool(
-            pool, target, {"alignscore": "alignscore"}, _against(pool, bodies, "discharge summary")
-        )
+    for on_refs, on_body in zip(jobs[::2], jobs[1::2]):
+        pool, target = on_refs[:2]
         docs, models = first_seen(c.hadm_id for c in pool), first_seen(c.model_id for c in pool)
-        rows.extend(tables.ScoreTable.from_rows(on_refs + on_body, target, docs, models).to_rows())
+        scored = score_pool(*on_refs) + score_pool(*on_body)
+        rows.extend(tables.ScoreTable.from_rows(scored, target, docs, models).to_rows())
     return rows
 
 

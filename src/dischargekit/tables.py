@@ -21,6 +21,7 @@ from operator import add
 from .corpus import DischargeSummary, ExtractedTargets, GeneratedCandidate, TargetKind, read_csv_records
 from .scores import (
     EXTERNAL_CSV_HEADER,
+    Job,
     OVERALL_METRICS,
     RESERVED_METRIC_NAMES,
     ScoreError,
@@ -288,13 +289,16 @@ def score_table(
     against: Mapping[str, str],
 ) -> ScoreTable:
     """:func:`score_pool`'s rows as a table over the pool's documents, models and columns."""
-    return ScoreTable.from_rows(
-        score_pool(pool, target, columns, against),
-        target,
-        first_seen(c.hadm_id for c in pool),
-        first_seen(c.model_id for c in pool),
-        columns,
-    )
+    job = (pool, target, columns, against)
+    return job_table(job, score_pool(*job))
+
+
+def job_table(job: Job, rows: Iterable[tuple[str, str, str, str, float]]) -> ScoreTable:
+    """A :func:`score_pool` job's scored ``rows`` as a table over its pool's
+    documents, models and columns."""
+    pool, target, columns, _ = job
+    docs, models = first_seen(c.hadm_id for c in pool), first_seen(c.model_id for c in pool)
+    return ScoreTable.from_rows(rows, target, docs, models, columns)
 
 
 def compute_native_scores(

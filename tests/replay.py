@@ -2,7 +2,8 @@
 
 ``PYTHONPATH=src python tests/replay.py OUT_DIR`` runs ``simulate --docs 12
 --models 3 --seed 5 --config des1``; scores its candidates with the native
-metrics and the synthetic external stand-ins (``score --external``); runs
+metrics and the synthetic external stand-ins (``score --external``), with
+the default ``--threads`` and with ``--threads 1``, which must agree; runs
 ``select`` with des1 and with des4 (``--overall``) on both targets and
 ``correlate`` in both modes; and prints as one JSON object the sha256 of
 every output under ``OUT_DIR`` except manifests, and of the ``float.hex``
@@ -65,7 +66,11 @@ def _chain(work: Path) -> None:
         corpus.load_candidates(cands), corpus.load_targets(targets), corpus.load_corpus(sim / "corpus.jsonl")
     ))
     scored, overall = work / "scored.csv", work / "overall.csv"
-    _run("score", "--candidates", cands, "--references", targets, "--external", external, "--out", scored)
+    score = ("score", "--candidates", cands, "--references", targets, "--external", external)
+    _run(*score, "--out", scored)
+    _run(*score, "--threads", 1, "--out", work / "scored_serial.csv")
+    if scored.read_bytes() != (work / "scored_serial.csv").read_bytes():
+        raise SystemExit("score wrote different bytes with --threads 1")
     _write_overall_csv(overall, scored)
     for target in ("bhc", "di"):
         select = ("select", "--scores", scored, "--candidates", cands, "--target", target)

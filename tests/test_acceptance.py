@@ -377,7 +377,6 @@ def _run_pipeline(base: Path, threads: int) -> dict[str, bytes]:
                 "--config", "des1",
                 "--target", "di",
                 "--out", str(sub_path),
-                "--threads", str(threads),
             ]
         )
         == 0
