@@ -105,7 +105,7 @@ def cmd_extract(args) -> int:
     corpus.write_targets(out_dir / "targets.jsonl", (s.targets for s in summaries))
     bodies = ((s.hadm_id, s.body_without_targets) for s in summaries)
     corpus.write_jsonl_records(out_dir / "bodies.jsonl", ("hadm_id", "body"), bodies)
-    _write_manifest(out_dir, "extract", args, [args.corpus])
+    _write_manifest(out_dir, "extract", args, [args.corpus, *filter(None, [args.headers])])
     print(f"extracted {len(summaries)} documents -> {out_dir}", file=sys.stderr)
     return 0
 
@@ -229,6 +229,8 @@ def cmd_select(args) -> int:
     inputs = [args.candidates, *args.scores]
     if args.overall:
         inputs.append(args.overall)
+    if args.config not in ("des4", "des5", *des.PRESETS):
+        inputs.append(args.config)  # a DES config JSON file
     _write_manifest(Path(args.out), "select", args, inputs)
     print(f"selected {len(result.selections)} texts -> {args.out}", file=sys.stderr)
     return 0
@@ -273,17 +275,14 @@ def cmd_reorder(args) -> int:
             ordered.append(reorder.rank_sections(d, refs[d.hadm_id], scorer))
     rows = ((doc.hadm_id, reorder.truncate_words(doc, args.budget)) for doc in ordered)
     corpus.write_jsonl_records(args.out, ("hadm_id", "text"), rows)
-    inputs = [args.corpus]
-    for extra in (args.reference_targets, args.section_scores, args.apply_ranking):
-        if extra:
-            inputs.append(extra)
-    _write_manifest(Path(args.out), "reorder", args, inputs)
+    extras = (args.headers, args.reference_targets, args.section_scores, args.apply_ranking)
+    _write_manifest(Path(args.out), "reorder", args, [args.corpus, *filter(None, extras)])
     print(f"reordered {len(ordered)} documents -> {args.out}", file=sys.stderr)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    from . import scores, tables
+    from . import scores, tables, textprep
 
     target = TargetKind.parse(args.target)
     submission = _read_submission(args.submission)
@@ -299,7 +298,7 @@ def cmd_evaluate(args) -> int:
             model_id=args.model_id,
             target=target,
             text=text,
-            word_count=len(text.split()),
+            word_count=textprep.word_count(text),
         )
         for hadm_id, text in submission
     ]
@@ -387,22 +386,21 @@ def cmd_simulate(args) -> int:
             pool, targets_map, summaries
         )
     if config is not None:
-        # DES chooses without the gold target, so its scores compare with the note body.
+        # DES chooses without the gold target, so its scores (and on_body's alignscore) compare with the note body.
         bodies = {s.hadm_id: s.body_without_targets for s in summaries}
-        columns = {m: m for m in ("meteor", "medcon", "alignscore", "fkgl", "dcrs", "cli")}
+        columns = {m: m for m in ("meteor", "medcon", "fkgl", "dcrs", "cli")}
         for target, pool in pool_by_target.items():
             jobs["des", target] = (pool, target, columns, bodies)
     scored = dict(zip(jobs, scores.score_jobs(list(jobs.values()), args.threads)))
+
+    def pool_table(target, rows):
+        pool = pool_by_target[target]
+        docs, models = scores.first_seen(c.hadm_id for c in pool), scores.first_seen(c.model_id for c in pool)
+        return tables.ScoreTable.from_rows(rows, target, docs, models)
+
     for target in pool_by_target:
-        native = tables.job_table(jobs["native", target], scored["native", target])
-        proxies = tables.ScoreTable.from_rows(
-            scored["on_refs", target] + scored["on_body", target],
-            target,
-            documents=native.documents,
-            models=native.models,
-        )
-        merged = tables.merge_tables(native, proxies)
-        per_target_overall[target] = tables.overall_by_document(merged)
+        rows = scored["native", target] + scored["on_refs", target] + scored["on_body", target]
+        per_target_overall[target] = tables.overall_by_document(pool_table(target, rows))
     for model in model_ids:
         means = []
         for target, overall in per_target_overall.items():
@@ -426,8 +424,7 @@ def cmd_simulate(args) -> int:
                 (doc, model, target.value, "overall", value)
                 for (doc, model), value in overall.items()
             ]
-            docs = scores.first_seen(c.hadm_id for c in pool_by_target[target])
-            table = tables.ScoreTable.from_rows(rows, target, documents=docs, models=model_ids)
+            table = pool_table(target, rows)
             config = des.DesConfig("oracle", criteria=(des.Criterion("overall", 1.0),))
             return des.select_experts(table, config, target, candidates=pool_by_target[target])
     elif args.config == "des5":
@@ -441,7 +438,7 @@ def cmd_simulate(args) -> int:
             )
     else:
         def run(target):
-            table = tables.job_table(jobs["des", target], scored["des", target])
+            table = pool_table(target, scored["des", target] + scored["on_body", target])
             return des.select_experts(table, config, target, candidates=pool_by_target[target])
 
     leaderboard.append((f"des:{args.config}", strategy_mean(run)))
@@ -451,7 +448,8 @@ def cmd_simulate(args) -> int:
     print(f"{'strategy'.ljust(width)}  mean overall")
     for name, value in leaderboard:
         print(f"{name.ljust(width)}  {value:.4f}")
-    _write_manifest(out_dir, "simulate", args, [])
+    config_file = config is not None and args.config not in des.PRESETS
+    _write_manifest(out_dir, "simulate", args, [args.config] if config_file else [])
     return 0
 
 

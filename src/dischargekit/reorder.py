@@ -14,7 +14,7 @@ import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 
-from .corpus import DischargeSummary, default_known_headers, header_pattern, read_csv_records, write_json
+from .corpus import DischargeSummary, default_known_headers, match_header, read_csv_records, write_json
 from .relevance import rouge_1
 
 MAX_SECTIONS = 50
@@ -61,9 +61,8 @@ def split_sections(
     headers = tuple(known_headers) if known_headers is not None else default_known_headers()
     if not headers:
         raise ValueError("known-header list must not be empty")
-    patterns = [header_pattern(h) for h in headers]
     lines = summary.body_without_targets.splitlines()
-    boundaries = [i for i, line in enumerate(lines) if any(p.match(line) for p in patterns)]
+    boundaries = [i for i, line in enumerate(lines) if match_header(line, headers)]
     sections: list[Section] = []
     if not boundaries or boundaries[0] > 0:
         end = boundaries[0] if boundaries else len(lines)

@@ -5,7 +5,7 @@
 here; neural or licensed metrics (bertscore, alignscore, medcon, summac) are
 ingested from external CSV files and merged into the same score table.
 :func:`score_jobs` scores several such pools at once, by document shards in
-forked worker processes, with the same rows as :func:`score_pool`.
+forked worker processes; :func:`score_pool` is its one-pool, one-shard case.
 
 The table names (:class:`~dischargekit.tables.ScoreTable` and the functions
 that build or read one) live in :mod:`dischargekit.tables` and resolve here
@@ -140,7 +140,7 @@ def score_pool(
     columns: Mapping[str, str],
     against: Mapping[str, str],
 ) -> list[tuple[str, str, str, str, float]]:
-    """Score a one-target pool into long-form rows, one per ``columns`` key.
+    """Score a one-target pool, in this process, into long-form rows, one per ``columns`` key.
 
     Column ``name`` holds metric ``columns[name]`` of :data:`METRICS`.
     Readability metrics read the candidate alone, tokenized at most once;
@@ -150,7 +150,7 @@ def score_pool(
     dropped, and a later candidate for a (hadm_id, model_id) pair replaces
     an earlier one.
     """
-    return _pool_rows(pool, target, [_score_candidate(c, columns, against) for c in pool])
+    return score_jobs([(pool, target, columns, against)], 1)[0]
 
 
 def _score_candidate(
@@ -213,22 +213,20 @@ def score_jobs(
 
     The documents of all jobs, in first-seen order, are split into
     ``min(workers, usable_cpus(), documents)`` contiguous shards of about
-    equal candidate text length (``workers`` None means no cap). This
-    process scores the first shard; each other shard is scored in a forked
-    child that returns its values through a pipe, and every child is reaped
-    before this returns or raises. Results, and the error a failing run
-    raises, never depend on the split: the error is the one the serial run
-    meets first, at the lowest (job, pool position). Without ``os.fork``
-    every job is scored here, and so it is in a process running other
-    threads, whose locks a forked child could inherit held.
+    equal candidate text length (``workers`` None means no cap), or one
+    empty shard. This process scores the first shard; each other shard is
+    scored in a forked child that returns its values through a pipe, and
+    every child is reaped before this returns or raises. Results, and the
+    error a failing run raises, never depend on the split: the error is the
+    one a one-shard run meets first, at the lowest (job, pool position).
+    Without ``os.fork`` every job is scored here, and so it is in a process
+    running other threads, whose locks a forked child could inherit held.
     """
     n = usable_cpus() if workers is None else min(workers, usable_cpus())
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
         n = 1
-    parts = _split(jobs, n)
-    if len(parts) <= 1:
-        return [score_pool(*job) for job in jobs]
+    parts = _split(jobs, n) or [[[] for _ in jobs]]
     pipes: dict[int, int] = {}  # worker pid -> read end of its pipe, until read
     alive: list[int] = []  # worker pids, until reaped
     try:
@@ -471,12 +469,11 @@ def synthetic_external_rows(
     from . import tables
 
     jobs = synthetic_external_jobs(candidates, references, summaries)
+    scored = score_jobs(jobs, 1)
     rows = []
-    for on_refs, on_body in zip(jobs[::2], jobs[1::2]):
-        pool, target = on_refs[:2]
+    for (pool, target, *_), on_refs, on_body in zip(jobs[::2], scored[::2], scored[1::2]):
         docs, models = first_seen(c.hadm_id for c in pool), first_seen(c.model_id for c in pool)
-        scored = score_pool(*on_refs) + score_pool(*on_body)
-        rows.extend(tables.ScoreTable.from_rows(scored, target, docs, models).to_rows())
+        rows.extend(tables.ScoreTable.from_rows(on_refs + on_body, target, docs, models).to_rows())
     return rows
 
 
@@ -489,7 +486,6 @@ _TABLE_NAMES = frozenset({
     "load_external_scores",
     "merge_tables",
     "overall_by_document",
-    "score_table",
 })
 
 

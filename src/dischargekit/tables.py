@@ -282,17 +282,6 @@ class ScoreTableBuilder:
         return tables
 
 
-def score_table(
-    pool: Sequence[GeneratedCandidate],
-    target: TargetKind,
-    columns: Mapping[str, str],
-    against: Mapping[str, str],
-) -> ScoreTable:
-    """:func:`score_pool`'s rows as a table over the pool's documents, models and columns."""
-    job = (pool, target, columns, against)
-    return job_table(job, score_pool(*job))
-
-
 def job_table(job: Job, rows: Iterable[tuple[str, str, str, str, float]]) -> ScoreTable:
     """A :func:`score_pool` job's scored ``rows`` as a table over its pool's
     documents, models and columns."""
@@ -308,7 +297,8 @@ def compute_native_scores(
     target: TargetKind | None = None,
 ) -> ScoreTable:
     """Score candidates with the native metric suite (see :func:`native_score_job`)."""
-    return score_table(*native_score_job(candidates, references, metrics, target))
+    job = native_score_job(candidates, references, metrics, target)
+    return job_table(job, score_pool(*job))
 
 
 def compute_factuality_proxies(
@@ -318,7 +308,8 @@ def compute_factuality_proxies(
     target: TargetKind | None = None,
 ) -> ScoreTable:
     """Score candidates against the document body (see :func:`factuality_proxy_job`)."""
-    return score_table(*factuality_proxy_job(candidates, summaries, metrics, target))
+    job = factuality_proxy_job(candidates, summaries, metrics, target)
+    return job_table(job, score_pool(*job))
 
 
 def merge_tables(base: ScoreTable, extra: ScoreTable) -> ScoreTable:
@@ -373,7 +364,19 @@ def load_external_scores(path, table: ScoreTable) -> ScoreTable:
     try:
         return merge_tables(table, extra)
     except ScoreError as exc:
-        raise ScoreError(f"{path}: {exc}") from None
+        raise ScoreError(f"{path}: {exc} on row {_first_clash_line(path, table)}") from None
+
+
+def _first_clash_line(path, table: ScoreTable) -> int:
+    """The line of the record in ``path`` whose cell :func:`merge_tables` names
+    as the first, in table order, that ``table`` already fills."""
+    clashes = []
+    for line, (doc, model, target, metric, _) in read_csv_records(path, EXTERNAL_CSV_HEADER, ScoreError):
+        if target == table.target.value and metric in table.metrics:
+            cell = table.pair_cells([(doc, model)])[0]
+            if table.column(metric)[cell] == table.column(metric)[cell]:
+                clashes.append((cell, metric, line))
+    return min(clashes)[2]
 
 
 def overall_by_document(table: ScoreTable) -> dict[tuple[str, str], float]:

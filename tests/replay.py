@@ -1,9 +1,10 @@
 """The simulate -> score -> select -> correlate chain, on the standard library alone.
 
 ``PYTHONPATH=src python tests/replay.py OUT_DIR`` runs ``simulate --docs 12
---models 3 --seed 5 --config des1``; scores its candidates with the native
-metrics and the synthetic external stand-ins (``score --external``), with
-the default ``--threads`` and with ``--threads 1``, which must agree; runs
+--models 3 --seed 5 --config des1`` with the default ``--threads`` and with
+``--threads 1``, which must write the same files; scores its candidates with
+the native metrics and the synthetic external stand-ins (``score
+--external``), again with both ``--threads`` settings, which must agree; runs
 ``select`` with des1 and with des4 (``--overall``) on both targets and
 ``correlate`` in both modes; and prints as one JSON object the sha256 of
 every output under ``OUT_DIR`` except manifests, and of the ``float.hex``
@@ -48,17 +49,26 @@ def replay(work: Path) -> dict[str, str]:
         _chain(work)
     finally:
         corpus.write_csv_records = scores.write_csv_records = write_csv_records
-    files = {
-        str(p.relative_to(work)): _sha256(p.read_bytes())
-        for p in sorted(work.rglob("*"))
+    files = {name: _sha256(data) for name, data in _outputs(work).items()}
+    return {**files, **cells}
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    """The bytes of every file under ``out`` but the manifests, by relative path."""
+    return {
+        str(p.relative_to(out)): p.read_bytes()
+        for p in sorted(out.rglob("*"))
         if p.is_file() and not p.name.endswith("manifest.json")
     }
-    return {**files, **cells}
 
 
 def _chain(work: Path) -> None:
     sim, ext = work / "sim", work / "ext"
-    _run("simulate", "--docs", 12, "--models", 3, "--seed", 5, "--config", "des1", "--out", sim)
+    simulate = ("simulate", "--docs", 12, "--models", 3, "--seed", 5, "--config", "des1")
+    _run(*simulate, "--out", sim)
+    _run(*simulate, "--threads", 1, "--out", work / "sim_serial")
+    if _outputs(sim) != _outputs(work / "sim_serial"):
+        raise SystemExit("simulate wrote different files with --threads 1")
     _run("extract", "--corpus", sim / "corpus.jsonl", "--out", ext)
     cands, targets = sim / "candidates.jsonl", ext / "targets.jsonl"
     external = work / "external.csv"

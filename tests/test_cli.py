@@ -940,3 +940,63 @@ def test_manifest_config_hash_stable_across_reruns(small_corpus, tmp_path):
     assert m3["config_hash"] == m1["config_hash"]
     # Output files are byte-identical; only the manifest timestamp moves.
     assert (out1 / "targets.jsonl").read_bytes() == (out2 / "targets.jsonl").read_bytes()
+
+
+def test_simulate_scores_alignscore_once_per_candidate(tmp_path, monkeypatch):
+    # The DES table takes alignscore from the overall table's on_body rows.
+    from dischargekit import scores
+
+    calls = []
+    alignscore = scores.METRICS["alignscore"]
+    monkeypatch.setitem(scores.METRICS, "alignscore", lambda a, b: calls.append(1) or alignscore(a, b))
+    out = tmp_path / "sim"
+    assert run("simulate", "--docs", 3, "--models", 2, "--config", "des1", "--threads", 1, "--out", out) == 0
+    assert len(calls) == len(corpus.load_candidates(out / "candidates.jsonl")) == 12
+
+
+def test_manifests_list_header_and_config_files(pipeline_dir):
+    import hashlib
+
+    headers = pipeline_dir / "headers.txt"
+    headers.write_text("\n".join(corpus.default_known_headers()) + "\n", encoding="utf-8")
+    cfg = pipeline_dir / "cfg.json"
+    cfg.write_text('{"criteria": [{"metric": "medcon", "weight": 1}]}', encoding="utf-8")
+    corpus_path, cands = pipeline_dir / "corpus.jsonl", pipeline_dir / "candidates.jsonl"
+    targets, desin = pipeline_dir / "extracted" / "targets.jsonl", select_setup(pipeline_dir)
+    select = ("select", "--scores", desin, "--candidates", cands, "--target", "di")
+    simulate = ("simulate", "--docs", 3, "--models", 2)
+    cases = [  # argv, output, files read; a preset name is not a file
+        (("extract", "--corpus", corpus_path, "--headers", headers), "ext", [corpus_path, headers]),
+        (("reorder", "--corpus", corpus_path, "--reference-targets", targets, "--headers", headers),
+         "reordered.jsonl", [corpus_path, targets, headers]),
+        ((*select, "--config", cfg), "cfg.csv", [cands, desin, cfg]),
+        ((*select, "--config", "des1"), "des1.csv", [cands, desin]),
+        ((*simulate, "--config", cfg), "sim_cfg", [cfg]),
+        ((*simulate, "--config", "des1"), "sim_des1", []),
+    ]
+    for argv, name, files in cases:
+        out = pipeline_dir / name
+        assert run(*argv, "--out", out) == 0
+        manifest = out / "manifest.json" if out.is_dir() else out.with_name(name + ".manifest.json")
+        inputs = json.loads(manifest.read_text(encoding="utf-8"))["inputs"]
+        assert inputs == {str(f): hashlib.sha256(f.read_bytes()).hexdigest() for f in files}, argv
+
+
+def test_cell_repeated_across_external_files_names_file_and_row(pipeline_dir, tmp_path, capsys):
+    targets = pipeline_dir / "extracted" / "targets.jsonl"
+    docs = list(corpus.load_targets(targets))
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    submission = tmp_path / "sub.csv"
+    corpus.write_csv_records(submission, ("hadm_id", "text"), [(doc, "rest at home") for doc in docs])
+    for argv, model in [
+        (("score", "--candidates", pipeline_dir / "candidates.jsonl", "--references", targets), "model_a"),
+        (("evaluate", "--submission", submission, "--references", targets, "--target", "di"), "submission"),
+    ]:
+        rows = [[doc, model, "di", "bertscore", "0.5"] for doc in docs[:2]]
+        write_external(first, rows[1:])
+        write_external(second, rows)
+        code = run(*argv, "--external", first, "--external", second, "--out", tmp_path / "never.csv")
+        assert code == 1
+        cell = f"(hadm_id='{docs[1]}', model_id='{model}', metric='bertscore')"
+        assert f"{second}: duplicate cell {cell} on row 3" in capsys.readouterr().err
+    assert not (tmp_path / "never.csv").exists()
