@@ -139,6 +139,7 @@ def cmd_score(args) -> int:
     else:
         jobs = [scores.native_score_job(candidates, references, metrics, t) for t in targets_present]
     scored = scores.score_jobs(jobs, args.threads)
+    undefined = sum(len(pool) * len(columns) - len(rows) for (pool, _, columns, _), rows in zip(jobs, scored))
     all_rows: list[tuple[str, str, str, str, float]] = []
     for job, rows in zip(jobs, scored):
         if not args.external:
@@ -157,7 +158,8 @@ def cmd_score(args) -> int:
     inputs.extend(args.external)
     scores.write_score_csv(args.out, all_rows)
     _write_manifest(Path(args.out), "score", args, inputs)
-    print(f"wrote {len(all_rows)} score cells -> {args.out}", file=sys.stderr)
+    note = f" ({undefined} undefined)" if undefined else ""
+    print(f"wrote {len(all_rows)} score cells{note} -> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -227,7 +229,7 @@ def cmd_select(args) -> int:
     tally_path = Path(args.out).with_name(Path(args.out).name + ".tally.json")
     corpus.write_json(tally_path, dict(sorted(result.tally.items())))
     inputs = [args.candidates, *args.scores]
-    if args.overall:
+    if args.config == "des4":
         inputs.append(args.overall)
     if args.config not in ("des4", "des5", *des.PRESETS):
         inputs.append(args.config)  # a DES config JSON file
@@ -275,8 +277,11 @@ def cmd_reorder(args) -> int:
             ordered.append(reorder.rank_sections(d, refs[d.hadm_id], scorer))
     rows = ((doc.hadm_id, reorder.truncate_words(doc, args.budget)) for doc in ordered)
     corpus.write_jsonl_records(args.out, ("hadm_id", "text"), rows)
-    extras = (args.headers, args.reference_targets, args.section_scores, args.apply_ranking)
-    _write_manifest(Path(args.out), "reorder", args, [args.corpus, *filter(None, extras)])
+    # Only the files this run read: --apply-ranking replaces --reference-targets.
+    read = [args.headers, args.apply_ranking or args.reference_targets]
+    if args.scorer == "external":
+        read.append(args.section_scores)
+    _write_manifest(Path(args.out), "reorder", args, [args.corpus, *filter(None, read)])
     print(f"reordered {len(ordered)} documents -> {args.out}", file=sys.stderr)
     return 0
 

@@ -2,9 +2,10 @@
 
 Score-driven strategies min-max normalize each criterion metric across the
 available models (per document), multiply by signed weights, average, and
-take the argmax. A length-window strategy picks by word count instead.
-Presets des1..des3 carry fixed weights; des4 derives weights from score
-correlations; des5 is the length rule.
+take the argmax, the first model in input order on a tie. A length-window
+strategy picks by word count instead. Presets des1..des3 carry fixed
+weights; des4 derives weights from score correlations; des5 is the length
+rule.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
@@ -52,14 +53,8 @@ class Criterion:
 class DesConfig:
     name: str
     criteria: tuple[Criterion, ...]
-    normalization: str = "min_max"
-    tie_break: str = "first_model_in_input_order"
 
     def __post_init__(self):
-        if self.normalization != "min_max":
-            raise DesConfigError(f"unsupported normalization {self.normalization!r}")
-        if self.tie_break != "first_model_in_input_order":
-            raise DesConfigError(f"unsupported tie_break {self.tie_break!r}")
         if not self.criteria:
             raise DesConfigError("config needs at least one criterion")
         for c in self.criteria:
@@ -73,16 +68,15 @@ class DesConfig:
         return crits
 
 
+# The length rule's word-count window and floor.
+_PREFERRED_MIN, _PREFERRED_MAX, _HARD_MIN = 100, 180, 70
+
+
 @dataclass(frozen=True)
 class LengthSelectConfig:
     model_ranking: tuple[str, ...]
-    preferred_min: int = 100
-    preferred_max: int = 180
-    hard_min: int = 70
 
     def __post_init__(self):
-        if not (self.hard_min <= self.preferred_min < self.preferred_max):
-            raise DesConfigError("need hard_min <= preferred_min < preferred_max")
         if not self.model_ranking:
             raise DesConfigError("model_ranking must not be empty")
 
@@ -261,9 +255,9 @@ def select_by_length(
 ) -> SelectionResult:
     """Length-window selection over ranked models.
 
-    Per document: first ranked model inside [preferred_min, preferred_max]
-    wins; otherwise the shortest text of at least hard_min words; otherwise
-    the highest-ranked model's text.
+    Per document: first ranked model inside [100, 180] words wins; otherwise
+    the shortest text of at least 70 words; otherwise the highest-ranked
+    model's text.
     """
     kinds = {c.target for c in candidates}
     if target is None:
@@ -288,11 +282,11 @@ def select_by_length(
         basis = None
         for model in ranked:
             wc = available[model].word_count
-            if cfg.preferred_min <= wc <= cfg.preferred_max:
+            if _PREFERRED_MIN <= wc <= _PREFERRED_MAX:
                 chosen, basis = model, "preferred_window"
                 break
         if chosen is None:
-            eligible = [m for m in ranked if available[m].word_count >= cfg.hard_min]
+            eligible = [m for m in ranked if available[m].word_count >= _HARD_MIN]
             if eligible:
                 chosen = min(eligible, key=lambda m: (available[m].word_count, ranked.index(m)))
                 basis = "shortest_above_floor"
@@ -304,25 +298,18 @@ def select_by_length(
     return SelectionResult(target=target, selections=tuple(selections))
 
 
-def derive_des4_weights(
-    table: ScoreTable,
-    overall: Mapping[tuple[str, str], float],
-    metrics: Sequence[str] | None = None,
-) -> DesConfig:
-    """Weight each metric by its correlation with the overall score.
+def derive_des4_weights(table: ScoreTable, overall: Mapping[tuple[str, str], float]) -> DesConfig:
+    """Weight each metric of the table by its correlation with the overall score.
 
     Observations are all (document, model) pairs present in both the table
     and the overall map; fewer than 3 pairs is an error.
     """
     from .analysis import pearson
 
-    metrics = tuple(metrics) if metrics is not None else table.metrics
     cells = table.pair_cells(overall.keys())
     ys = [float(y) for y in overall.values()]
     criteria = []
-    for metric in metrics:
-        if metric not in table.metrics:
-            raise DesConfigError(f"table lacks metric {metric!r}")
+    for metric in table.metrics:
         column = table.column(metric)
         present = [(column[cell], y) for cell, y in zip(cells, ys) if column[cell] == column[cell]]
         if len(present) < 3:
@@ -375,13 +362,14 @@ def parse_des_config(data: Mapping) -> DesConfig:
         raise DesConfigError("config is missing 'criteria'")
     if not isinstance(raw_criteria, list):
         raise DesConfigError(f"'criteria' must be a list, got {type(raw_criteria).__name__}")
+    criteria = tuple(_parse_criterion(i, entry) for i, entry in enumerate(raw_criteria))
+    normalization = data.get("normalization", "min_max")
+    if normalization != "min_max":
+        raise DesConfigError(f"unsupported normalization {normalization!r}")
     tie = data.get("tie_break", "first")
-    return DesConfig(
-        name=data.get("name", "custom"),
-        criteria=tuple(_parse_criterion(i, entry) for i, entry in enumerate(raw_criteria)),
-        normalization=data.get("normalization", "min_max"),
-        tie_break="first_model_in_input_order" if tie in ("first", "first_model_in_input_order") else tie,
-    )
+    if tie not in ("first", "first_model_in_input_order"):
+        raise DesConfigError(f"unsupported tie_break {tie!r}")
+    return DesConfig(name=data.get("name", "custom"), criteria=criteria)
 
 
 def load_des_config(path) -> DesConfig:
@@ -397,7 +385,7 @@ def load_des_config(path) -> DesConfig:
 def des_config_to_json(config: DesConfig) -> dict:
     return {
         "name": config.name,
-        "normalization": config.normalization,
+        "normalization": "min_max",
         "tie_break": "first",
         "criteria": [
             {

@@ -36,11 +36,6 @@ def default_familiar_words() -> frozenset[str]:
     return frozenset(line.strip() for line in text.splitlines() if line.strip())
 
 
-def load_familiar_words(path) -> frozenset[str]:
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip().lower() for line in fh if line.strip())
-
-
 def fkgl(t: TokenizedText) -> float:
     """Flesch-Kincaid grade level: 0.39 W/S + 11.8 Syl/W - 15.59."""
     if t.n_words < 1 or t.n_sentences < 1:
@@ -62,18 +57,15 @@ def is_familiar(word: str, familiar: frozenset[str]) -> bool:
     return False
 
 
-def dcrs(t: TokenizedText, familiar_words: frozenset[str] | None = None) -> float:
+def dcrs(t: TokenizedText) -> float:
     """Dale-Chall readability score.
 
     0.1579 * pct_difficult + 0.0496 * W/S, plus 3.6365 when the difficult
     percentage strictly exceeds 5.0.
     """
-    if familiar_words is None:
-        familiar_words = default_familiar_words()
-    if not familiar_words:
-        raise ValueError("familiar word list is empty")
     if t.n_words < 1 or t.n_sentences < 1:
         raise DegenerateTextError("dcrs needs at least one word and one sentence")
+    familiar_words = default_familiar_words()
     difficult = sum(
         1
         for sentence in t.sentences
@@ -96,7 +88,5 @@ def cli(t: TokenizedText) -> float:
     return 0.0588 * letters_per_100 - 0.296 * sentences_per_100 - 15.8
 
 
-def readability_scores(
-    t: TokenizedText, familiar_words: frozenset[str] | None = None
-) -> ReadabilityScores:
-    return ReadabilityScores(fkgl=fkgl(t), dcrs=dcrs(t, familiar_words), cli=cli(t))
+def readability_scores(t: TokenizedText) -> ReadabilityScores:
+    return ReadabilityScores(fkgl=fkgl(t), dcrs=dcrs(t), cli=cli(t))

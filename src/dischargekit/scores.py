@@ -7,6 +7,10 @@ ingested from external CSV files and merged into the same score table.
 :func:`score_jobs` scores several such pools at once, by document shards in
 forked worker processes; :func:`score_pool` is its one-pool, one-shard case.
 
+A readability formula undefined for a text (one with no words) gives a NaN
+cell, which the rows leave out: every consumer treats it as a missing cell,
+and no candidate text makes scoring raise.
+
 The table names (:class:`~dischargekit.tables.ScoreTable` and the functions
 that build or read one) live in :mod:`dischargekit.tables` and resolve here
 on first use, so ``score`` without ``--external``, which writes
@@ -146,9 +150,9 @@ def score_pool(
     Readability metrics read the candidate alone, tokenized at most once;
     every other metric compares the candidate with ``against[hadm_id]``.
     Rows come in :meth:`ScoreTable.to_rows` order: documents, then models,
-    each in first-seen pool order, then columns, sorted; NaN values are
-    dropped, and a later candidate for a (hadm_id, model_id) pair replaces
-    an earlier one.
+    each in first-seen pool order, then columns, sorted; undefined (NaN)
+    cells are dropped, and a later candidate for a (hadm_id, model_id) pair
+    replaces an earlier one.
     """
     return score_jobs([(pool, target, columns, against)], 1)[0]
 
@@ -156,7 +160,7 @@ def score_pool(
 def _score_candidate(
     c: GeneratedCandidate, columns: Mapping[str, str], against: Mapping[str, str]
 ) -> dict[str, float]:
-    """One candidate's value in each of ``columns``."""
+    """One candidate's value in each of ``columns``, NaN where undefined."""
     cells = {}
     tok = None
     for column, metric in columns.items():
@@ -167,11 +171,8 @@ def _score_candidate(
             tok = tokenize(c.text)
         try:
             cells[column] = float(METRICS[metric](tok))
-        except readability.DegenerateTextError as exc:
-            raise readability.DegenerateTextError(
-                f"candidate (hadm_id={c.hadm_id!r}, model_id={c.model_id!r}, "
-                f"metric={column!r}): {exc}"
-            ) from None
+        except readability.DegenerateTextError:
+            cells[column] = math.nan
     return cells
 
 
@@ -216,9 +217,8 @@ def score_jobs(
     equal candidate text length (``workers`` None means no cap), or one
     empty shard. This process scores the first shard; each other shard is
     scored in a forked child that returns its values through a pipe, and
-    every child is reaped before this returns or raises. Results, and the
-    error a failing run raises, never depend on the split: the error is the
-    one a one-shard run meets first, at the lowest (job, pool position).
+    every child is reaped before this returns or raises. Results never
+    depend on the split: an undefined cell is left out in every shard.
     Without ``os.fork`` every job is scored here, and so it is in a process
     running other threads, whose locks a forked child could inherit held.
     """
@@ -265,18 +265,10 @@ def score_jobs(
         for pid in alive:
             os.waitpid(pid, 0)
     values: list[list] = [[None] * len(job[0]) for job in jobs]
-    failures = []
-    for part, (failure, shard_values) in zip(parts, results):
-        if failure is not None:
-            failures.append(failure)
+    for part, shard_values in zip(parts, results):
         for job_values, positions, scored in zip(values, part, shard_values):
             for pos, cells in zip(positions, scored):
                 job_values[pos] = cells
-    if failures:
-        j, pos = min(failures)
-        pool, _, columns, against = jobs[j]
-        _score_candidate(pool[pos], columns, against)  # raises the serial run's error
-        raise RuntimeError(f"a score worker failed on candidate {pos} of job {j}, which scores here")
     return [_pool_rows(pool, target, v) for (pool, target, *_), v in zip(jobs, values)]
 
 
@@ -299,19 +291,12 @@ def _split(jobs: Sequence[Job], n: int) -> list[list[list[int]]]:
     return [part for part in parts if any(part)]
 
 
-def _score_shard(jobs: Sequence[Job], part: list[list[int]]) -> tuple[tuple[int, int] | None, list[list]]:
-    """The first (job, position) of ``part`` that raised, else None, and each
-    job's values for its positions in ``part`` up to that one."""
-    values: list[list] = []
-    for j, ((pool, _, columns, against), positions) in enumerate(zip(jobs, part)):
-        scored: list = []
-        values.append(scored)
-        for pos in positions:
-            try:
-                scored.append(_score_candidate(pool[pos], columns, against))
-            except Exception:  # score_jobs raises it again, in order, by scoring pos anew
-                return (j, pos), values
-    return None, values
+def _score_shard(jobs: Sequence[Job], part: list[list[int]]) -> list[list[dict[str, float]]]:
+    """Each job's values for its positions in ``part``."""
+    return [
+        [_score_candidate(pool[pos], columns, against) for pos in positions]
+        for (pool, _, columns, against), positions in zip(jobs, part)
+    ]
 
 
 def _shard_child(jobs: Sequence[Job], part: list[list[int]], close: list[int], write_fd: int):

@@ -30,11 +30,6 @@ def default_abbreviations() -> frozenset[str]:
     return frozenset(line.strip().lower() for line in text.splitlines() if line.strip())
 
 
-def load_abbreviations(path) -> frozenset[str]:
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip().lower() for line in fh if line.strip())
-
-
 @dataclass(frozen=True)
 class TokenizedText:
     """Sentence/word/syllable/letter counts for one text."""
@@ -91,7 +86,7 @@ def _is_abbreviation(text: str, dot_index: int, abbreviations: frozenset[str]) -
     return start < dot_index and text[start : dot_index + 1].lower() in abbreviations
 
 
-def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> list[str]:
+def split_sentences(text: str) -> list[str]:
     """Split after each run of ., ! or ? that whitespace or the end of text follows.
 
     A run that is a single period does not end the sentence when the
@@ -105,8 +100,7 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
     is such a character, so no two scans overlap and the work is linear in
     the length of the text.
     """
-    if abbreviations is None:
-        abbreviations = default_abbreviations()
+    abbreviations = default_abbreviations()
     sentences: list[str] = []
     start = 0
     n = len(text)
@@ -122,14 +116,14 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
     return [s.strip() for s in sentences if s.strip()]
 
 
-def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> TokenizedText:
+def tokenize(text: str) -> TokenizedText:
     """Tokenize into sentences of metric words and count syllables/letters.
 
     Sentences that contain no words (stray punctuation) are dropped, so
     empty input yields all-zero counts.
     """
     sentence_words: list[tuple[str, ...]] = []
-    for sentence in split_sentences(text, abbreviations):
+    for sentence in split_sentences(text):
         tokens = tuple(_WORD_RE.findall(sentence.lower()))
         if tokens:
             sentence_words.append(tokens)

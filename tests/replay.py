@@ -4,7 +4,9 @@
 --models 3 --seed 5 --config des1`` with the default ``--threads`` and with
 ``--threads 1``, which must write the same files; scores its candidates with
 the native metrics and the synthetic external stand-ins (``score
---external``), again with both ``--threads`` settings, which must agree; runs
+--external``), again with both ``--threads`` settings, which must agree;
+scores a copy of the candidates with two texts emptied, whose readability
+cells are undefined, with both ``--threads`` settings, which must agree; runs
 ``select`` with des1 and with des4 (``--overall``) on both targets and
 ``correlate`` in both modes; and prints as one JSON object the sha256 of
 every output under ``OUT_DIR`` except manifests, and of the ``float.hex``
@@ -15,6 +17,7 @@ versions, which need no third-party package for it.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -82,6 +85,7 @@ def _chain(work: Path) -> None:
     if scored.read_bytes() != (work / "scored_serial.csv").read_bytes():
         raise SystemExit("score wrote different bytes with --threads 1")
     _write_overall_csv(overall, scored)
+    _score_empty_texts(work, cands, targets)
     for target in ("bhc", "di"):
         select = ("select", "--scores", scored, "--candidates", cands, "--target", target)
         _run(*select, "--config", "des1", "--out", work / f"{target}_des1.csv")
@@ -89,6 +93,26 @@ def _chain(work: Path) -> None:
     for mode in ("pooled", "per-target"):
         _run("correlate", "--scores", scored, "--overall", overall, "--mode", mode,
              "--out", work / f"corr_{mode}.csv")
+
+
+def _score_empty_texts(work: Path, cands: Path, targets: Path) -> None:
+    """Score the candidates with the first document's first text and the last
+    document's last text emptied: each loses exactly its readability rows."""
+    candidates = corpus.load_candidates(cands)
+    empty = {candidates[0], candidates[-1]}
+    broken = [dataclasses.replace(c, text="", word_count=0) if c in empty else c for c in candidates]
+    corpus.write_candidates(work / "empty_candidates.jsonl", broken)
+    score = ("score", "--candidates", work / "empty_candidates.jsonl", "--references", targets)
+    _run(*score, "--out", work / "empty_scored.csv")
+    _run(*score, "--threads", 1, "--out", work / "empty_scored_serial.csv")
+    if (work / "empty_scored.csv").read_bytes() != (work / "empty_scored_serial.csv").read_bytes():
+        raise SystemExit("score of empty texts wrote different bytes with --threads 1")
+    kept = {(doc, model, target, metric) for doc, model, target, metric, _ in
+            scores.read_score_csv(work / "empty_scored.csv")}
+    for c in empty:
+        for metric in scores.NATIVE_METRICS:
+            if ((c.hadm_id, c.model_id, c.target.value, metric) in kept) == (metric in scores.READABILITY_METRICS):
+                raise SystemExit(f"score of an empty text: wrong row presence for {metric}")
 
 
 if __name__ == "__main__":

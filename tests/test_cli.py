@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -961,11 +962,14 @@ def test_manifests_list_header_and_config_files(pipeline_dir):
     headers.write_text("\n".join(corpus.default_known_headers()) + "\n", encoding="utf-8")
     cfg = pipeline_dir / "cfg.json"
     cfg.write_text('{"criteria": [{"metric": "medcon", "weight": 1}]}', encoding="utf-8")
+    ranking, nosuch = pipeline_dir / "r.json", pipeline_dir / "nosuch.csv"
+    ranking.write_text('{"medications": 1.0}', encoding="utf-8")
     corpus_path, cands = pipeline_dir / "corpus.jsonl", pipeline_dir / "candidates.jsonl"
     targets, desin = pipeline_dir / "extracted" / "targets.jsonl", select_setup(pipeline_dir)
     select = ("select", "--scores", desin, "--candidates", cands, "--target", "di")
     simulate = ("simulate", "--docs", 3, "--models", 2)
-    cases = [  # argv, output, files read; a preset name is not a file
+    reorder = ("reorder", "--corpus", corpus_path, "--section-scores", nosuch)
+    cases = [  # argv, output, files read; a preset name is not a file, nor is a file left unread
         (("extract", "--corpus", corpus_path, "--headers", headers), "ext", [corpus_path, headers]),
         (("reorder", "--corpus", corpus_path, "--reference-targets", targets, "--headers", headers),
          "reordered.jsonl", [corpus_path, targets, headers]),
@@ -973,6 +977,11 @@ def test_manifests_list_header_and_config_files(pipeline_dir):
         ((*select, "--config", "des1"), "des1.csv", [cands, desin]),
         ((*simulate, "--config", cfg), "sim_cfg", [cfg]),
         ((*simulate, "--config", "des1"), "sim_des1", []),
+        ((*select, "--config", "des5", "--ranking", "model_a,model_b", "--overall", nosuch), "des5.csv",
+         [cands, desin]),
+        ((*reorder, "--apply-ranking", ranking, "--reference-targets", nosuch), "applied.jsonl",
+         [corpus_path, ranking]),
+        ((*reorder, "--reference-targets", targets), "global.jsonl", [corpus_path, targets]),
     ]
     for argv, name, files in cases:
         out = pipeline_dir / name
@@ -1000,3 +1009,31 @@ def test_cell_repeated_across_external_files_names_file_and_row(pipeline_dir, tm
         cell = f"(hadm_id='{docs[1]}', model_id='{model}', metric='bertscore')"
         assert f"{second}: duplicate cell {cell} on row 3" in capsys.readouterr().err
     assert not (tmp_path / "never.csv").exists()
+
+
+def test_empty_candidate_is_a_missing_readability_cell(pipeline_dir, capsys):
+    cands = corpus.load_candidates(pipeline_dir / "candidates.jsonl")
+    doc = next(c.hadm_id for c in cands if c.target is TargetKind.DI)
+    empty = (doc, "model_b", TargetKind.DI)
+    broken = [
+        dataclasses.replace(c, text="", word_count=0) if (c.hadm_id, c.model_id, c.target) == empty else c
+        for c in cands
+    ]
+    corpus.write_candidates(pipeline_dir / "broken.jsonl", broken)
+    scored = pipeline_dir / "broken_scores.csv"
+    assert run("score", "--candidates", pipeline_dir / "broken.jsonl",
+               "--references", pipeline_dir / "extracted" / "targets.jsonl",
+               "--metrics", "meteor,cli", "--out", scored) == 0
+    assert "(1 undefined)" in capsys.readouterr().err
+    cfg = pipeline_dir / "cli_meteor.json"
+    cfg.write_text(
+        '{"criteria": [{"metric": "cli", "weight": "1/2"}, {"metric": "meteor", "weight": "1/2"}]}',
+        encoding="utf-8",
+    )
+    select = ("select", "--scores", scored, "--candidates", pipeline_dir / "broken.jsonl",
+              "--config", cfg, "--target", "di")
+    assert run(*select, "--out", pipeline_dir / "never.csv") == 1
+    assert f"missing cell (hadm_id={doc!r}, model_id='model_b', metric='cli')" in capsys.readouterr().err
+    assert not (pipeline_dir / "never.csv").exists()
+    assert run(*select, "--lenient", "--out", pipeline_dir / "lenient.csv") == 0
+    assert len(read_csv_rows(pipeline_dir / "lenient.csv")) == 1 + 6

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import statistics
 from fractions import Fraction
@@ -308,13 +309,6 @@ def test_select_by_length_validates_ranking_coverage():
         select_by_length([length_candidate("d", "M2", 120)], cfg)
 
 
-def test_length_config_validates_window():
-    with pytest.raises(DesConfigError):
-        LengthSelectConfig(model_ranking=("m",), preferred_min=180, preferred_max=100)
-    with pytest.raises(DesConfigError):
-        LengthSelectConfig(model_ranking=("m",), hard_min=150, preferred_min=100)
-
-
 def test_derive_des4_weights_endpoints():
     docs = [f"d{i}" for i in range(10)]
     overall = {(d, "m"): float(i) for i, d in enumerate(docs)}
@@ -371,7 +365,7 @@ def test_config_json_roundtrip(tmp_path):
     assert config.criteria[0].weight == Fraction(2, 5)
     assert config.criteria[1].scope is Scope.DI_ONLY
     path = tmp_path / "cfg.json"
-    path.write_text(__import__("json").dumps(des_config_to_json(config)), encoding="utf-8")
+    path.write_text(json.dumps(des_config_to_json(config)), encoding="utf-8")
     assert load_des_config(path) == config
 
 
@@ -380,3 +374,17 @@ def test_config_rejects_bad_weight_and_scope():
         parse_des_config({"criteria": [{"metric": "x", "weight": "a/b"}]})
     with pytest.raises(DesConfigError):
         parse_des_config({"criteria": [{"metric": "x", "weight": 1, "scope": "all"}]})
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("normalization", "zscore", "unsupported normalization 'zscore'"),
+        ("tie_break", "last", "unsupported tie_break 'last'"),
+    ],
+)
+def test_config_file_rejects_other_normalization_and_tie_break(tmp_path, key, value, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value, "criteria": [{"metric": "x", "weight": 1}]}), encoding="utf-8")
+    with pytest.raises(DesConfigError, match=message):
+        load_des_config(path)

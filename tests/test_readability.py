@@ -58,21 +58,17 @@ def test_dcrs_all_familiar_fixture():
 def test_dcrs_all_difficult():
     # 10 unfamiliar words, one sentence.
     text = "Zyxwv " * 9 + "zyxwv."
-    value = dcrs(tokenize(text), familiar_words=frozenset({"the"}))
+    value = dcrs(tokenize(text))
     assert value == pytest.approx(0.1579 * 100 + 0.0496 * 10 + 3.6365, abs=1e-9)
 
 
 def test_dcrs_threshold_is_exclusive():
     # Exactly 1 difficult word in 20 = 5.0%: no adjustment constant.
-    familiar = frozenset(f"w{i}" for i in range(19))
-    sentences = (tuple(f"w{i}" for i in range(19)) + ("zzzyx",),)
+    familiar = sorted(default_familiar_words())[:19]
+    assert not is_familiar("zzzyx", default_familiar_words())
+    sentences = (tuple(familiar) + ("zzzyx",),)
     t = TokenizedText(sentences=sentences, n_sentences=1, n_words=20, n_syllables=20, n_letters=60)
-    assert dcrs(t, familiar) == pytest.approx(0.1579 * 5.0 + 0.0496 * 20, abs=1e-9)
-
-
-def test_dcrs_empty_familiar_list_rejected():
-    with pytest.raises(ValueError):
-        dcrs(tokenize(EASY), familiar_words=frozenset())
+    assert dcrs(t) == pytest.approx(0.1579 * 5.0 + 0.0496 * 20, abs=1e-9)
 
 
 def test_inflection_stripping():
@@ -86,15 +82,6 @@ def test_shipped_list_is_large_and_lowercase():
     familiar = default_familiar_words()
     assert len(familiar) > 2000
     assert all(w == w.lower() for w in familiar)
-
-
-def test_custom_familiar_word_file(tmp_path):
-    from dischargekit.readability import load_familiar_words
-
-    path = tmp_path / "familiar.txt"
-    path.write_text("The\ncat\n\nmat\n", encoding="utf-8")
-    loaded = load_familiar_words(path)
-    assert loaded == frozenset({"the", "cat", "mat"})
 
 
 @pytest.mark.parametrize("text", [EASY, "Stop! Why now? Go home soon.", "One two three. Four five six seven."])

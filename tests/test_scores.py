@@ -39,6 +39,7 @@ from dischargekit.scores import (
     synthetic_external_rows,
     write_score_csv,
 )
+from dischargekit.textprep import tokenize
 
 FIXTURE = Path(__file__).parent / "data" / "leaderboard_rows.csv"
 
@@ -110,12 +111,19 @@ def test_full_native_suite_fills_every_cell_on_100_docs():
 
 
 def test_readability_error_names_the_candidate():
+    # The formulas raise for direct callers, but to scoring an undefined
+    # formula is a missing cell: the empty candidate's cells are NaN.
     pool = [cand(text="Rest at home."), cand(hadm_id="7", model_id="mx", text="")]
-    with pytest.raises(
-        DegenerateTextError,
-        match=r"hadm_id='7', model_id='mx', metric='fkgl'\): fkgl needs at least one word",
-    ):
-        compute_native_scores(pool, metrics=["fkgl"])
+    for formula in (readability.fkgl, readability.dcrs, readability.cli):
+        with pytest.raises(DegenerateTextError):
+            formula(tokenize(""))
+    table = compute_native_scores(pool)
+    assert sorted(table.metrics) == sorted(scores.READABILITY_METRICS)
+    for metric in scores.READABILITY_METRICS:
+        assert math.isfinite(table.get("1", "m", metric))
+        assert math.isnan(table.get("7", "mx", metric))
+    rows = scores.score_pool(*scores.native_score_job(pool))
+    assert {(doc, model) for doc, model, *_ in rows} == {("1", "m")}
 
 
 def test_factuality_proxies_use_ds_suffix():

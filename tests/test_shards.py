@@ -121,31 +121,42 @@ def test_sharded_outputs_equal_serial(case, data, tmp_path, monkeypatch, capsys)
 
 
 def test_first_serial_error_wins_across_shards(data, tmp_path, monkeypatch, capsys):
+    # No candidate fails a run: an empty text's readability cells are
+    # undefined and left out alike in every shard, so no error is carried
+    # across shards.
     candidates = corpus.load_candidates(data / "sim" / "candidates.jsonl")
     docs = scores.first_seen(c.hadm_id for c in candidates)
-    # The DI candidate sits in the first shard, the BHC one in the last; BHC
-    # is scored first, so the serial run reports the BHC candidate.
+    # One emptied candidate sits in the first shard, the other in the last.
     empty = {(docs[0], "model_a", TargetKind.DI), (docs[-1], "model_b", TargetKind.BHC)}
     broken = [
         dataclasses.replace(c, text="", word_count=0) if (c.hadm_id, c.model_id, c.target) in empty else c
         for c in candidates
     ]
     corpus.write_candidates(tmp_path / "candidates.jsonl", broken)
-    argv = ("score", "--candidates", tmp_path / "candidates.jsonl",
-            "--references", data / "ext" / "targets.jsonl", "--out", tmp_path / "scores.csv")
+    references = data / "ext" / "targets.jsonl"
+    assert run("score", "--candidates", data / "sim" / "candidates.jsonl", "--references", references,
+               "--out", tmp_path / "whole.csv", "--threads", 1) == 0
+    assert "undefined" not in capsys.readouterr().err
+    undefined = {(doc, model, target.value, metric)
+                 for doc, model, target in empty for metric in scores.READABILITY_METRICS}
+    whole = {row[:4] for row in scores.read_score_csv(tmp_path / "whole.csv")}
+    assert undefined <= whole
+    argv = ("score", "--candidates", tmp_path / "candidates.jsonl", "--references", references)
 
-    assert run(*argv, "--threads", 1) == 1
-    serial = capsys.readouterr().err
-    assert f"hadm_id={docs[-1]!r}, model_id='model_b'" in serial
+    out = tmp_path / "serial.csv"
+    assert run(*argv, "--out", out, "--threads", 1) == 0
+    assert capsys.readouterr().err.endswith(f" score cells (6 undefined) -> {out}\n")
+    assert {row[:4] for row in scores.read_score_csv(out)} == whole - undefined
+    serial = out.read_bytes()
 
     monkeypatch.setattr(scores, "usable_cpus", lambda: 4)
     forks = _count_forks(monkeypatch)
-    assert run(*argv, "--threads", 4) == 1
-    assert capsys.readouterr().err == serial
+    assert run(*argv, "--out", tmp_path / "sharded.csv", "--threads", 4) == 0
+    assert "(6 undefined)" in capsys.readouterr().err
     assert len(forks) == 3
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert not (tmp_path / "scores.csv").exists()
+    assert (tmp_path / "sharded.csv").read_bytes() == serial
 
 
 def test_dead_worker_exits_two_without_hanging(data, tmp_path, monkeypatch, capsys):

@@ -105,17 +105,6 @@ def test_tokenize_is_pure():
     assert tokenize(text) == tokenize(text)
 
 
-def test_custom_abbreviation_file(tmp_path):
-    from dischargekit.textprep import load_abbreviations
-
-    path = tmp_path / "abbrev.txt"
-    path.write_text("approx.\nQty.\n", encoding="utf-8")
-    abbrevs = load_abbreviations(path)
-    assert abbrevs == frozenset({"approx.", "qty."})
-    assert tokenize("Qty. ten pills. Take two.", abbreviations=abbrevs).n_sentences == 2
-    assert tokenize("Qty. ten pills. Take two.", abbreviations=frozenset()).n_sentences == 3
-
-
 def test_whitespace_before_the_period_ends_the_abbreviation():
     # The abbreviation is the [A-Za-z'.] run directly before the period, so
     # a newline between "dr" and the period ends it just as a space does.
