@@ -7,37 +7,40 @@ correlation of each pre-calculated score with that overall score.
 """
 
 from dischargekit import TargetKind, correlation_matrix, generate_synthetic_corpus
-from dischargekit.corpus import corpus_targets
 from dischargekit.scores import (
     REFERENCE_METRICS,
-    ScoreTable,
-    compute_factuality_proxies,
-    compute_native_scores,
-    merge_tables,
-    overall_by_document,
+    factuality_proxy_job,
+    native_score_job,
+    score_jobs,
     synthetic_external_rows,
 )
+from dischargekit.tables import ScoreTable, job_table, merge_tables, overall_by_document
 
 summaries, candidates = generate_synthetic_corpus(n_docs=80, n_models=3, seed=7)
-targets = {t.hadm_id: t for t in corpus_targets(summaries)}
+targets = {s.hadm_id: s.targets for s in summaries}
 pool = [c for c in candidates if c.target is TargetKind.DI]
 
-# Overall score needs the five native reference metrics plus three
-# externally supplied ones (deterministic stand-ins here).
-native = compute_native_scores(pool, references=targets, metrics=REFERENCE_METRICS)
-proxies = ScoreTable.from_rows(
+# One job per group of native columns, all scored in one pass. The
+# pre-calculated scores are computable without the gold target: readability
+# is reference-free and meteor_ds uses the whole note body as reference.
+jobs = [
+    native_score_job(pool, references=targets, metrics=REFERENCE_METRICS),
+    native_score_job(pool, metrics=("fkgl", "dcrs", "cli")),
+    factuality_proxy_job(pool, summaries),
+]
+native, readability, meteor_ds = map(job_table, jobs, score_jobs(jobs))
+pre_calculated = merge_tables(readability, meteor_ds)
+
+# The overall score needs the five native reference metrics plus three
+# externally supplied ones, which arrive as long-form rows as from a score
+# CSV (deterministic stand-ins here).
+external = ScoreTable.from_rows(
     synthetic_external_rows(pool, targets, summaries),
     TargetKind.DI,
     documents=native.documents,
     models=native.models,
 )
-overall = overall_by_document(merge_tables(native, proxies))
-
-# Pre-calculated scores: computable without the gold target (readability is
-# reference-free; meteor_ds uses the whole note body as reference).
-readability = compute_native_scores(pool, metrics=("fkgl", "dcrs", "cli"))
-meteor_ds = compute_factuality_proxies(pool, summaries)
-pre_calculated = merge_tables(readability, meteor_ds)
+overall = overall_by_document(merge_tables(native, external))
 
 matrix = correlation_matrix(pre_calculated, overall)
 print("pre-calculated score -> correlation with overall score")

@@ -34,10 +34,8 @@ _SUBMODULE = {
     "min_max_normalize": "des",
     "select_by_length": "des",
     "select_experts": "des",
-    "ReadabilityScores": "readability",
     "dcrs": "readability",
     "fkgl": "readability",
-    "readability_scores": "readability",
     "bleu4": "relevance",
     "meteor": "relevance",
     "rouge_1": "relevance",

@@ -245,12 +245,13 @@ def cmd_reorder(args) -> int:
     headers = corpus.load_known_headers(args.headers) if args.headers else None
     summaries = corpus.load_corpus(args.corpus, known_headers=headers)
     docs = [reorder.split_sections(s, known_headers=headers) for s in summaries]
-    if args.scorer == "external":
+
+    def section_scorer():
+        if args.scorer != "external":
+            return reorder.rouge1_scorer
         if not args.section_scores:
             raise reorder.SectionScoreError("--scorer external needs --section-scores")
-        scorer = reorder.ExternalSectionScores.from_csv(args.section_scores)
-    else:
-        scorer = reorder.rouge1_scorer
+        return reorder.ExternalSectionScores.from_csv(args.section_scores)
 
     def references() -> dict[str, str]:
         if not args.reference_targets:
@@ -264,12 +265,13 @@ def cmd_reorder(args) -> int:
         ranking = reorder.load_header_ranking(args.apply_ranking)
         ordered = [reorder.apply_header_ranking(d, ranking) for d in docs]
     elif args.mode == "global":
+        scorer = section_scorer()
         ranking = reorder.global_header_ranking(docs, references(), scorer)
         ranking_path = Path(args.out).with_name(Path(args.out).name + ".ranking.json")
         reorder.write_header_ranking(ranking_path, ranking)
         ordered = [reorder.apply_header_ranking(d, ranking) for d in docs]
     else:
-        refs = references()
+        scorer, refs = section_scorer(), references()
         ordered = []
         for d in docs:
             if d.hadm_id not in refs:
@@ -277,9 +279,9 @@ def cmd_reorder(args) -> int:
             ordered.append(reorder.rank_sections(d, refs[d.hadm_id], scorer))
     rows = ((doc.hadm_id, reorder.truncate_words(doc, args.budget)) for doc in ordered)
     corpus.write_jsonl_records(args.out, ("hadm_id", "text"), rows)
-    # Only the files this run read: --apply-ranking replaces --reference-targets.
+    # Only the files this run read: --apply-ranking replaces --reference-targets and the scorer.
     read = [args.headers, args.apply_ranking or args.reference_targets]
-    if args.scorer == "external":
+    if args.scorer == "external" and not args.apply_ranking:
         read.append(args.section_scores)
     _write_manifest(Path(args.out), "reorder", args, [args.corpus, *filter(None, read)])
     print(f"reordered {len(ordered)} documents -> {args.out}", file=sys.stderr)

@@ -273,19 +273,6 @@ def load_corpus(path, known_headers: Sequence[str] | None = None) -> list[Discha
     return summaries
 
 
-def corpus_targets(
-    summaries: Iterable[DischargeSummary],
-    known_headers: Sequence[str] | None = None,
-) -> list[ExtractedTargets]:
-    """Each summary's targets, extracted again with ``known_headers``; the
-    summaries of ``load_corpus`` and ``generate_synthetic_corpus`` already
-    carry theirs as ``targets``."""
-    return [
-        extract_targets(s.full_text, hadm_id=s.hadm_id, known_headers=known_headers)[0]
-        for s in summaries
-    ]
-
-
 def load_candidates(path) -> list[GeneratedCandidate]:
     """Load candidate generations ({"hadm_id","model_id","target","text"}).
 

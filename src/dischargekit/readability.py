@@ -8,7 +8,6 @@ texts scored with the same rules are the supported use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -20,13 +19,6 @@ _DCRS_ADJUSTMENT = 3.6365
 
 class DegenerateTextError(ValueError):
     """Raised when a score is undefined for the given counts."""
-
-
-@dataclass(frozen=True)
-class ReadabilityScores:
-    fkgl: float
-    dcrs: float
-    cli: float
 
 
 @lru_cache(maxsize=1)
@@ -86,7 +78,3 @@ def cli(t: TokenizedText) -> float:
     letters_per_100 = 100.0 * t.n_letters / t.n_words
     sentences_per_100 = 100.0 * t.n_sentences / t.n_words
     return 0.0588 * letters_per_100 - 0.296 * sentences_per_100 - 15.8
-
-
-def readability_scores(t: TokenizedText) -> ReadabilityScores:
-    return ReadabilityScores(fkgl=fkgl(t), dcrs=dcrs(t), cli=cli(t))

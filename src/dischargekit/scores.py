@@ -1,22 +1,24 @@
 """Score rows and the eight-metric overall score.
 
-:func:`score_pool` scores a pool of candidates into long-form rows
-``(hadm_id, model_id, target, metric, value)``. Native metrics are computed
-here; neural or licensed metrics (bertscore, alignscore, medcon, summac) are
-ingested from external CSV files and merged into the same score table.
-:func:`score_jobs` scores several such pools at once, by document shards in
-forked worker processes; :func:`score_pool` is its one-pool, one-shard case.
+A job ``(pool, target, columns, against)`` asks for one column per metric
+for every candidate of a one-target pool; :func:`native_score_job`,
+:func:`factuality_proxy_job` and :func:`synthetic_external_jobs` build
+them. :func:`score_jobs` scores a list of jobs into long-form rows
+``(hadm_id, model_id, target, metric, value)``, by document shards in
+forked worker processes, and :func:`dischargekit.tables.job_table` turns a
+job's rows into its table. Native metrics are computed here; neural or
+licensed metrics (bertscore, alignscore, medcon, summac) are ingested from
+external CSV files and merged into the same score table.
 
 A readability formula undefined for a text (one with no words) gives a NaN
 cell, which the rows leave out: every consumer treats it as a missing cell,
 and no candidate text makes scoring raise.
 
-The table names (:class:`~dischargekit.tables.ScoreTable` and the functions
-that build or read one) live in :mod:`dischargekit.tables` and resolve here
-on first use, so ``score`` without ``--external``, which writes
-:func:`score_pool`'s rows as they are, never loads them. The package needs
-no numpy: importing it would cost a fresh process about 0.1 s and 13 MB,
-more than the table work it would speed up.
+:class:`~dischargekit.tables.ScoreTable` and the functions that build or
+read one live in :mod:`dischargekit.tables`, so ``score`` without
+``--external``, which writes :func:`score_jobs`' rows as they are, never
+loads them. The package needs no numpy: importing it would cost a fresh
+process about 0.1 s and 13 MB, more than the table work it would speed up.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ class ScoreError(ValueError):
     """Inconsistent score data or requests."""
 
 
-# The arguments of one score_pool call: pool, target, columns, against.
+# One scoring request: a one-target pool, its target, column -> metric, and
+# hadm_id -> the text each non-readability metric compares the candidate with.
 Job = tuple[Sequence[GeneratedCandidate], TargetKind, Mapping[str, str], Mapping[str, str]]
 
 
@@ -138,25 +141,6 @@ def _against(
     return against
 
 
-def score_pool(
-    pool: Sequence[GeneratedCandidate],
-    target: TargetKind,
-    columns: Mapping[str, str],
-    against: Mapping[str, str],
-) -> list[tuple[str, str, str, str, float]]:
-    """Score a one-target pool, in this process, into long-form rows, one per ``columns`` key.
-
-    Column ``name`` holds metric ``columns[name]`` of :data:`METRICS`.
-    Readability metrics read the candidate alone, tokenized at most once;
-    every other metric compares the candidate with ``against[hadm_id]``.
-    Rows come in :meth:`ScoreTable.to_rows` order: documents, then models,
-    each in first-seen pool order, then columns, sorted; undefined (NaN)
-    cells are dropped, and a later candidate for a (hadm_id, model_id) pair
-    replaces an earlier one.
-    """
-    return score_jobs([(pool, target, columns, against)], 1)[0]
-
-
 def _score_candidate(
     c: GeneratedCandidate, columns: Mapping[str, str], against: Mapping[str, str]
 ) -> dict[str, float]:
@@ -181,7 +165,7 @@ def _pool_rows(
     target: TargetKind,
     values: Sequence[dict[str, float]],
 ) -> list[tuple[str, str, str, str, float]]:
-    """:func:`score_pool`'s rows from each candidate's cells, in pool order."""
+    """A job's rows from each candidate's cells, in pool order; see :func:`score_jobs`."""
     scored = {(c.hadm_id, c.model_id): cells for c, cells in zip(pool, values)}
     doc_pos = {doc: i for i, doc in enumerate(first_seen(c.hadm_id for c in pool))}
     model_pos = {model: j for j, model in enumerate(first_seen(c.model_id for c in pool))}
@@ -210,7 +194,15 @@ def usable_cpus() -> int:
 def score_jobs(
     jobs: Sequence[Job], workers: int | None = None
 ) -> list[list[tuple[str, str, str, str, float]]]:
-    """:func:`score_pool`'s rows for each job, scored by up to ``workers`` processes.
+    """Each job's long-form rows, scored by up to ``workers`` processes.
+
+    Column ``name`` holds metric ``columns[name]`` of :data:`METRICS`.
+    Readability metrics read the candidate alone, tokenized at most once;
+    every other metric compares the candidate with ``against[hadm_id]``.
+    Rows come in :meth:`~dischargekit.tables.ScoreTable.to_rows` order:
+    documents, then models, each in first-seen pool order, then columns,
+    sorted; undefined (NaN) cells are dropped, and a later candidate for a
+    (hadm_id, model_id) pair replaces an earlier one.
 
     The documents of all jobs, in first-seen order, are split into
     ``min(workers, usable_cpus(), documents)`` contiguous shards of about
@@ -320,7 +312,7 @@ def native_score_job(
     metrics: Sequence[str] | None = None,
     target: TargetKind | None = None,
 ) -> Job:
-    """The :func:`score_pool` arguments that score candidates with the native suite.
+    """The job that scores candidates with the native suite.
 
     Reference-based metrics need a reference per hadm_id; readability
     metrics are reference-free and may be requested alone.
@@ -347,7 +339,7 @@ def factuality_proxy_job(
     metrics: Sequence[str] = ("meteor",),
     target: TargetKind | None = None,
 ) -> Job:
-    """The :func:`score_pool` arguments that score candidates against the document body.
+    """The job that scores candidates against the document body.
 
     The body is the whole note with its targets removed. Metric names gain
     a ``_ds`` suffix so they never shadow the same metric computed against
@@ -424,9 +416,9 @@ def synthetic_external_jobs(
     references: Mapping[str, ExtractedTargets],
     summaries: Sequence[DischargeSummary],
 ) -> list[Job]:
-    """The :func:`score_pool` jobs of :func:`synthetic_external_rows`: per
-    target, in first-seen order, bertscore and medcon against the reference,
-    then alignscore against the document body."""
+    """The jobs of :func:`synthetic_external_rows`: per target, in first-seen
+    order, bertscore and medcon against the reference, then alignscore
+    against the document body."""
     bodies = {s.hadm_id: s.body_without_targets for s in summaries}
     jobs = []
     for target in first_seen(c.target for c in candidates):
@@ -462,16 +454,8 @@ def synthetic_external_rows(
     return rows
 
 
-# Names defined in dischargekit.tables, resolved on first use (PEP 562).
-_TABLE_NAMES = frozenset({
-    "ScoreTable",
-    "ScoreTableBuilder",
-    "compute_factuality_proxies",
-    "compute_native_scores",
-    "load_external_scores",
-    "merge_tables",
-    "overall_by_document",
-})
+# Only benchmarks/tracer.py looks these up here (PEP 562, from dischargekit.tables).
+_TABLE_NAMES = frozenset({"ScoreTable", "compute_factuality_proxies", "compute_native_scores"})
 
 
 def __getattr__(name: str):

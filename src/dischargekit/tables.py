@@ -3,9 +3,11 @@
 A :class:`ScoreTable` is a (document x model x metric) store for one target
 kind. It keeps one stdlib ``array('d')`` per metric, NaN marking a missing
 cell, and :class:`ScoreTableBuilder` fills it from score records one at a
-time, so reading a score CSV holds 8 bytes per cell and no row list. The
-table code lives apart from :mod:`dischargekit.scores`, which re-exports its
-names, so ``score`` without ``--external`` never loads it.
+time, so reading a score CSV holds 8 bytes per cell and no row list.
+:func:`job_table` turns the rows :func:`~dischargekit.scores.score_jobs`
+gives for a job into that job's table. The table code lives apart from
+:mod:`dischargekit.scores`, so ``score`` without ``--external`` never loads
+it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .scores import (
     first_seen,
     native_score_job,
     parse_score_cell,
-    score_pool,
+    score_jobs,
 )
 
 _TARGET_VALUES = frozenset(kind.value for kind in TargetKind)
@@ -67,18 +69,6 @@ class ScoreTable:
             _label_positions("model_id", self.models),
             _label_positions("metric", self.metrics),
         )
-
-    @classmethod
-    def empty(
-        cls,
-        target: TargetKind,
-        documents: Sequence[str],
-        models: Sequence[str],
-        metrics: Sequence[str],
-    ) -> "ScoreTable":
-        metrics = tuple(sorted(metrics))
-        columns = tuple(_missing(len(documents) * len(models)) for _ in metrics)
-        return cls(target, tuple(documents), tuple(models), metrics, columns)
 
     def column(self, metric: str) -> array:
         return self.columns[self._positions[2][metric]]
@@ -136,20 +126,6 @@ class ScoreTable:
         builder = ScoreTableBuilder((target,), documents, models, metrics)
         builder.add_records(enumerate(rows, 1))
         return builder.tables()[target]
-
-    def equals(self, other: "ScoreTable") -> bool:
-        """Same target, axes and cells; NaN equals NaN."""
-        return (
-            self.target == other.target
-            and self.documents == other.documents
-            and self.models == other.models
-            and self.metrics == other.metrics
-            and all(
-                x == y or (x != x and y != y)
-                for mine, theirs in zip(self.columns, other.columns)
-                for x, y in zip(mine, theirs)
-            )
-        )
 
 
 def _label_positions(axis: str, labels: Sequence[str]) -> dict[str, int]:
@@ -283,8 +259,8 @@ class ScoreTableBuilder:
 
 
 def job_table(job: Job, rows: Iterable[tuple[str, str, str, str, float]]) -> ScoreTable:
-    """A :func:`score_pool` job's scored ``rows`` as a table over its pool's
-    documents, models and columns."""
+    """A job's scored ``rows`` as a table over its pool's documents, models
+    and columns."""
     pool, target, columns, _ = job
     docs, models = first_seen(c.hadm_id for c in pool), first_seen(c.model_id for c in pool)
     return ScoreTable.from_rows(rows, target, docs, models, columns)
@@ -298,7 +274,7 @@ def compute_native_scores(
 ) -> ScoreTable:
     """Score candidates with the native metric suite (see :func:`native_score_job`)."""
     job = native_score_job(candidates, references, metrics, target)
-    return job_table(job, score_pool(*job))
+    return job_table(job, score_jobs([job], 1)[0])
 
 
 def compute_factuality_proxies(
@@ -309,7 +285,7 @@ def compute_factuality_proxies(
 ) -> ScoreTable:
     """Score candidates against the document body (see :func:`factuality_proxy_job`)."""
     job = factuality_proxy_job(candidates, summaries, metrics, target)
-    return job_table(job, score_pool(*job))
+    return job_table(job, score_jobs([job], 1)[0])
 
 
 def merge_tables(base: ScoreTable, extra: ScoreTable) -> ScoreTable:

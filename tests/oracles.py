@@ -397,19 +397,24 @@ def reference_stem(word: str) -> str:
 
 
 def cube_filled_scores(pool, target, columns, against):
-    """``scores.score_pool`` as a loop that writes each value into a NaN-filled cube.
+    """``scores.score_jobs``' rows for one job as a loop that writes each value into a NaN-filled cube.
 
     The table's documents and models are the pool's, in first-seen order;
     a later candidate for a (hadm_id, model_id) pair overwrites an earlier
     one. Readability metrics read the tokenized candidate, every other
     metric compares it with ``against[hadm_id]``.
     """
+    from array import array
+
     from dischargekit import scores
+    from dischargekit.tables import ScoreTable
     from dischargekit.textprep import tokenize
 
     docs = list(dict.fromkeys(c.hadm_id for c in pool))
     models = list(dict.fromkeys(c.model_id for c in pool))
-    table = scores.ScoreTable.empty(target, docs, models, columns)
+    metrics = tuple(sorted(columns))
+    cube = tuple(array("d", [math.nan] * (len(docs) * len(models))) for _ in metrics)
+    table = ScoreTable(target, tuple(docs), tuple(models), metrics, cube)
     for c in pool:
         for column, metric in columns.items():
             if metric in scores.READABILITY_METRICS:

@@ -22,7 +22,6 @@ from dischargekit.analysis import pearson
 from dischargekit.cli import main
 from dischargekit.corpus import (
     TargetKind,
-    corpus_targets,
     generate_synthetic_corpus,
     write_candidates,
     write_corpus,
@@ -30,16 +29,8 @@ from dischargekit.corpus import (
 from dischargekit.readability import cli as cli_score
 from dischargekit.readability import dcrs, fkgl
 from dischargekit.reorder import rank_sections, rouge1_scorer, split_sections, truncate_words
-from dischargekit.scores import (
-    OVERALL_METRICS,
-    REFERENCE_METRICS,
-    ScoreTable,
-    compute_native_scores,
-    merge_tables,
-    overall_by_document,
-    overall_score,
-    synthetic_external_rows,
-)
+from dischargekit.scores import OVERALL_METRICS, REFERENCE_METRICS, overall_score, synthetic_external_rows
+from dischargekit.tables import ScoreTable, compute_native_scores, merge_tables, overall_by_document
 from dischargekit.corpus import DischargeSummary, GeneratedCandidate
 from dischargekit.textprep import tokenize, word_count
 
@@ -250,7 +241,7 @@ def test_criterion_06_selection_dominance_over_20_seeds():
     start = time.perf_counter()
     for seed in range(20):
         summaries, candidates = generate_synthetic_corpus(200, 4, seed=seed)
-        targets = {t.hadm_id: t for t in corpus_targets(summaries)}
+        targets = {s.hadm_id: s.targets for s in summaries}
         pool = [c for c in candidates if c.target is TargetKind.DI]
         native = compute_native_scores(
             pool, references=targets, metrics=REFERENCE_METRICS, target=TargetKind.DI
@@ -338,7 +329,7 @@ def test_criterion_08_pearson_identities_and_recovery():
 def _run_pipeline(base: Path, threads: int) -> dict[str, bytes]:
     base.mkdir(parents=True, exist_ok=True)
     summaries, candidates = generate_synthetic_corpus(20, 3, seed=41)
-    targets = {t.hadm_id: t for t in corpus_targets(summaries)}
+    targets = {s.hadm_id: s.targets for s in summaries}
     corpus_path = base / "corpus.jsonl"
     cands_path = base / "candidates.jsonl"
     write_corpus(corpus_path, summaries)

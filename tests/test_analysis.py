@@ -14,7 +14,7 @@ from dischargekit.analysis import (
     pearson,
 )
 from dischargekit.corpus import TargetKind
-from dischargekit.scores import ScoreTable
+from dischargekit.tables import ScoreTable
 
 
 def test_pearson_perfect_linear():

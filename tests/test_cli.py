@@ -202,7 +202,7 @@ def select_setup(pipeline_dir, metrics=("medcon", "meteor")):
 
 
 def test_select_des1_matches_library(pipeline_dir):
-    from dischargekit import des, scores as scores_mod
+    from dischargekit import des, scores as scores_mod, tables
 
     desin = select_setup(pipeline_dir)
     sub = pipeline_dir / "sub.csv"
@@ -224,7 +224,7 @@ def test_select_des1_matches_library(pipeline_dir):
     pool = [c for c in cands if c.target is TargetKind.DI]
     docs = list(dict.fromkeys(c.hadm_id for c in pool))
     models = list(dict.fromkeys(c.model_id for c in pool))
-    table = scores_mod.ScoreTable.from_rows(
+    table = tables.ScoreTable.from_rows(
         scores_mod.read_score_csv(desin), TargetKind.DI, documents=docs, models=models
     )
     expected = des.select_experts(table, des.PRESETS["des1"], TargetKind.DI, candidates=pool)
@@ -494,6 +494,23 @@ def test_reorder_apply_ranking_of_wrong_shape_names_file_and_header(pipeline_dir
     err = capsys.readouterr().err
     assert f"{ranking}: {expected}" in err
     assert not out.exists()
+
+
+def test_applied_ranking_needs_no_section_scores(pipeline_dir):
+    # An applied ranking scores no section, so --scorer external neither needs
+    # nor reads --section-scores, and the manifest does not list it.
+    ranking, nosuch = pipeline_dir / "r.json", pipeline_dir / "nosuch.csv"
+    ranking.write_text('{"medications": 1.0, "history of present illness": 0.5}', encoding="utf-8")
+    apply = ("reorder", "--corpus", pipeline_dir / "corpus.jsonl", "--apply-ranking", ranking)
+    outs = {name: pipeline_dir / f"{name}.jsonl" for name in ("rouge1", "external", "nosuch")}
+    assert run(*apply, "--out", outs["rouge1"]) == 0
+    assert run(*apply, "--scorer", "external", "--out", outs["external"]) == 0
+    assert run(*apply, "--scorer", "external", "--section-scores", nosuch, "--out", outs["nosuch"]) == 0
+    expected = outs["rouge1"].read_bytes()
+    for out in outs.values():
+        assert out.read_bytes() == expected
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text(encoding="utf-8"))
+        assert sorted(manifest["inputs"]) == sorted([str(pipeline_dir / "corpus.jsonl"), str(ranking)])
 
 
 def test_reorder_budget_truncates(pipeline_dir):

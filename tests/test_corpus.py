@@ -188,7 +188,7 @@ def test_synthetic_word_counts_consistent():
 
 def test_synthetic_no_model_dominates():
     summaries, candidates = generate_synthetic_corpus(60, 3, seed=5)
-    refs = {t.hadm_id: t for t in corpus.corpus_targets(summaries)}
+    refs = {s.hadm_id: s.targets for s in summaries}
     from dischargekit.relevance import rouge_1
 
     wins: dict[str, int] = {}
@@ -227,3 +227,17 @@ def test_custom_header_list_loader(tmp_path):
     text = "Brief Hospital Course:\nbody here\nCustom Part:\nrest"
     targets, _ = extract_targets(text, known_headers=headers)
     assert targets.bhc == "body here"
+
+
+def test_summaries_keep_the_targets_extracted_from_their_text(small_corpus, tmp_path):
+    # Scoring reads s.targets in place of extracting again, so it must be
+    # what extract_targets gives for the summary's text.
+    loaded = [load_corpus(small_corpus)]
+    for seed in (1, 5, 7):
+        summaries, _ = generate_synthetic_corpus(80, 1, seed=seed)
+        path = tmp_path / f"corpus_{seed}.jsonl"
+        corpus.write_corpus(path, summaries)
+        loaded += [summaries, load_corpus(path)]
+    for summaries in loaded:
+        assert summaries
+        assert all(s.targets == extract_targets(s.full_text, hadm_id=s.hadm_id)[0] for s in summaries)

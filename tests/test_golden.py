@@ -26,7 +26,7 @@ import json
 import sys
 from pathlib import Path
 
-from dischargekit import analysis, cli, corpus, scores
+from dischargekit import analysis, cli, corpus, scores, tables
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 SIMULATE = ("--docs", "12", "--models", "3", "--seed", "5")
@@ -46,8 +46,8 @@ def _write_overall_csv(path: Path, scored: Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("hadm_id,model_id,target,value\n")
         for target in corpus.TargetKind:
-            table = scores.ScoreTable.from_rows(rows, target)
-            for (doc, model), value in scores.overall_by_document(table).items():
+            table = tables.ScoreTable.from_rows(rows, target)
+            for (doc, model), value in tables.overall_by_document(table).items():
                 fh.write(f"{doc},{model},{target.value},{value!r}\n")
 
 

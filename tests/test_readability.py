@@ -10,7 +10,6 @@ from dischargekit.readability import (
     default_familiar_words,
     fkgl,
     is_familiar,
-    readability_scores,
 )
 from dischargekit.textprep import TokenizedText, tokenize
 
@@ -86,11 +85,9 @@ def test_shipped_list_is_large_and_lowercase():
 
 @pytest.mark.parametrize("text", [EASY, "Stop! Why now? Go home soon.", "One two three. Four five six seven."])
 def test_duplication_invariance(text):
-    base = readability_scores(tokenize(text))
-    doubled = readability_scores(tokenize(text + " " + text))
-    assert doubled.fkgl == pytest.approx(base.fkgl, abs=1e-9)
-    assert doubled.dcrs == pytest.approx(base.dcrs, abs=1e-9)
-    assert doubled.cli == pytest.approx(base.cli, abs=1e-9)
+    base, doubled = tokenize(text), tokenize(text + " " + text)
+    for formula in (fkgl, dcrs, cli):
+        assert formula(doubled) == pytest.approx(formula(base), abs=1e-9)
 
 
 @given(

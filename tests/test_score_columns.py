@@ -1,6 +1,6 @@
 """Differential tests: the column code on ``ScoreTable.columns`` against per-cell recomputation.
 
-``score_pool`` writes long-form rows with no table; they are checked
+``score_jobs`` writes long-form rows with no table; they are checked
 against the order ``ScoreTable.to_rows`` gives and against the cube-filling
 loop in ``oracles.cube_filled_scores``.
 
@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from dischargekit.analysis import AnalysisError, correlation_matrix, pearson
-from dischargekit.corpus import TargetKind, corpus_targets, generate_synthetic_corpus
+from dischargekit.corpus import TargetKind, generate_synthetic_corpus
 from dischargekit.des import (
     Criterion,
     DesConfig,
@@ -36,15 +36,17 @@ from dischargekit.scores import (
     OVERALL_METRICS,
     REFERENCE_METRICS,
     ScoreError,
-    ScoreTable,
-    compute_factuality_proxies,
-    compute_native_scores,
     factuality_proxy_job,
     first_seen,
     native_score_job,
-    overall_by_document,
     overall_score,
-    score_pool,
+    score_jobs,
+)
+from dischargekit.tables import (
+    ScoreTable,
+    compute_factuality_proxies,
+    compute_native_scores,
+    overall_by_document,
 )
 
 METRICS = ("a", "b", "c")
@@ -255,7 +257,7 @@ def ragged_pool():
     kept = [c for c in candidates if (c.hadm_id, c.model_id) not in missing]
     kept.sort(key=lambda c: (c.model_id == "model_b", c.model_id, c.target.value, c.hadm_id), reverse=True)
     assert len(kept) == len(candidates) - 4
-    targets = {t.hadm_id: t for t in corpus_targets(summaries)}
+    targets = {s.hadm_id: s.targets for s in summaries}
     return kept, targets, summaries
 
 
@@ -277,7 +279,7 @@ def test_score_pool_rows_are_in_table_order_and_match_the_cube(ragged_pool, kind
     docs, models = first_seen(c.hadm_id for c in pool), first_seen(c.model_id for c in pool)
     # Ragged and model-major: the first model's documents come first, the two it lacks last.
     assert models[0] == "model_b" and docs[-2:] == (summaries[3].hadm_id, summaries[1].hadm_id)
-    rows = score_pool(*job)
+    rows = score_jobs([job], 1)[0]
     assert all(type(row[4]) is float for row in rows)
     rebuilt = ScoreTable.from_rows(rows, kind, docs, models).to_rows()
     assert _hex_rows(rows) == _hex_rows(rebuilt)
@@ -292,6 +294,6 @@ def test_empty_pool_keeps_its_metric_columns():
     assert table.metrics == ("bleu4", "rouge_l")
     assert (len(table.documents), len(table.models), len(table.metrics)) == (0, 0, 2)
     assert table.columns == (array("d"), array("d"))
-    assert score_pool([], TargetKind.DI, {"bleu4": "bleu4"}, {}) == []
+    assert score_jobs([([], TargetKind.DI, {"bleu4": "bleu4"}, {})], 1)[0] == []
     with pytest.raises(ScoreError, match="rows reference unknown metrics: x"):
         ScoreTable.from_rows([("1", "m", "di", "x", 0.5)], TargetKind.DI, metrics=["y"])

@@ -224,14 +224,14 @@ def test_a_process_with_other_threads_scores_serially(data, monkeypatch):
     jobs = [scores.native_score_job(candidates, targets, None, kind) for kind in TargetKind]
     monkeypatch.setattr(scores, "usable_cpus", lambda: 4)
     forks = _count_forks(monkeypatch)
-    assert scores.score_jobs(jobs, 3) == [scores.score_pool(*job) for job in jobs]
+    assert scores.score_jobs(jobs, 3) == scores.score_jobs(jobs, 1)
     assert len(forks) == 2
 
     release = threading.Event()
     waiter = threading.Thread(target=release.wait, args=(60,))
     waiter.start()
     try:
-        assert scores.score_jobs(jobs, 3) == [scores.score_pool(*job) for job in jobs]
+        assert scores.score_jobs(jobs, 3) == scores.score_jobs(jobs, 1)
     finally:
         release.set()
         waiter.join(60)
