@@ -10,11 +10,12 @@ from dischargekit import TargetKind, correlation_matrix, generate_synthetic_corp
 from dischargekit.scores import (
     REFERENCE_METRICS,
     factuality_proxy_job,
+    first_seen,
     native_score_job,
     score_jobs,
     synthetic_external_rows,
 )
-from dischargekit.tables import ScoreTable, job_table, merge_tables, overall_by_document
+from dischargekit.tables import ScoreTable, overall_by_document
 
 summaries, candidates = generate_synthetic_corpus(n_docs=80, n_models=3, seed=7)
 targets = {s.hadm_id: s.targets for s in summaries}
@@ -28,19 +29,15 @@ jobs = [
     native_score_job(pool, metrics=("fkgl", "dcrs", "cli")),
     factuality_proxy_job(pool, summaries),
 ]
-native, readability, meteor_ds = map(job_table, jobs, score_jobs(jobs))
-pre_calculated = merge_tables(readability, meteor_ds)
+native, readability, meteor_ds = score_jobs(jobs)
+docs, models = first_seen(c.hadm_id for c in pool), first_seen(c.model_id for c in pool)
+pre_calculated = ScoreTable.from_rows(readability + meteor_ds, TargetKind.DI, docs, models)
 
 # The overall score needs the five native reference metrics plus three
 # externally supplied ones, which arrive as long-form rows as from a score
 # CSV (deterministic stand-ins here).
-external = ScoreTable.from_rows(
-    synthetic_external_rows(pool, targets, summaries),
-    TargetKind.DI,
-    documents=native.documents,
-    models=native.models,
-)
-overall = overall_by_document(merge_tables(native, external))
+external = synthetic_external_rows(pool, targets, summaries)
+overall = overall_by_document(ScoreTable.from_rows(native + external, TargetKind.DI, docs, models))
 
 matrix = correlation_matrix(pre_calculated, overall)
 print("pre-calculated score -> correlation with overall score")

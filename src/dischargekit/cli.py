@@ -241,6 +241,9 @@ def cmd_select(args) -> int:
 def cmd_reorder(args) -> int:
     from . import reorder
 
+    if args.budget < 1:
+        print("error: --budget must be >= 1", file=sys.stderr)
+        return 1
     target = TargetKind.parse(args.target)
     headers = corpus.load_known_headers(args.headers) if args.headers else None
     summaries = corpus.load_corpus(args.corpus, known_headers=headers)
@@ -373,9 +376,9 @@ def cmd_simulate(args) -> int:
     config = None
     if args.config not in ("oracle", "des5"):
         config = _preset_or_file(args.config, "oracle, des1..des3, des5")
+    summaries, candidates = corpus.generate_synthetic_corpus(args.docs, args.models, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summaries, candidates = corpus.generate_synthetic_corpus(args.docs, args.models, args.seed)
     targets_map = {s.hadm_id: s.targets for s in summaries}
     corpus.write_corpus(out_dir / "corpus.jsonl", summaries)
     corpus.write_candidates(out_dir / "candidates.jsonl", candidates)

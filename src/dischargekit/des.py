@@ -330,7 +330,7 @@ def _parse_weight(metric: str, value) -> Fraction | float:
             return Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError):
             pass
-    elif isinstance(value, (int, float)):
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise DesConfigError(f"criterion {metric!r}: cannot parse weight {value!r}")
 

@@ -218,10 +218,9 @@ def load_header_ranking(path) -> dict[str, float]:
         )
     ranking = {}
     for header, raw in data.items():
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            raise SectionScoreError(f"{path}: header {header!r}: score {raw!r} is not a number") from None
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise SectionScoreError(f"{path}: header {header!r}: score {raw!r} is not a number")
+        value = float(raw)
         if not math.isfinite(value):
             raise SectionScoreError(f"{path}: header {header!r}: score is not finite")
         ranking[header] = value

@@ -3,8 +3,10 @@
 A :class:`ScoreTable` is a (document x model x metric) store for one target
 kind. It keeps one stdlib ``array('d')`` per metric, NaN marking a missing
 cell, and :class:`ScoreTableBuilder` fills it from score records one at a
-time, so reading a score CSV holds 8 bytes per cell and no row list.
-:func:`job_table` turns the rows :func:`~dischargekit.scores.score_jobs`
+time, so reading a score CSV holds 8 bytes per cell and no row list. It is
+the one fill path (``from_rows``, ``select --scores``, ``--external``), so a
+cell filled twice is named at the first record, in read order, that refills
+it. :func:`job_table` turns the rows :func:`~dischargekit.scores.score_jobs`
 gives for a job into that job's table. The table code lives apart from
 :mod:`dischargekit.scores`, so ``score`` without ``--external`` never loads
 it.
@@ -177,7 +179,7 @@ class ScoreTableBuilder:
     dropped. For each wanted target, documents and models default to
     first-seen order among its records and metrics to those its records
     name; given explicitly, a record outside them is an error. A cell may be
-    filled once. Each error names the first record at fault.
+    filled once. Each error names the first record at fault, in read order.
     """
 
     def __init__(
@@ -189,6 +191,14 @@ class ScoreTableBuilder:
     ):
         self._fills = {kind: _TargetFill(documents, models, metrics) for kind in targets}
         self._by_value = {kind.value: fill for kind, fill in self._fills.items()}
+
+    @classmethod
+    def from_table(cls, table: ScoreTable) -> "ScoreTableBuilder":
+        """A builder for ``table``'s target over its fixed documents and models,
+        starting from a copy of its columns; records may add metrics."""
+        builder = cls((table.target,), table.documents, table.models)
+        builder._fills[table.target].columns.update(zip(table.metrics, (c[:] for c in table.columns)))
+        return builder
 
     def read_csv(self, path) -> None:
         """Add the records of a long-form score CSV; errors name the file and row."""
@@ -237,10 +247,6 @@ class ScoreTableBuilder:
                 )
             column[cell] = value
 
-    def metrics(self, target: TargetKind) -> tuple[str, ...]:
-        """The metrics of ``target``'s table so far, sorted."""
-        return tuple(sorted(self._fills[target].columns))
-
     def tables(self) -> dict[TargetKind, ScoreTable]:
         """One table per wanted target, in the order the targets were given;
         call it once, after the last record."""
@@ -288,71 +294,27 @@ def compute_factuality_proxies(
     return job_table(job, score_jobs([job], 1)[0])
 
 
-def merge_tables(base: ScoreTable, extra: ScoreTable) -> ScoreTable:
-    """Union of two tables over the same target/documents/models.
-
-    A cell filled in both is an error naming the first such cell in
-    (document, model, metric) order.
-    """
-    if base.target != extra.target:
-        raise ScoreError("cannot merge tables with different targets")
-    if base.documents != extra.documents or base.models != extra.models:
-        raise ScoreError("cannot merge tables with different document/model sets")
-    merged = {metric: column[:] for metric, column in zip(base.metrics, base.columns)}
-    clashes = []
-    for metric, column in zip(extra.metrics, extra.columns):
-        dest = merged.get(metric)
-        if dest is None:
-            merged[metric] = column[:]
-            continue
-        for cell, value in enumerate(column):
-            if value == value:
-                if dest[cell] == dest[cell]:
-                    clashes.append((cell, metric))
-                    break
-                dest[cell] = value
-    if clashes:
-        cell, metric = min(clashes)
-        doc, model = divmod(cell, len(base.models))
-        raise ScoreError(
-            f"duplicate cell (hadm_id={base.documents[doc]!r}, model_id={base.models[model]!r}, "
-            f"metric={metric!r})"
-        )
-    metrics = tuple(sorted(merged))
-    return ScoreTable(base.target, base.documents, base.models, metrics, tuple(map(merged.get, metrics)))
-
-
 def load_external_scores(path, table: ScoreTable) -> ScoreTable:
     """Merge an external score CSV into a table, returning a new table.
 
-    External metric names must not shadow native ones; every row must
-    address a known (document, model) pair of the table; cells may be
-    assigned once. Rows for other target kinds are ignored.
+    The rows fill a :meth:`ScoreTableBuilder.from_table` builder, so each
+    error names the file's first row at fault: a native metric name, a
+    (document, model) pair outside the table, a bad value, or a cell the
+    table or an earlier row filled. Rows for other target kinds are ignored.
     """
-    builder = ScoreTableBuilder((table.target,), table.documents, table.models)
-    builder.read_csv(path)
-    collisions = sorted(RESERVED_METRIC_NAMES.intersection(builder.metrics(table.target)))
-    if collisions:
-        raise ScoreError(
-            f"{path}: external metric names collide with native metrics: {', '.join(collisions)}"
-        )
-    extra = builder.tables()[table.target]
-    try:
-        return merge_tables(table, extra)
-    except ScoreError as exc:
-        raise ScoreError(f"{path}: {exc} on row {_first_clash_line(path, table)}") from None
+    builder = ScoreTableBuilder.from_table(table)
+    builder.add_records(_external_records(path, table.target), path)
+    return builder.tables()[table.target]
 
 
-def _first_clash_line(path, table: ScoreTable) -> int:
-    """The line of the record in ``path`` whose cell :func:`merge_tables` names
-    as the first, in table order, that ``table`` already fills."""
-    clashes = []
-    for line, (doc, model, target, metric, _) in read_csv_records(path, EXTERNAL_CSV_HEADER, ScoreError):
-        if target == table.target.value and metric in table.metrics:
-            cell = table.pair_cells([(doc, model)])[0]
-            if table.column(metric)[cell] == table.column(metric)[cell]:
-                clashes.append((cell, metric, line))
-    return min(clashes)[2]
+def _external_records(path, target: TargetKind):
+    """The records of ``path``; one of ``target`` naming a native metric is an error."""
+    for line, record in read_csv_records(path, EXTERNAL_CSV_HEADER, ScoreError):
+        if record[2] == target.value and record[3] in RESERVED_METRIC_NAMES:
+            raise ScoreError(
+                f"{path}: external metric names collide with native metrics: {record[3]} on row {line}"
+            )
+        yield line, record
 
 
 def overall_by_document(table: ScoreTable) -> dict[tuple[str, str], float]:

@@ -30,7 +30,7 @@ from dischargekit.readability import cli as cli_score
 from dischargekit.readability import dcrs, fkgl
 from dischargekit.reorder import rank_sections, rouge1_scorer, split_sections, truncate_words
 from dischargekit.scores import OVERALL_METRICS, REFERENCE_METRICS, overall_score, synthetic_external_rows
-from dischargekit.tables import ScoreTable, compute_native_scores, merge_tables, overall_by_document
+from dischargekit.tables import ScoreTable, compute_native_scores, overall_by_document
 from dischargekit.corpus import DischargeSummary, GeneratedCandidate
 from dischargekit.textprep import tokenize, word_count
 
@@ -246,13 +246,10 @@ def test_criterion_06_selection_dominance_over_20_seeds():
         native = compute_native_scores(
             pool, references=targets, metrics=REFERENCE_METRICS, target=TargetKind.DI
         )
-        proxies = ScoreTable.from_rows(
-            synthetic_external_rows(pool, targets, summaries),
-            TargetKind.DI,
-            documents=native.documents,
-            models=native.models,
+        scored = native.to_rows() + synthetic_external_rows(pool, targets, summaries)
+        overall = overall_by_document(
+            ScoreTable.from_rows(scored, TargetKind.DI, documents=native.documents, models=native.models)
         )
-        overall = overall_by_document(merge_tables(native, proxies))
         rows = [
             (doc, model, "di", "overall", value) for (doc, model), value in overall.items()
         ]

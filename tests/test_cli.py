@@ -483,6 +483,8 @@ def test_reorder_global_mode_emits_ranking(pipeline_dir):
         ("[1, 2]", "expected a JSON object of header -> score, got list"),
         ('{"history of present illness": "x"}', "header 'history of present illness': score 'x' is not a number"),
         ('{"medications": null}', "header 'medications': score None is not a number"),
+        ('{"medications": true}', "header 'medications': score True is not a number"),
+        ('{"medications": "0.5"}', "header 'medications': score '0.5' is not a number"),
         ('{"medications": NaN}', "header 'medications': score is not finite"),
     ],
 )
@@ -494,6 +496,18 @@ def test_reorder_apply_ranking_of_wrong_shape_names_file_and_header(pipeline_dir
     err = capsys.readouterr().err
     assert f"{ranking}: {expected}" in err
     assert not out.exists()
+
+
+def test_refused_count_leaves_nothing_on_disk(pipeline_dir, capsys):
+    ranking = pipeline_dir / "r.json"
+    ranking.write_text('{"medications": 1}', encoding="utf-8")
+    before = sorted(pipeline_dir.iterdir())
+    argv = ("reorder", "--corpus", pipeline_dir / "corpus.jsonl", "--apply-ranking", ranking)
+    assert run(*argv, "--budget", 0, "--out", pipeline_dir / "r1.jsonl") == 1
+    assert "--budget must be >= 1" in capsys.readouterr().err
+    assert run("simulate", "--docs", 0, "--models", 2, "--out", pipeline_dir / "sim") == 1
+    assert "n_docs and n_models must be >= 1" in capsys.readouterr().err
+    assert sorted(pipeline_dir.iterdir()) == before
 
 
 def test_applied_ranking_needs_no_section_scores(pipeline_dir):

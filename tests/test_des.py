@@ -372,6 +372,8 @@ def test_config_json_roundtrip(tmp_path):
 def test_config_rejects_bad_weight_and_scope():
     with pytest.raises(DesConfigError):
         parse_des_config({"criteria": [{"metric": "x", "weight": "a/b"}]})
+    with pytest.raises(DesConfigError, match="criterion 'x': cannot parse weight True"):
+        parse_des_config({"criteria": [{"metric": "x", "weight": True}]})
     with pytest.raises(DesConfigError):
         parse_des_config({"criteria": [{"metric": "x", "weight": 1, "scope": "all"}]})
 

@@ -155,12 +155,15 @@ def test_unknown_public_name_raises_attribute_error():
 
 
 def test_every_public_definition_has_a_caller_outside_the_tests():
-    # A public top-level function or class is named somewhere in src/, demos/
-    # or benchmarks/ (as code, or as a whole dotted-name string such as the
-    # benchmark tracer's spans), or is a documented public name; so API that
-    # only tests call cannot grow back unseen.
+    # A top-level function or class, public or private, is named somewhere in
+    # src/, demos/ or benchmarks/ (as code, or as a whole dotted-name string
+    # such as the benchmark tracer's spans), or is a documented public name.
+    # A non-dunder method is called there as ``x.name(...)`` or named as
+    # ``Class.name`` in such a string; a property is read as ``x.name``. So
+    # API and helpers that only tests call cannot grow back unseen.
     root = Path(__file__).resolve().parents[1]
     named: set[str] = set()
+    called: set[str] = set()
     for folder in ("src", "demos", "benchmarks"):
         for path in (root / folder).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -172,14 +175,28 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
                     named.add(node.name.rpartition(".")[2])
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                     if re.fullmatch(r"[\w.]+", node.value):
-                        named.update(node.value.split("."))
-    unused = [
-        f"{path.stem}.{node.name}"
-        for path in sorted((root / "src" / "dischargekit").glob("*.py"))
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in named
-        and node.name not in dischargekit._SUBMODULE
-    ]
+                        parts = node.value.split(".")
+                        named.update(parts)
+                        called.update(map(".".join, zip(parts, parts[1:])))
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    called.add(node.func.attr)
+
+    def dunder(name: str) -> bool:
+        return name.startswith("__") and name.endswith("__")
+
+    def is_property(node) -> bool:
+        return any(ast.unparse(d) in ("property", "cached_property") for d in node.decorator_list)
+
+    unused = []
+    for path in sorted((root / "src" / "dischargekit").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or dunder(node.name):
+                continue
+            if node.name not in named and node.name not in dischargekit._SUBMODULE:
+                unused.append(f"{path.stem}.{node.name}")
+            for method in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(method, ast.FunctionDef) and not dunder(method.name):
+                    used = named if is_property(method) else called
+                    if method.name not in used and f"{node.name}.{method.name}" not in used:
+                        unused.append(f"{path.stem}.{node.name}.{method.name}")
     assert unused == []

@@ -38,7 +38,6 @@ from dischargekit.tables import (
     compute_factuality_proxies,
     compute_native_scores,
     load_external_scores,
-    merge_tables,
     overall_by_document,
 )
 from dischargekit.textprep import tokenize
@@ -154,7 +153,7 @@ def test_reference_and_ds_variants_coexist():
         metrics=["meteor"],
     )
     proxy = compute_factuality_proxies([cand(text="rest at home")], [summary])
-    merged = merge_tables(native, proxy)
+    merged = ScoreTable.from_rows(native.to_rows() + proxy.to_rows(), TargetKind.DI)
     assert "meteor" in merged.metrics and "meteor_ds" in merged.metrics
     assert merged.get("1", "m", "meteor") != merged.get("1", "m", "meteor_ds")
 
@@ -220,20 +219,28 @@ def test_score_csv_unknown_target_names_file_and_row(tmp_path):
         read_score_csv(path)
 
 
-def test_merge_tables_reports_first_clash_in_table_order():
+def test_external_clash_names_its_first_row_in_file_order(tmp_path):
     base = ScoreTable.from_rows(
         [("1", "m", "di", "b", 0.1), ("2", "m", "di", "a", 0.2)], TargetKind.DI, ["1", "2"], ["m"]
     )
-    extra = ScoreTable.from_rows(
-        [("2", "m", "di", "a", 0.3), ("1", "m", "di", "b", 0.4), ("1", "m", "di", "c", 0.5)],
-        TargetKind.DI,
-        ["1", "2"],
-        ["m"],
-    )
-    with pytest.raises(ScoreError, match=r"hadm_id='1', model_id='m', metric='b'"):
-        merge_tables(base, extra)
-    disjoint = ScoreTable.from_rows([("1", "m", "di", "c", 0.5)], TargetKind.DI, ["1", "2"], ["m"])
-    assert sorted(merge_tables(base, disjoint).to_rows()) == sorted(base.to_rows() + disjoint.to_rows())
+    # The file's rows clash in reverse table order; the first row is named.
+    path = external_csv(tmp_path, [["2", "m", "di", "a", "0.3"], ["1", "m", "di", "b", "0.4"]])
+    with pytest.raises(
+        ScoreError, match=r"ext\.csv: duplicate cell \(hadm_id='2', model_id='m', metric='a'\) on row 2$"
+    ):
+        load_external_scores(path, base)
+    disjoint = external_csv(tmp_path, [["1", "m", "di", "c", "0.5"]], name="c.csv")
+    merged = load_external_scores(disjoint, base)
+    assert sorted(merged.to_rows()) == sorted(base.to_rows() + [("1", "m", "di", "c", 0.5)])
+
+
+def test_external_native_name_is_rejected_on_an_undefined_cell(tmp_path):
+    # The empty candidate's fkgl cell is missing, but the name stays native.
+    table = compute_native_scores([cand(text="")], metrics=["fkgl"])
+    assert math.isnan(table.get("1", "m", "fkgl"))
+    path = external_csv(tmp_path, [["1", "m", "di", "medcon", "0.4"], ["1", "m", "di", "fkgl", "5"]])
+    with pytest.raises(ScoreError, match=r"ext\.csv: external metric names collide with native metrics: fkgl on row 3$"):
+        load_external_scores(path, table)
 
 
 def test_external_rows_for_other_target_ignored(tmp_path):
