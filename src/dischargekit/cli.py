@@ -65,15 +65,17 @@ def _write_submission(path, rows) -> None:
     corpus.write_csv_records(path, ("hadm_id", "text"), rows)
 
 
-def _read_overall_csv(path) -> dict[TargetKind, dict[tuple[str, str], float]]:
+def _read_overall_csv(path, target=None) -> dict[TargetKind, dict[tuple[str, str], float]]:
+    """(hadm_id, model_id) -> overall per target; every row is checked, only ``target``'s kept if given."""
     from . import scores
 
     out: dict[TargetKind, dict[tuple[str, str], float]] = {}
     header = ("hadm_id", "model_id", "target", "value")
     records = corpus.read_csv_records(path, header, scores.ScoreError, key=header[:3])
-    for rowno, (hadm_id, model_id, target, raw) in records:
-        kind, value = scores.parse_score_cell(path, rowno, target, raw)
-        out.setdefault(kind, {})[(hadm_id, model_id)] = value
+    for rowno, (hadm_id, model_id, kind, raw) in records:
+        kind, value = scores.parse_score_cell(path, rowno, kind, raw)
+        if target is None or kind is target:
+            out.setdefault(kind, {})[(hadm_id, model_id)] = value
     return out
 
 
@@ -175,7 +177,7 @@ def _resolve_config(args, table, target):
     if name == "des4":
         if not args.overall:
             raise des.DesConfigError("des4 needs --overall with per-document overall scores")
-        overall = _read_overall_csv(args.overall).get(target)
+        overall = _read_overall_csv(args.overall, target).get(target)
         if not overall:
             raise des.DesConfigError(f"--overall has no rows for target {target.value}")
         try:
@@ -200,32 +202,45 @@ def _preset_or_file(name: str, choices: str) -> des.DesConfig:
 
 
 def cmd_select(args) -> int:
+    """Pick one candidate per document and write its text, holding no other text: pass 1 checks
+    every candidate but keeps only each target candidate's ids, word count and line, selection
+    reads no text, and pass 2 decodes only the winners' lines, which must still hold the same."""
     from . import des, scores
+    from .textprep import word_count
 
     target = TargetKind.parse(args.target)
-    candidates = corpus.load_candidates(args.candidates)
-    pool = [c for c in candidates if c.target is target]
-    if not pool:
+    records = corpus.read_candidate_records(args.candidates)
+    # (hadm_id, model_id) -> (line, word count) of each candidate of the target.
+    found = {(h, m): (lineno, word_count(text)) for lineno, h, m, kind, text in records if kind is target}
+    if not found:
         raise corpus.CorpusError(f"no candidates for target {target.value}")
-    docs = scores.first_seen(c.hadm_id for c in pool)
-    models = scores.first_seen(c.model_id for c in pool)
+    docs, models = scores.first_seen(h for h, _ in found), scores.first_seen(m for _, m in found)
     table = _load_score_tables(args.scores, (target,), docs, models)[target]
     config = _resolve_config(args, table, target)
     if isinstance(config, des.LengthSelectConfig):
+        # The length rule reads word counts only; the texts are read back below.
+        pool = [corpus.GeneratedCandidate(h, m, target, "", count) for (h, m), (_, count) in found.items()]
         result = des.select_by_length(pool, config, target=target)
     else:
-        result = des.select_experts(
-            table, config, target, candidates=pool, strict=not args.lenient
-        )
+        result = des.select_experts(table, config, target, strict=not args.lenient)
         if config.name == "des4":
             derived_path = Path(args.out).with_name(Path(args.out).name + ".des4.json")
             corpus.write_json(derived_path, des.des_config_to_json(config))
-    missing_text = [s.hadm_id for s in result.selections if s.text is None]
+    winners = [(s.hadm_id, s.model_id, found.get((s.hadm_id, s.model_id))) for s in result.selections]
+    missing_text = [hadm_id for hadm_id, _, line in winners if line is None]
     if missing_text:
         raise corpus.CorpusError(
             f"no candidate text for selected models on hadm_ids: {', '.join(missing_text[:5])}"
         )
-    _write_submission(args.out, [(s.hadm_id, s.text) for s in result.selections])
+    wanted = {lineno for _, _, (lineno, _) in winners}
+    texts = dict(corpus.read_jsonl_records(args.candidates, corpus.CANDIDATE_FIELDS, lines=wanted))
+    rows = []
+    for hadm_id, model_id, (lineno, count) in winners:
+        values = texts.get(lineno)
+        if values is None or values[:3] != [hadm_id, model_id, target.value] or word_count(values[3]) != count:
+            raise corpus.CorpusError(f"{args.candidates}: line {lineno}: candidate changed since it was read")
+        rows.append((hadm_id, values[3]))
+    _write_submission(args.out, rows)
     tally_path = Path(args.out).with_name(Path(args.out).name + ".tally.json")
     corpus.write_json(tally_path, dict(sorted(result.tally.items())))
     inputs = [args.candidates, *args.scores]
@@ -436,7 +451,7 @@ def cmd_simulate(args) -> int:
             ]
             table = pool_table(target, rows)
             config = des.DesConfig("oracle", criteria=(des.Criterion("overall", 1.0),))
-            return des.select_experts(table, config, target, candidates=pool_by_target[target])
+            return des.select_experts(table, config, target)
     elif args.config == "des5":
         ranking = [
             name.removeprefix("model:")
@@ -449,7 +464,7 @@ def cmd_simulate(args) -> int:
     else:
         def run(target):
             table = pool_table(target, scored["des", target] + scored["on_body", target])
-            return des.select_experts(table, config, target, candidates=pool_by_target[target])
+            return des.select_experts(table, config, target)
 
     leaderboard.append((f"des:{args.config}", strategy_mean(run)))
     leaderboard.sort(key=lambda kv: -kv[1])

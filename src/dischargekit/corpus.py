@@ -13,7 +13,7 @@ import csv
 import json
 import random
 import re
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -202,17 +202,18 @@ def read_csv_records(
 
 
 def read_jsonl_records(
-    path, fields: Sequence[str], key: Sequence[str] = (), what: str = ""
+    path, fields: Sequence[str], key: Sequence[str] = (), what: str = "", lines: Collection[int] | None = None
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield (line, values) for each non-blank line, ``values`` being the
     record's ``fields`` as strings. Bad JSON, a missing or non-string field
     and a repeat of the ``key`` fields (``what`` prefixes the key in the
-    message) raise ``CorpusError`` naming the line.
+    message) raise ``CorpusError`` naming the line. Given ``lines``, only the
+    lines of those numbers are decoded, checked and yielded.
     """
     check = _unique(path, fields, key, "lines", CorpusError, what)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if not line.strip() or lines is not None and lineno not in lines:
                 continue
             try:
                 record = json.loads(line)
@@ -273,26 +274,27 @@ def load_corpus(path, known_headers: Sequence[str] | None = None) -> list[Discha
     return summaries
 
 
-def load_candidates(path) -> list[GeneratedCandidate]:
-    """Load candidate generations ({"hadm_id","model_id","target","text"}).
+CANDIDATE_FIELDS = ("hadm_id", "model_id", "target", "text")
 
-    Word counts are recomputed from the text; (hadm_id, model_id, target)
-    triples must be unique.
-    """
-    fields = ("hadm_id", "model_id", "target", "text")
-    candidates = []
-    records = read_jsonl_records(path, fields, key=fields[:3], what="candidate for ")
+
+def read_candidate_records(path) -> Iterator[tuple[int, str, str, TargetKind, str]]:
+    """Yield (line, hadm_id, model_id, target, text) per candidate; each
+    (hadm_id, model_id, target) must be unique and the target known."""
+    records = read_jsonl_records(path, CANDIDATE_FIELDS, key=CANDIDATE_FIELDS[:3], what="candidate for ")
     for lineno, (hadm_id, model_id, target, text) in records:
         try:
             kind = TargetKind.parse(target)
         except CorpusError as exc:
             raise CorpusError(f"{path}: line {lineno}: {exc}") from None
-        candidates.append(
-            GeneratedCandidate(
-                hadm_id=hadm_id, model_id=model_id, target=kind, text=text, word_count=word_count(text)
-            )
-        )
-    return candidates
+        yield lineno, hadm_id, model_id, kind, text
+
+
+def load_candidates(path) -> list[GeneratedCandidate]:
+    """Load candidates ({"hadm_id","model_id","target","text"}), counting the words of each text."""
+    return [
+        GeneratedCandidate(hadm_id=hadm_id, model_id=model_id, target=kind, text=text, word_count=word_count(text))
+        for _, hadm_id, model_id, kind, text in read_candidate_records(path)
+    ]
 
 
 def write_corpus(path, summaries: Iterable[DischargeSummary]) -> None:
@@ -302,7 +304,7 @@ def write_corpus(path, summaries: Iterable[DischargeSummary]) -> None:
 
 def write_candidates(path, candidates: Iterable[GeneratedCandidate]) -> None:
     rows = ((c.hadm_id, c.model_id, c.target.value, c.text) for c in candidates)
-    write_jsonl_records(path, ("hadm_id", "model_id", "target", "text"), rows)
+    write_jsonl_records(path, CANDIDATE_FIELDS, rows)
 
 
 def write_targets(path, targets: Iterable[ExtractedTargets]) -> None:

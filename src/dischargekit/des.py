@@ -5,7 +5,8 @@ available models (per document), multiply by signed weights, average, and
 take the argmax, the first model in input order on a tie. A length-window
 strategy picks by word count instead. Presets des1..des3 carry fixed
 weights; des4 derives weights from score correlations; des5 is the length
-rule.
+rule. Neither reads a text, only scores or word counts, so a caller need hold
+only the winners' texts, one per document, as ``cli select`` does.
 """
 
 from __future__ import annotations
@@ -331,7 +332,10 @@ def _parse_weight(metric: str, value) -> Fraction | float:
         except (ValueError, ZeroDivisionError):
             pass
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise DesConfigError(f"criterion {metric!r}: weight is too large for a float") from None
     raise DesConfigError(f"criterion {metric!r}: cannot parse weight {value!r}")
 
 
@@ -377,7 +381,7 @@ def load_des_config(path) -> DesConfig:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
             raise DesConfigError(f"not valid JSON: {exc}") from None
     return parse_des_config(data)
 

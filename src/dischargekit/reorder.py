@@ -210,7 +210,7 @@ def load_header_ranking(path) -> dict[str, float]:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
             raise SectionScoreError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SectionScoreError(
@@ -220,7 +220,10 @@ def load_header_ranking(path) -> dict[str, float]:
     for header, raw in data.items():
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise SectionScoreError(f"{path}: header {header!r}: score {raw!r} is not a number")
-        value = float(raw)
+        try:
+            value = float(raw)
+        except OverflowError:
+            raise SectionScoreError(f"{path}: header {header!r}: score is too large for a float") from None
         if not math.isfinite(value):
             raise SectionScoreError(f"{path}: header {header!r}: score is not finite")
         ranking[header] = value

@@ -7,7 +7,8 @@ the native metrics and the synthetic external stand-ins (``score
 --external``), again with both ``--threads`` settings, which must agree;
 scores a copy of the candidates with two texts emptied, whose readability
 cells are undefined, with both ``--threads`` settings, which must agree; runs
-``select`` with des1 and with des4 (``--overall``) on both targets and
+``select`` on both targets with des1, des4 (``--overall``), des5
+(``--ranking``) and des1 ``--lenient`` on a score CSV with cells removed, and
 ``correlate`` in both modes; and prints as one JSON object the sha256 of
 every output under ``OUT_DIR`` except manifests, and of the ``float.hex``
 of every float cell written to a CSV, which the ``.10g`` text would round.
@@ -24,7 +25,7 @@ import sys
 from pathlib import Path
 
 from dischargekit import cli, corpus, scores
-from test_golden import _write_overall_csv
+from test_golden import _write_overall_csv, _write_sparse_csv
 
 
 def _run(*argv) -> None:
@@ -86,10 +87,15 @@ def _chain(work: Path) -> None:
         raise SystemExit("score wrote different bytes with --threads 1")
     _write_overall_csv(overall, scored)
     _score_empty_texts(work, cands, targets)
+    sparse = work / "sparse.csv"
+    _write_sparse_csv(sparse, scored)
     for target in ("bhc", "di"):
         select = ("select", "--scores", scored, "--candidates", cands, "--target", target)
         _run(*select, "--config", "des1", "--out", work / f"{target}_des1.csv")
         _run(*select, "--config", "des4", "--overall", overall, "--out", work / f"{target}_des4.csv")
+        _run(*select, "--config", "des5", "--ranking", "model_c,model_a,model_b", "--out", work / f"{target}_des5.csv")
+        _run("select", "--scores", sparse, "--candidates", cands, "--target", target, "--config", "des1",
+             "--lenient", "--out", work / f"{target}_des1_lenient.csv")
     for mode in ("pooled", "per-target"):
         _run("correlate", "--scores", scored, "--overall", overall, "--mode", mode,
              "--out", work / f"corr_{mode}.csv")

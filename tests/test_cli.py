@@ -486,6 +486,9 @@ def test_reorder_global_mode_emits_ranking(pipeline_dir):
         ('{"medications": true}', "header 'medications': score True is not a number"),
         ('{"medications": "0.5"}', "header 'medications': score '0.5' is not a number"),
         ('{"medications": NaN}', "header 'medications': score is not finite"),
+        pytest.param('{"medications": 1%s}' % ("0" * 400), "header 'medications': score is too large for a float",
+                     id="401-digit score"),
+        pytest.param('{"medications": 1%s}' % ("0" * 4999), "not valid JSON: Exceeds the limit", id="5000-digit score"),
     ],
 )
 def test_reorder_apply_ranking_of_wrong_shape_names_file_and_header(pipeline_dir, capsys, content, expected):
@@ -495,6 +498,23 @@ def test_reorder_apply_ranking_of_wrong_shape_names_file_and_header(pipeline_dir
     assert run("reorder", "--corpus", pipeline_dir / "corpus.jsonl", "--apply-ranking", ranking, "--out", out) == 1
     err = capsys.readouterr().err
     assert f"{ranking}: {expected}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "digits, expected",
+    [(401, "criterion 'medcon': weight is too large for a float"), (5000, "not valid JSON: Exceeds the limit")],
+)
+def test_select_weight_too_large_for_a_float_names_config_and_criterion(pipeline_dir, capsys, digits, expected):
+    cfg = pipeline_dir / "bigdes.json"
+    cfg.write_text(f'{{"criteria": [{{"metric": "medcon", "weight": 1{"0" * (digits - 1)}}}]}}', encoding="utf-8")
+    out = pipeline_dir / "never.csv"
+    code = run(
+        "select", "--scores", select_setup(pipeline_dir), "--candidates", pipeline_dir / "candidates.jsonl",
+        "--config", cfg, "--target", "di", "--out", out,
+    )
+    assert code == 1
+    assert f"error: {cfg}: {expected}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1068,3 +1088,82 @@ def test_empty_candidate_is_a_missing_readability_cell(pipeline_dir, capsys):
     assert not (pipeline_dir / "never.csv").exists()
     assert run(*select, "--lenient", "--out", pipeline_dir / "lenient.csv") == 0
     assert len(read_csv_rows(pipeline_dir / "lenient.csv")) == 1 + 6
+
+
+def _write_large_candidates(path, docs, models, size):
+    """``docs`` x ``models`` x 2 targets candidates of ``size`` characters each,
+    and a des1 score CSV for them."""
+    rows, cells = [], []
+    for d in range(docs):
+        for m in range(models):
+            for target in ("bhc", "di"):
+                word = f"{target}{d}m{m} "
+                rows.append((f"{d}", f"m{m}", target, (word * (size // len(word) + 1))[:size]))
+                cells += [[f"{d}", f"m{m}", target, metric, f"{(d * 7 + m * 3 + j) % 11 / 11}"]
+                          for j, metric in enumerate(("medcon", "meteor"))]
+    corpus.write_jsonl_records(path, corpus.CANDIDATE_FIELDS, rows)
+    write_external(path.with_suffix(".csv"), cells)
+    return path.with_suffix(".csv")
+
+
+def test_select_holds_one_text_per_document(tmp_path):
+    import tracemalloc
+
+    docs, models, size = 50, 4, 20_000
+    cands = tmp_path / "large.jsonl"
+    scores_path = _write_large_candidates(cands, docs, models, size)
+    select = ("select", "--scores", scores_path, "--candidates", cands, "--config", "des1", "--target", "di")
+    # The first run imports the scoring modules, so the traced run counts only the data it holds.
+    assert run(*select, "--out", tmp_path / "warm.csv") == 0
+    tracemalloc.start()
+    try:
+        assert run(*select, "--out", tmp_path / "sub.csv") == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = read_csv_rows(tmp_path / "sub.csv")
+    assert len(rows) == 1 + docs and all(len(text) == size for _, text in rows[1:])
+    # The target's texts total 4 MB; the winners' texts are a quarter of that.
+    assert peak < docs * models * size / 2, peak
+
+
+def test_select_reads_crlf_candidates_with_blank_lines_as_their_lf_form(pipeline_dir):
+    desin = select_setup(pipeline_dir)
+    lf = pipeline_dir / "candidates.jsonl"
+    crlf = pipeline_dir / "crlf.jsonl"
+    crlf.write_bytes(b"\r\n  \r\n" + lf.read_bytes().replace(b"\n", b"\r\n\r\n"))
+    for config in (("des1",), ("des5", "--ranking", "model_b,model_a")):
+        outs = []
+        for cands in (lf, crlf):
+            out = pipeline_dir / f"{config[0]}_{cands.stem}.csv"
+            assert run("select", "--scores", desin, "--candidates", cands, "--config", *config,
+                       "--target", "di", "--out", out) == 0
+            outs.append(out.read_bytes() + out.with_name(out.name + ".tally.json").read_bytes())
+        assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("edit", [{"model_id": "model_z"}, {"text": "rewritten"}])
+def test_select_names_a_winner_line_rewritten_between_passes(pipeline_dir, capsys, monkeypatch, edit):
+    from dischargekit import des
+
+    desin, cands = select_setup(pipeline_dir), pipeline_dir / "candidates.jsonl"
+    select_experts, rewritten = des.select_experts, []
+
+    def select_then_rewrite(*args, **kwargs):
+        result = select_experts(*args, **kwargs)
+        winner = result.selections[-1]
+        lines = cands.read_text(encoding="utf-8").splitlines(keepends=True)
+        for lineno, line in enumerate(lines, start=1):
+            record = json.loads(line)
+            if (record["hadm_id"], record["model_id"], record["target"]) == (winner.hadm_id, winner.model_id, "di"):
+                lines[lineno - 1] = json.dumps({**record, **edit}) + "\n"
+                rewritten.append(lineno)
+        cands.write_text("".join(lines), encoding="utf-8")
+        return result
+
+    monkeypatch.setattr(des, "select_experts", select_then_rewrite)
+    out = pipeline_dir / "never.csv"
+    code = run("select", "--scores", desin, "--candidates", cands, "--config", "des1", "--target", "di", "--out", out)
+    assert code == 1
+    assert f"error: {cands}: line {rewritten[0]}: candidate changed since it was read" in capsys.readouterr().err
+    assert not out.exists()
