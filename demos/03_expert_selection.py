@@ -7,7 +7,6 @@ window, then the shortest text of at least 70 words.
 """
 
 from dischargekit import (
-    GeneratedCandidate,
     LengthSelectConfig,
     PRESETS,
     ScoreTable,
@@ -47,14 +46,7 @@ for preset in ("des1", "des2"):
 
 # Length-window selection needs only word counts and a model ranking.
 word_counts = {"alpha": (220, 150, 60), "beta": (130, 95, 55), "gamma": (250, 300, 40)}
-candidates = [
-    GeneratedCandidate(
-        hadm_id=doc, model_id=model, target=TargetKind.DI,
-        text=" ".join(["w"] * counts[i]), word_count=counts[i],
-    )
-    for model, counts in word_counts.items()
-    for i, doc in enumerate(DOCS)
-]
+counts = {(doc, model): n[i] for model, n in word_counts.items() for i, doc in enumerate(DOCS)}
 cfg = LengthSelectConfig(model_ranking=("alpha", "beta", "gamma"))
-result = select_by_length(candidates, cfg)
+result = select_by_length(counts, cfg, TargetKind.DI)
 print("des5:", {s.hadm_id: (s.model_id, s.basis) for s in result.selections})

@@ -6,8 +6,7 @@ overlap; per-section scores from an external model can be plugged in via a
 CSV file instead.
 """
 
-from dischargekit import DischargeSummary, rank_sections, split_sections, truncate_words, word_count
-from dischargekit.reorder import rouge1_scorer
+from dischargekit import DischargeSummary, rank_sections, rouge_1, split_sections, truncate_words, word_count
 
 BODY = """\
 Chief Complaint:
@@ -27,7 +26,7 @@ REFERENCE_TARGET = "Rest at home while breathing improves and fever resolves wit
 doc = split_sections(DischargeSummary(hadm_id="enc01", full_text=BODY, body_without_targets=BODY))
 print("original order: ", [s.header.rstrip(":") or "<preamble>" for s in doc.sections])
 
-ranked = rank_sections(doc, REFERENCE_TARGET, rouge1_scorer)
+ranked = rank_sections(doc, REFERENCE_TARGET, rouge_1)
 print("by relevance:   ", [(s.header.rstrip(":"), round(s.relevance, 3)) for s in ranked.sections])
 
 budget = 30

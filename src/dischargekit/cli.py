@@ -18,8 +18,9 @@ from functools import reduce
 from operator import add
 from pathlib import Path
 
-# Only corpus is imported at module level; each subcommand imports the
-# modules it uses, so extract and reorder never load the scoring modules.
+# Only textprep and corpus are imported at module level; each subcommand imports
+# the other modules it uses, so extract and reorder never load the scoring modules.
+from .textprep import word_count
 from . import __version__, corpus
 from .corpus import TargetKind
 
@@ -206,7 +207,6 @@ def cmd_select(args) -> int:
     every candidate but keeps only each target candidate's ids, word count and line, selection
     reads no text, and pass 2 decodes only the winners' lines, which must still hold the same."""
     from . import des, scores
-    from .textprep import word_count
 
     target = TargetKind.parse(args.target)
     records = corpus.read_candidate_records(args.candidates)
@@ -218,9 +218,7 @@ def cmd_select(args) -> int:
     table = _load_score_tables(args.scores, (target,), docs, models)[target]
     config = _resolve_config(args, table, target)
     if isinstance(config, des.LengthSelectConfig):
-        # The length rule reads word counts only; the texts are read back below.
-        pool = [corpus.GeneratedCandidate(h, m, target, "", count) for (h, m), (_, count) in found.items()]
-        result = des.select_by_length(pool, config, target=target)
+        result = des.select_by_length({key: count for key, (_, count) in found.items()}, config, target)
     else:
         result = des.select_experts(table, config, target, strict=not args.lenient)
         if config.name == "des4":
@@ -254,7 +252,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_reorder(args) -> int:
-    from . import reorder
+    from . import relevance, reorder
 
     if args.budget < 1:
         print("error: --budget must be >= 1", file=sys.stderr)
@@ -266,7 +264,7 @@ def cmd_reorder(args) -> int:
 
     def section_scorer():
         if args.scorer != "external":
-            return reorder.rouge1_scorer
+            return relevance.rouge_1
         if not args.section_scores:
             raise reorder.SectionScoreError("--scorer external needs --section-scores")
         return reorder.ExternalSectionScores.from_csv(args.section_scores)
@@ -307,7 +305,7 @@ def cmd_reorder(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from . import scores, tables, textprep
+    from . import scores, tables
 
     target = TargetKind.parse(args.target)
     submission = _read_submission(args.submission)
@@ -317,16 +315,7 @@ def cmd_evaluate(args) -> int:
         raise corpus.CorpusError(
             f"submission hadm_ids missing from references: {', '.join(missing[:5])}"
         )
-    candidates = [
-        corpus.GeneratedCandidate(
-            hadm_id=hadm_id,
-            model_id=args.model_id,
-            target=target,
-            text=text,
-            word_count=textprep.word_count(text),
-        )
-        for hadm_id, text in submission
-    ]
+    candidates = [corpus.GeneratedCandidate(doc, args.model_id, target, text) for doc, text in submission]
     job = scores.native_score_job(candidates, targets, scores.REFERENCE_METRICS, target)
     table = tables.job_table(job, scores.score_jobs([job], args.threads)[0])
     for path in args.external:
@@ -457,10 +446,11 @@ def cmd_simulate(args) -> int:
             name.removeprefix("model:")
             for name, _ in sorted(leaderboard, key=lambda kv: -kv[1])
         ]
+        length_config = des.LengthSelectConfig(model_ranking=tuple(ranking))
+
         def run(target):
-            return des.select_by_length(
-                pool_by_target[target], des.LengthSelectConfig(model_ranking=tuple(ranking)), target
-            )
+            counts = {(c.hadm_id, c.model_id): word_count(c.text) for c in pool_by_target[target]}
+            return des.select_by_length(counts, length_config, target)
     else:
         def run(target):
             table = pool_table(target, scored["des", target] + scored["on_body", target])

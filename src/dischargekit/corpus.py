@@ -20,7 +20,6 @@ from functools import lru_cache
 from importlib import resources
 from operator import itemgetter
 
-from .textprep import word_count
 
 BHC_HEADER = "Brief Hospital Course"
 DI_HEADER = "Discharge Instructions"
@@ -69,7 +68,6 @@ class GeneratedCandidate:
     model_id: str
     target: TargetKind
     text: str
-    word_count: int
 
 
 @lru_cache(maxsize=1)
@@ -290,9 +288,9 @@ def read_candidate_records(path) -> Iterator[tuple[int, str, str, TargetKind, st
 
 
 def load_candidates(path) -> list[GeneratedCandidate]:
-    """Load candidates ({"hadm_id","model_id","target","text"}), counting the words of each text."""
+    """Load candidates ({"hadm_id","model_id","target","text"}) in file order."""
     return [
-        GeneratedCandidate(hadm_id=hadm_id, model_id=model_id, target=kind, text=text, word_count=word_count(text))
+        GeneratedCandidate(hadm_id=hadm_id, model_id=model_id, target=kind, text=text)
         for _, hadm_id, model_id, kind, text in read_candidate_records(path)
     ]
 
@@ -436,13 +434,5 @@ def generate_synthetic_corpus(
             for target, reference in ((TargetKind.BHC, bhc_ref), (TargetKind.DI, di_ref)):
                 quality = min(0.98, max(0.05, base_skill[model_id] + rng.uniform(-0.3, 0.3)))
                 text = _corrupt(rng, reference, quality)
-                candidates.append(
-                    GeneratedCandidate(
-                        hadm_id=hadm_id,
-                        model_id=model_id,
-                        target=target,
-                        text=text,
-                        word_count=word_count(text),
-                    )
-                )
+                candidates.append(GeneratedCandidate(hadm_id, model_id, target, text))
     return summaries, candidates

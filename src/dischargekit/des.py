@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import add
 
-from .corpus import GeneratedCandidate, TargetKind
+from .corpus import TargetKind
 from .tables import ScoreTable
 
 
@@ -86,7 +86,6 @@ class LengthSelectConfig:
 class Selection:
     hadm_id: str
     model_id: str
-    text: str | None
     basis: float | str
 
 
@@ -174,7 +173,6 @@ def select_experts(
     table: ScoreTable,
     config: DesConfig,
     target: TargetKind,
-    candidates: Sequence[GeneratedCandidate] | None = None,
     strict: bool = True,
 ) -> SelectionResult:
     """Pick the highest weighted-average model per document.
@@ -193,7 +191,6 @@ def select_experts(
         raise MissingCellError(
             f"table lacks metrics required by {config.name!r}: {', '.join(missing_metrics)}"
         )
-    texts = {(c.hadm_id, c.model_id): c.text for c in candidates or () if c.target is target}
     # rows[d][c]: document d's values of criterion c, one per model. The
     # criterion is usable on the document when no model lacks its value.
     rows = list(zip(*(table.document_rows(c.metric) for c in crits)))
@@ -243,59 +240,42 @@ def select_experts(
             score = total / len(kept)
             if score > basis:
                 model, basis = name, score
-        selections.append(
-            Selection(hadm_id=doc, model_id=model, text=texts.get((doc, model)), basis=basis)
-        )
+        selections.append(Selection(hadm_id=doc, model_id=model, basis=basis))
     return SelectionResult(target=target, selections=tuple(selections))
 
 
 def select_by_length(
-    candidates: Sequence[GeneratedCandidate],
+    counts: Mapping[tuple[str, str], int],
     cfg: LengthSelectConfig,
-    target: TargetKind | None = None,
+    target: TargetKind,
 ) -> SelectionResult:
-    """Length-window selection over ranked models.
+    """Length-window selection over ranked models, from (hadm_id, model_id) -> word count.
 
     Per document: first ranked model inside [100, 180] words wins; otherwise
     the shortest text of at least 70 words; otherwise the highest-ranked
     model's text.
     """
-    kinds = {c.target for c in candidates}
-    if target is None:
-        if len(kinds) != 1:
-            raise DesConfigError("candidates span multiple target kinds; pass target explicitly")
-        target = next(iter(kinds))
-    pool = [c for c in candidates if c.target is target]
-    unranked = sorted({c.model_id for c in pool} - set(cfg.model_ranking))
+    unranked = sorted({m for _, m in counts} - set(cfg.model_ranking))
     if unranked:
         raise DesConfigError(f"model_ranking does not cover: {', '.join(unranked)}")
-    per_doc: dict[str, dict[str, GeneratedCandidate]] = {}
-    for c in pool:
-        per_doc.setdefault(c.hadm_id, {})[c.model_id] = c
+    per_doc: dict[str, dict[str, int]] = {}
+    for (doc, model), count in counts.items():
+        per_doc.setdefault(doc, {})[model] = count
     if not per_doc:
         raise DesConfigError("no candidates to select from")
     selections: list[Selection] = []
     for doc, available in per_doc.items():
         ranked = [m for m in cfg.model_ranking if m in available]
-        if not ranked:
-            raise DesConfigError(f"no candidates for hadm_id {doc!r}")
-        chosen = None
-        basis = None
-        for model in ranked:
-            wc = available[model].word_count
-            if _PREFERRED_MIN <= wc <= _PREFERRED_MAX:
-                chosen, basis = model, "preferred_window"
-                break
+        chosen = next((m for m in ranked if _PREFERRED_MIN <= available[m] <= _PREFERRED_MAX), None)
+        basis = "preferred_window"
         if chosen is None:
-            eligible = [m for m in ranked if available[m].word_count >= _HARD_MIN]
+            eligible = [m for m in ranked if available[m] >= _HARD_MIN]
             if eligible:
-                chosen = min(eligible, key=lambda m: (available[m].word_count, ranked.index(m)))
+                chosen = min(eligible, key=lambda m: (available[m], ranked.index(m)))
                 basis = "shortest_above_floor"
         if chosen is None:
             chosen, basis = ranked[0], "top_ranked"
-        selections.append(
-            Selection(hadm_id=doc, model_id=chosen, text=available[chosen].text, basis=basis)
-        )
+        selections.append(Selection(hadm_id=doc, model_id=chosen, basis=basis))
     return SelectionResult(target=target, selections=tuple(selections))
 
 

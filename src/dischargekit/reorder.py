@@ -15,7 +15,6 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 
 from .corpus import DischargeSummary, default_known_headers, match_header, read_csv_records, write_json
-from .relevance import rouge_1
 
 MAX_SECTIONS = 50
 
@@ -77,10 +76,6 @@ def split_sections(
         end = boundaries[n + 1] if n + 1 < len(boundaries) else len(lines)
         sections.append(Section(header=lines[start], body="\n".join(lines[start + 1 : end])))
     return SectionedDocument(hadm_id=summary.hadm_id, sections=tuple(sections))
-
-
-def rouge1_scorer(section_body: str, reference_text: str) -> float:
-    return rouge_1(section_body, reference_text)
 
 
 class ExternalSectionScores:

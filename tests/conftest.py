@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dischargekit import corpus
+from replay import replay
 
 
 @pytest.fixture
@@ -33,3 +34,9 @@ def small_corpus(tmp_path):
         ],
     )
     return path
+
+
+@pytest.fixture(scope="session")
+def replayed(tmp_path_factory) -> dict:
+    """``replay.replay`` run once, in-process: golden digests, pinned cells and CSV float digests."""
+    return replay(tmp_path_factory.mktemp("replay"))

@@ -28,7 +28,8 @@ from dischargekit.corpus import (
 )
 from dischargekit.readability import cli as cli_score
 from dischargekit.readability import dcrs, fkgl
-from dischargekit.reorder import rank_sections, rouge1_scorer, split_sections, truncate_words
+from dischargekit.relevance import rouge_1
+from dischargekit.reorder import rank_sections, split_sections, truncate_words
 from dischargekit.scores import OVERALL_METRICS, REFERENCE_METRICS, overall_score, synthetic_external_rows
 from dischargekit.tables import ScoreTable, compute_native_scores, overall_by_document
 from dischargekit.corpus import DischargeSummary, GeneratedCandidate
@@ -221,16 +222,10 @@ def test_criterion_05_length_rule_equals_interpreter_on_exhaustive_grid():
     ranking = ("M1", "M2", "M3")
     cfg = des.LengthSelectConfig(model_ranking=ranking)
     for counts in itertools.product(range(40, 261, 5), repeat=3):
-        cands = [
-            GeneratedCandidate(
-                hadm_id="d", model_id=m, target=TargetKind.DI, text="w", word_count=c
-            )
-            for m, c in zip(ranking, counts)
-        ]
-        got = des.select_by_length(cands, cfg).selections[0]
-        want_model, want_basis = oracles.three_rule_length_select(
-            ranking, dict(zip(ranking, counts))
-        )
+        by_model = dict(zip(ranking, counts))
+        counts_by_key = {("d", m): c for m, c in by_model.items()}
+        got = des.select_by_length(counts_by_key, cfg, TargetKind.DI).selections[0]
+        want_model, want_basis = oracles.three_rule_length_select(ranking, by_model)
         assert (got.model_id, got.basis) == (want_model, want_basis), counts
 
 
@@ -289,7 +284,7 @@ def test_criterion_07_reorder_pipeline_laws():
             DischargeSummary(hadm_id="d", full_text=body_text, body_without_targets=body_text),
             headers,
         )
-        ranked = rank_sections(doc, "alpha beta gamma", rouge1_scorer)
+        ranked = rank_sections(doc, "alpha beta gamma", rouge_1)
         assert sorted((s.header, s.body) for s in ranked.sections) == sorted(
             (s.header, s.body) for s in doc.sections
         )
@@ -381,7 +376,6 @@ def _run_pipeline(base: Path, threads: int) -> dict[str, bytes]:
                     model_id="submission",
                     target=TargetKind.DI,
                     text=text,
-                    word_count=word_count(text),
                 )
             )
     sub_ext_path = base / "external_submission.csv"
@@ -447,7 +441,6 @@ def test_criterion_10_native_suite_processes_1000_pairs_in_time():
                 model_id="m",
                 target=TargetKind.DI,
                 text=text,
-                word_count=300,
             )
         )
     start = time.perf_counter()

@@ -78,7 +78,7 @@ def test_score_identity_candidates_all_ones(small_corpus, tmp_path):
     targets = corpus.load_targets(out / "targets.jsonl")
     cands = [
         corpus.GeneratedCandidate(
-            hadm_id=h, model_id="copy", target=TargetKind.DI, text=t.di, word_count=0
+            hadm_id=h, model_id="copy", target=TargetKind.DI, text=t.di
         )
         for h, t in targets.items()
     ]
@@ -227,8 +227,9 @@ def test_select_des1_matches_library(pipeline_dir):
     table = tables.ScoreTable.from_rows(
         scores_mod.read_score_csv(desin), TargetKind.DI, documents=docs, models=models
     )
-    expected = des.select_experts(table, des.PRESETS["des1"], TargetKind.DI, candidates=pool)
-    chosen_texts = {s.hadm_id: s.text for s in expected.selections}
+    expected = des.select_experts(table, des.PRESETS["des1"], TargetKind.DI)
+    texts = {(c.hadm_id, c.model_id): c.text for c in pool}
+    chosen_texts = {s.hadm_id: texts[s.hadm_id, s.model_id] for s in expected.selections}
     assert {r[0]: r[1] for r in rows[1:]} == chosen_texts
     tally = json.loads((pipeline_dir / "sub.csv.tally.json").read_text(encoding="utf-8"))
     assert sum(tally.values()) == 6
@@ -266,7 +267,6 @@ def test_select_des5_all_in_window_top_rank_wins(tmp_path):
                     model_id=model,
                     target=TargetKind.DI,
                     text=" ".join([model] * wc),
-                    word_count=wc,
                 )
             )
     cands_path = tmp_path / "c.jsonl"
@@ -293,7 +293,7 @@ def test_select_des5_all_in_window_top_rank_wins(tmp_path):
 def test_select_single_model_trivial(tmp_path):
     cands = [
         corpus.GeneratedCandidate(
-            hadm_id=f"d{i}", model_id="only", target=TargetKind.DI, text="some text", word_count=2
+            hadm_id=f"d{i}", model_id="only", target=TargetKind.DI, text="some text"
         )
         for i in range(3)
     ]
@@ -1067,7 +1067,7 @@ def test_empty_candidate_is_a_missing_readability_cell(pipeline_dir, capsys):
     doc = next(c.hadm_id for c in cands if c.target is TargetKind.DI)
     empty = (doc, "model_b", TargetKind.DI)
     broken = [
-        dataclasses.replace(c, text="", word_count=0) if (c.hadm_id, c.model_id, c.target) == empty else c
+        dataclasses.replace(c, text="") if (c.hadm_id, c.model_id, c.target) == empty else c
         for c in cands
     ]
     corpus.write_candidates(pipeline_dir / "broken.jsonl", broken)

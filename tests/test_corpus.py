@@ -8,6 +8,7 @@ import pytest
 from dischargekit import corpus
 from dischargekit.corpus import (
     CorpusError,
+    GeneratedCandidate,
     TargetKind,
     extract_targets,
     generate_synthetic_corpus,
@@ -103,15 +104,14 @@ def test_load_corpus_empty_file(tmp_path):
     assert load_corpus(path) == []
 
 
-def test_load_candidates_recomputes_word_count(tmp_path):
+def test_load_candidates_reads_each_field(tmp_path):
     path = tmp_path / "cands.jsonl"
     path.write_text(
         json.dumps({"hadm_id": "1", "model_id": "m", "target": "bhc", "text": "a b c"}) + "\n",
         encoding="utf-8",
     )
     (cand,) = load_candidates(path)
-    assert cand.word_count == 3
-    assert cand.target is TargetKind.BHC
+    assert cand == GeneratedCandidate("1", "m", TargetKind.BHC, "a b c")
 
 
 def test_load_candidates_unknown_target(tmp_path):
@@ -175,15 +175,10 @@ def test_synthetic_corpus_single_model_cardinality():
 
 def test_synthetic_di_mean_word_count_near_corpus_statistics():
     _, candidates = generate_synthetic_corpus(500, 1, seed=11)
-    di = [c.word_count for c in candidates if c.target is TargetKind.DI]
+    di = [word_count(c.text) for c in candidates if c.target is TargetKind.DI]
     assert 180 <= sum(di) / len(di) <= 212
-    bhc = [c.word_count for c in candidates if c.target is TargetKind.BHC]
+    bhc = [word_count(c.text) for c in candidates if c.target is TargetKind.BHC]
     assert 300 <= sum(bhc) / len(bhc) <= 356
-
-
-def test_synthetic_word_counts_consistent():
-    _, candidates = generate_synthetic_corpus(10, 2, seed=2)
-    assert all(c.word_count == word_count(c.text) for c in candidates)
 
 
 def test_synthetic_no_model_dominates():

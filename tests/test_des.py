@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from dischargekit.corpus import GeneratedCandidate, TargetKind
+from dischargekit.corpus import TargetKind
 from dischargekit.des import (
     Criterion,
     DesConfig,
@@ -47,13 +47,6 @@ def test_select_experts_basis_is_the_winners_own_score():
     config = DesConfig("signed_zero", criteria=(Criterion("a", 0.0), Criterion("a", -0.5)))
     (sel,) = select_experts(table, config, TargetKind.DI).selections
     assert (sel.model_id, float.hex(sel.basis)) == ("m1", "-0x0.0p+0")
-
-
-def length_candidate(doc, model, n_words, target=TargetKind.DI):
-    text = " ".join(["w"] * n_words)
-    return GeneratedCandidate(
-        hadm_id=doc, model_id=model, target=target, text=text, word_count=n_words
-    )
 
 
 def test_min_max_normalize_basic():
@@ -270,8 +263,7 @@ def test_select_by_length_worked_examples():
     cfg = LengthSelectConfig(model_ranking=ranking)
 
     def run(counts):
-        cands = [length_candidate("d", m, counts[i]) for i, m in enumerate(ranking)]
-        result = select_by_length(cands, cfg)
+        result = select_by_length({("d", m): n for m, n in zip(ranking, counts)}, cfg, TargetKind.DI)
         return result.selections[0].model_id, result.selections[0].basis
 
     assert run((250, 150, 120)) == ("M2", "preferred_window")
@@ -284,8 +276,7 @@ def test_select_by_length_worked_examples():
 
 def test_select_by_length_hard_min_inclusive():
     cfg = LengthSelectConfig(model_ranking=("M1", "M2"))
-    cands = [length_candidate("d", "M1", 300), length_candidate("d", "M2", 70)]
-    result = select_by_length(cands, cfg)
+    result = select_by_length({("d", "M1"): 300, ("d", "M2"): 70}, cfg, TargetKind.DI)
     assert result.selections[0].model_id == "M2"
     assert result.selections[0].basis == "shortest_above_floor"
 
@@ -295,18 +286,16 @@ def test_select_by_length_exhaustive_grid_matches_oracle():
     cfg = LengthSelectConfig(model_ranking=ranking)
     grid = range(40, 261, 5)
     for counts in itertools.product(grid, repeat=3):
-        cands = [length_candidate("d", m, c) for m, c in zip(ranking, counts)]
-        got = select_by_length(cands, cfg).selections[0]
-        want_model, want_basis = oracles.three_rule_length_select(
-            ranking, dict(zip(ranking, counts))
-        )
+        by_model = dict(zip(ranking, counts))
+        got = select_by_length({("d", m): n for m, n in by_model.items()}, cfg, TargetKind.DI).selections[0]
+        want_model, want_basis = oracles.three_rule_length_select(ranking, by_model)
         assert (got.model_id, got.basis) == (want_model, want_basis), counts
 
 
 def test_select_by_length_validates_ranking_coverage():
     cfg = LengthSelectConfig(model_ranking=("M1",))
     with pytest.raises(DesConfigError, match="M2"):
-        select_by_length([length_candidate("d", "M2", 120)], cfg)
+        select_by_length({("d", "M2"): 120}, cfg, TargetKind.DI)
 
 
 def test_derive_des4_weights_endpoints():

@@ -15,7 +15,6 @@ from dischargekit import cli, corpus, des, reorder, scores
 from dischargekit.corpus import (
     CorpusError, DischargeSummary, ExtractedTargets, GeneratedCandidate, TargetKind,
 )
-from dischargekit.textprep import word_count
 
 # Commas, quotes and newlines are the characters CSV quoting must carry.
 TEXT = st.text(
@@ -45,10 +44,7 @@ def test_targets_round_trip(tmp_path, rows):
     )
 )
 def test_candidates_round_trip(tmp_path, rows):
-    candidates = [
-        GeneratedCandidate(hadm_id=h, model_id=m, target=t, text=x, word_count=word_count(x))
-        for h, m, t, x in rows
-    ]
+    candidates = [GeneratedCandidate(hadm_id=h, model_id=m, target=t, text=x) for h, m, t, x in rows]
     path = tmp_path / "cands.jsonl"
     corpus.write_candidates(path, candidates)
     assert corpus.load_candidates(path) == candidates

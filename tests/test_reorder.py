@@ -5,13 +5,13 @@ import random
 import pytest
 
 from dischargekit.corpus import DischargeSummary
+from dischargekit.relevance import rouge_1
 from dischargekit.reorder import (
     ExternalSectionScores,
     SectionScoreError,
     apply_header_ranking,
     global_header_ranking,
     rank_sections,
-    rouge1_scorer,
     split_sections,
     truncate_words,
 )
@@ -78,7 +78,7 @@ def test_rank_uniform_scores_keeps_order():
 def test_rank_identity_section_comes_first():
     body = "Chief Complaint:\nalpha beta gamma\nPhysical Exam:\ndelta epsilon zeta"
     doc = split_sections(summary(body), HEADERS)
-    ranked = rank_sections(doc, "alpha beta gamma", rouge1_scorer)
+    ranked = rank_sections(doc, "alpha beta gamma", rouge_1)
     assert ranked.sections[0].body == "alpha beta gamma"
     assert ranked.sections[0].relevance == 1.0
 
@@ -88,7 +88,7 @@ def test_rank_is_a_permutation():
     names = ["Chief Complaint", "Physical Exam", "Pertinent Results"]
     body = "\n".join(f"{h}:\n{' '.join(rng.choice('abcdef') for _ in range(6))}" for h in names)
     doc = split_sections(summary(body), HEADERS)
-    ranked = rank_sections(doc, "a b c", rouge1_scorer)
+    ranked = rank_sections(doc, "a b c", rouge_1)
     assert sorted((s.header, s.body) for s in ranked.sections) == sorted(
         (s.header, s.body) for s in doc.sections
     )
@@ -171,7 +171,7 @@ def test_global_ranking_and_apply():
         )
         docs.append(split_sections(summary(body, hadm_id=f"d{i}"), HEADERS))
         refs[f"d{i}"] = f"target match text {i}"
-    ranking = global_header_ranking(docs, refs, rouge1_scorer)
+    ranking = global_header_ranking(docs, refs, rouge_1)
     assert ranking["physical exam"] > ranking["chief complaint"]
     ordered = apply_header_ranking(docs[0], ranking)
     assert ordered.sections[0].header.startswith("Physical Exam")
@@ -188,12 +188,12 @@ def test_apply_ranking_unknown_headers_sink():
 def test_global_ranking_missing_reference_errors():
     doc = split_sections(summary("Chief Complaint:\npain"), HEADERS)
     with pytest.raises(SectionScoreError, match="d1"):
-        global_header_ranking([doc], {}, rouge1_scorer)
+        global_header_ranking([doc], {}, rouge_1)
 
 
 def test_pipeline_deterministic():
     body = "Chief Complaint:\nalpha beta\nPhysical Exam:\nbeta gamma\nPertinent Results:\ndelta"
     doc = split_sections(summary(body), HEADERS)
-    a = truncate_words(rank_sections(doc, "beta gamma", rouge1_scorer), budget=5)
-    b = truncate_words(rank_sections(doc, "beta gamma", rouge1_scorer), budget=5)
+    a = truncate_words(rank_sections(doc, "beta gamma", rouge_1), budget=5)
+    b = truncate_words(rank_sections(doc, "beta gamma", rouge_1), budget=5)
     assert a == b

@@ -51,7 +51,6 @@ def cand(hadm_id="1", model_id="m", target=TargetKind.DI, text="rest at home"):
         model_id=model_id,
         target=target,
         text=text,
-        word_count=len(text.split()),
     )
 
 

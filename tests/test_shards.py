@@ -129,7 +129,7 @@ def test_first_serial_error_wins_across_shards(data, tmp_path, monkeypatch, caps
     # One emptied candidate sits in the first shard, the other in the last.
     empty = {(docs[0], "model_a", TargetKind.DI), (docs[-1], "model_b", TargetKind.BHC)}
     broken = [
-        dataclasses.replace(c, text="", word_count=0) if (c.hadm_id, c.model_id, c.target) in empty else c
+        dataclasses.replace(c, text="") if (c.hadm_id, c.model_id, c.target) in empty else c
         for c in candidates
     ]
     corpus.write_candidates(tmp_path / "candidates.jsonl", broken)
@@ -178,7 +178,7 @@ def test_dead_worker_exits_two_without_hanging(data, tmp_path, monkeypatch, caps
 
 
 def _candidate(doc: str, model: str, text: str, target=TargetKind.DI) -> GeneratedCandidate:
-    return GeneratedCandidate(doc, model, target, text, len(text.split()))
+    return GeneratedCandidate(doc, model, target, text)
 
 
 def test_split_gives_contiguous_document_runs_of_similar_length():
