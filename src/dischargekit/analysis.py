@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 from .tables import ScoreTable
 
@@ -60,8 +60,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return pairwise_sum([a * b for a, b in zip(xd, yd)]) / (sx * sy)
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(NamedTuple):
     metrics: tuple[str, ...]
     variants: tuple[str, ...]
     values: tuple[tuple[float, ...], ...]  # values[i][j]: metrics[i] against variants[j]

@@ -120,6 +120,14 @@ def _load_bodies(path) -> dict[str, str]:
     }
 
 
+def _metric_names(value: str | None) -> tuple[str, ...] | None:
+    """The names of a ``--metrics`` list, None when the flag is absent; an empty name is an error."""
+    names = None if value is None else tuple(value.split(","))
+    if names is not None and "" in names:
+        raise ValueError(f"--metrics {value!r}: empty metric name")
+    return names
+
+
 def cmd_score(args) -> int:
     from . import scores
 
@@ -128,7 +136,7 @@ def cmd_score(args) -> int:
             "--against-ds scores against the note body, so --references cannot be given with it"
         )
     candidates = corpus.load_candidates(args.candidates)
-    metrics = args.metrics.split(",") if args.metrics else None
+    metrics = _metric_names(args.metrics)
     references = corpus.load_targets(args.references) if args.references else None
     inputs = [args.candidates]
     targets_present = sorted({c.target for c in candidates}, key=lambda t: t.value)
@@ -137,7 +145,7 @@ def cmd_score(args) -> int:
             corpus.DischargeSummary(hadm_id=k, full_text=v, body_without_targets=v)
             for k, v in _load_bodies(args.against_ds).items()
         ]
-        proxy_metrics = tuple(metrics) if metrics else ("meteor",)
+        proxy_metrics = metrics or ("meteor",)
         jobs = [scores.factuality_proxy_job(candidates, summaries, proxy_metrics, t) for t in targets_present]
     else:
         jobs = [scores.native_score_job(candidates, references, metrics, t) for t in targets_present]
@@ -348,7 +356,7 @@ def cmd_correlate(args) -> int:
     overalls = _read_overall_csv(args.overall)
     if not overalls:
         raise scores.ScoreError(f"{args.overall}: no overall rows")
-    metrics = tuple(args.metrics.split(",")) if args.metrics else None
+    metrics = _metric_names(args.metrics)
     by_target = _load_score_tables(args.scores, sorted(overalls, key=lambda t: t.value))
     out_rows: list[tuple[str, str, float]] = []
     try:

@@ -14,11 +14,11 @@ import json
 import random
 import re
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from operator import itemgetter
+from typing import NamedTuple
 
 
 BHC_HEADER = "Brief Hospital Course"
@@ -46,24 +46,21 @@ class TargetKind(str, Enum):
 _TARGET_KINDS = {kind.value: kind for kind in TargetKind}
 
 
-@dataclass(frozen=True)
-class DischargeSummary:
+class DischargeSummary(NamedTuple):
     hadm_id: str
     full_text: str
     body_without_targets: str
     # The targets extracted with the body, when it was loaded or generated.
-    targets: ExtractedTargets | None = field(default=None, compare=False, repr=False)
+    targets: ExtractedTargets | None = None
 
 
-@dataclass(frozen=True)
-class ExtractedTargets:
+class ExtractedTargets(NamedTuple):
     hadm_id: str
     bhc: str
     di: str
 
 
-@dataclass(frozen=True)
-class GeneratedCandidate:
+class GeneratedCandidate(NamedTuple):
     hadm_id: str
     model_id: str
     target: TargetKind
@@ -178,54 +175,74 @@ def read_csv_records(
 
     ``line`` is the physical line the record starts on, so a quoted field
     holding a newline does not shift the numbers of later records. A wrong
-    or missing header, a record without one field per header column, and a
-    repeat of the ``key`` columns each raise ``error`` naming the file.
+    or missing header, a record without one field per header column, a
+    repeat of the ``key`` columns and a line that is not UTF-8 each raise
+    ``error`` naming the file.
     """
     check = _unique(path, header, key, "rows", error)
     width = len(header)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or tuple(h.strip() for h in first) != tuple(header):
-            raise error(f"{path}: expected header {','.join(header)}")
-        start = reader.line_num + 1
-        for row in reader:
-            if row:
-                if len(row) != width:
-                    raise error(f"{path}: row {start}: expected {width} fields, got {len(row)}")
-                if check is not None:
-                    check(start, row)
-                yield start, row
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None or tuple(h.strip() for h in first) != tuple(header):
+                raise error(f"{path}: expected header {','.join(header)}")
             start = reader.line_num + 1
+            for row in reader:
+                if row:
+                    if len(row) != width:
+                        raise error(f"{path}: row {start}: expected {width} fields, got {len(row)}")
+                    if check is not None:
+                        check(start, row)
+                    yield start, row
+                start = reader.line_num + 1
+    except UnicodeDecodeError:
+        raise _not_utf8(path, error) from None
 
 
 def read_jsonl_records(
     path, fields: Sequence[str], key: Sequence[str] = (), what: str = "", lines: Collection[int] | None = None
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield (line, values) for each non-blank line, ``values`` being the
-    record's ``fields`` as strings. Bad JSON, a missing or non-string field
-    and a repeat of the ``key`` fields (``what`` prefixes the key in the
-    message) raise ``CorpusError`` naming the line. Given ``lines``, only the
-    lines of those numbers are decoded, checked and yielded.
+    record's ``fields`` as strings. A line that is not UTF-8, bad JSON, a
+    missing or non-string field and a repeat of the ``key`` fields (``what``
+    prefixes the key in the message) raise ``CorpusError`` naming the line.
+    Given ``lines``, only the lines of those numbers are decoded, checked and yielded.
     """
     check = _unique(path, fields, key, "lines", CorpusError, what)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip() or lines is not None and lineno not in lines:
-                continue
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip() or lines is not None and lineno not in lines:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
+                if not isinstance(record, dict):
+                    raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
+                values = [record.get(name) for name in fields]
+                for name, value in zip(fields, values):
+                    if not isinstance(value, str):
+                        raise CorpusError(f"{path}: line {lineno}: missing or non-string {name!r}")
+                if check is not None:
+                    check(lineno, values)
+                yield lineno, values
+    except UnicodeDecodeError:
+        raise _not_utf8(path, CorpusError) from None
+
+
+def _not_utf8(path, error: type[ValueError]) -> ValueError:
+    """The error for a file that is not UTF-8, naming its first bad line. A text
+    read reports a position in its buffer, so a rescan in binary finds the line."""
+    with open(path, "rb") as fh:
+        # bytes.splitlines ends a line where a text read does: at \n, \r\n or \r.
+        for lineno, line in enumerate((line for chunk in fh for line in chunk.splitlines()), 1):
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
-            values = [record.get(name) for name in fields]
-            for name, value in zip(fields, values):
-                if not isinstance(value, str):
-                    raise CorpusError(f"{path}: line {lineno}: missing or non-string {name!r}")
-            if check is not None:
-                check(lineno, values)
-            yield lineno, values
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return error(f"{path}: line {lineno}: not UTF-8: {exc}")
+    return error(f"{path}: not UTF-8")
 
 
 def write_csv_records(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -289,10 +306,7 @@ def read_candidate_records(path) -> Iterator[tuple[int, str, str, TargetKind, st
 
 def load_candidates(path) -> list[GeneratedCandidate]:
     """Load candidates ({"hadm_id","model_id","target","text"}) in file order."""
-    return [
-        GeneratedCandidate(hadm_id=hadm_id, model_id=model_id, target=kind, text=text)
-        for _, hadm_id, model_id, kind, text in read_candidate_records(path)
-    ]
+    return [GeneratedCandidate(*record[1:]) for record in read_candidate_records(path)]
 
 
 def write_corpus(path, summaries: Iterable[DischargeSummary]) -> None:
@@ -311,10 +325,8 @@ def write_targets(path, targets: Iterable[ExtractedTargets]) -> None:
 
 def load_targets(path) -> dict[str, ExtractedTargets]:
     """Load a targets JSONL file ({"hadm_id","bhc","di"}) keyed by hadm_id."""
-    return {
-        hadm_id: ExtractedTargets(hadm_id=hadm_id, bhc=bhc, di=di)
-        for _, (hadm_id, bhc, di) in read_jsonl_records(path, ("hadm_id", "bhc", "di"), key=("hadm_id",))
-    }
+    fields = ExtractedTargets._fields
+    return {values[0]: ExtractedTargets(*values) for _, values in read_jsonl_records(path, fields, key=fields[:1])}
 
 
 def reference_text(targets: Mapping[str, ExtractedTargets], hadm_id: str, target: TargetKind) -> str:

@@ -14,11 +14,11 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 from .corpus import TargetKind
 from .tables import ScoreTable
@@ -43,24 +43,22 @@ class Scope(str, Enum):
         return (self is Scope.DI_ONLY) == (target is TargetKind.DI)
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(NamedTuple):
     metric: str
     weight: Fraction | float
     scope: Scope = Scope.BOTH
 
 
-@dataclass(frozen=True)
-class DesConfig:
-    name: str
-    criteria: tuple[Criterion, ...]
+class DesConfig(NamedTuple("DesConfig", [("name", str), ("criteria", tuple[Criterion, ...])])):
+    __slots__ = ()  # A NamedTuple body cannot define __new__, so the checks live in this subclass.
 
-    def __post_init__(self):
-        if not self.criteria:
+    def __new__(cls, name: str, criteria: tuple[Criterion, ...]):
+        if not criteria:
             raise DesConfigError("config needs at least one criterion")
-        for c in self.criteria:
+        for c in criteria:
             if not math.isfinite(c.weight):
                 raise DesConfigError(f"criterion {c.metric!r} has non-finite weight {c.weight!r}")
+        return super().__new__(cls, name, criteria)
 
     def criteria_for(self, target: TargetKind) -> tuple[Criterion, ...]:
         crits = tuple(c for c in self.criteria if c.scope.applies_to(target))
@@ -73,24 +71,22 @@ class DesConfig:
 _PREFERRED_MIN, _PREFERRED_MAX, _HARD_MIN = 100, 180, 70
 
 
-@dataclass(frozen=True)
-class LengthSelectConfig:
-    model_ranking: tuple[str, ...]
+class LengthSelectConfig(NamedTuple("LengthSelectConfig", [("model_ranking", tuple[str, ...])])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.model_ranking:
+    def __new__(cls, model_ranking: tuple[str, ...]):
+        if not model_ranking:
             raise DesConfigError("model_ranking must not be empty")
+        return super().__new__(cls, model_ranking)
 
 
-@dataclass(frozen=True)
-class Selection:
+class Selection(NamedTuple):
     hadm_id: str
     model_id: str
     basis: float | str
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(NamedTuple):
     target: TargetKind
     selections: tuple[Selection, ...]
 

@@ -12,7 +12,7 @@ import json
 import math
 import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .corpus import DischargeSummary, default_known_headers, match_header, read_csv_records, write_json
 
@@ -25,15 +25,13 @@ class SectionScoreError(ValueError):
     """A section score required for ranking is unavailable."""
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(NamedTuple):
     header: str
     body: str
     relevance: float | None = None
 
 
-@dataclass(frozen=True)
-class SectionedDocument:
+class SectionedDocument(NamedTuple):
     hadm_id: str
     sections: tuple[Section, ...]
 
@@ -71,7 +69,7 @@ def split_sections(
             # Overflow: fold everything that remains into the final section.
             last = sections[-1]
             rest = "\n".join(lines[start:])
-            sections[-1] = replace(last, body=f"{last.body}\n{rest}" if last.body else rest)
+            sections[-1] = last._replace(body=f"{last.body}\n{rest}" if last.body else rest)
             break
         end = boundaries[n + 1] if n + 1 < len(boundaries) else len(lines)
         sections.append(Section(header=lines[start], body="\n".join(lines[start + 1 : end])))
@@ -126,7 +124,7 @@ def score_sections(
             raise SectionScoreError(
                 f"scorer returned non-finite relevance for hadm_id {doc.hadm_id!r} section {i}"
             )
-        scored.append(replace(section, relevance=value))
+        scored.append(section._replace(relevance=value))
     return SectionedDocument(hadm_id=doc.hadm_id, sections=tuple(scored))
 
 
@@ -192,7 +190,7 @@ def apply_header_ranking(
         return ranking.get(_canonical_header(section.header), -math.inf)
 
     ordered = sorted(doc.sections, key=lambda s: -key(s))
-    ordered = tuple(replace(s, relevance=key(s)) for s in ordered)
+    ordered = tuple(s._replace(relevance=key(s)) for s in ordered)
     return SectionedDocument(hadm_id=doc.hadm_id, sections=ordered)
 
 

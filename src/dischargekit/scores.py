@@ -29,7 +29,7 @@ import os
 import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import readability, relevance
 from .corpus import (
@@ -389,8 +389,7 @@ def write_score_csv(path, rows: Iterable[tuple[str, str, str, str, float]]) -> N
     write_csv_records(path, EXTERNAL_CSV_HEADER, rows)
 
 
-@dataclass(frozen=True)
-class OverallScore:
+class OverallScore(NamedTuple):
     value: float
     components: dict[str, float]
 

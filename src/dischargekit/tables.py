@@ -18,8 +18,6 @@ import math
 from array import array
 from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
 from operator import add
 
 from .corpus import DischargeSummary, ExtractedTargets, GeneratedCandidate, TargetKind, read_csv_records
@@ -39,7 +37,6 @@ from .scores import (
 _TARGET_VALUES = frozenset(kind.value for kind in TargetKind)
 
 
-@dataclass(frozen=True)
 class ScoreTable:
     """Dense per-target score store; treat instances as immutable.
 
@@ -48,28 +45,19 @@ class ScoreTable:
     marks a missing cell.
     """
 
-    target: TargetKind
-    documents: tuple[str, ...]
-    models: tuple[str, ...]
-    metrics: tuple[str, ...]
-    columns: tuple[array, ...] = field(repr=False)
-
-    def __post_init__(self):
-        cells = len(self.documents) * len(self.models)
-        lengths = [len(column) for column in self.columns]
-        if lengths != [cells] * len(self.metrics):
-            raise ScoreError(f"column lengths {lengths} != {len(self.metrics)} x {cells} cells")
-        if tuple(self.metrics) != tuple(sorted(self.metrics)):
+    def __init__(self, target: TargetKind, documents: tuple[str, ...], models: tuple[str, ...],
+                 metrics: tuple[str, ...], columns: tuple[array, ...]):
+        cells = len(documents) * len(models)
+        lengths = [len(column) for column in columns]
+        if lengths != [cells] * len(metrics):
+            raise ScoreError(f"column lengths {lengths} != {len(metrics)} x {cells} cells")
+        if tuple(metrics) != tuple(sorted(metrics)):
             raise ScoreError("metrics must be sorted")
-        self._positions  # noqa: B018  (building the label maps rejects a repeated label)
-
-    @cached_property
-    def _positions(self) -> tuple[dict[str, int], ...]:
-        """Label -> position maps for the document, model and metric axes."""
-        return (
-            _label_positions("hadm_id", self.documents),
-            _label_positions("model_id", self.models),
-            _label_positions("metric", self.metrics),
+        self.target, self.documents, self.models, self.metrics = target, documents, models, metrics
+        self.columns = columns
+        # Label -> position maps for the document, model and metric axes; a repeated label is an error.
+        self._positions = tuple(
+            map(_label_positions, ("hadm_id", "model_id", "metric"), (documents, models, metrics))
         )
 
     def column(self, metric: str) -> array:

@@ -12,9 +12,9 @@ Two word definitions coexist on purpose:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 _WORD_RE = re.compile(r"[a-z0-9']+")
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
@@ -30,8 +30,7 @@ def default_abbreviations() -> frozenset[str]:
     return frozenset(line.strip().lower() for line in text.splitlines() if line.strip())
 
 
-@dataclass(frozen=True)
-class TokenizedText:
+class TokenizedText(NamedTuple):
     """Sentence/word/syllable/letter counts for one text."""
 
     sentences: tuple[tuple[str, ...], ...]

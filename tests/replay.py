@@ -34,7 +34,6 @@ its reason.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import sys
@@ -177,8 +176,7 @@ def _score_empty_texts(twin: Path, cands: Path, targets: Path) -> None:
     document's last text emptied: each loses exactly its readability rows."""
     candidates = corpus.load_candidates(cands)
     empty = {candidates[0], candidates[-1]}
-    corpus.write_candidates(twin / "empty.jsonl", [dataclasses.replace(c, text="") if c in empty else c
-                                                  for c in candidates])
+    corpus.write_candidates(twin / "empty.jsonl", [c._replace(text="") if c in empty else c for c in candidates])
     score = ("score", "--candidates", twin / "empty.jsonl", "--references", targets)
     _run(*score, "--out", twin / "empty_scored.csv")
     _run(*score, "--threads", 1, "--out", twin / "empty_scored_serial.csv")

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 
 import pytest
@@ -967,6 +966,51 @@ def test_threads_flag_validated(pipeline_dir, capsys):
     assert code == 1
 
 
+
+def test_non_utf8_jsonl_input_names_file_and_line(pipeline_dir, capsys):
+    lines = (pipeline_dir / "candidates.jsonl").read_bytes().splitlines(keepends=True)
+    lines[-1] = lines[-1].replace(b'"text": "', b'"text": "\xff', 1)
+    bad = pipeline_dir / "bad.jsonl"
+    bad.write_bytes(b"".join(lines))
+    code = run(
+        "score", "--candidates", bad, "--references", pipeline_dir / "extracted" / "targets.jsonl",
+        "--out", pipeline_dir / "never.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: line {len(lines)}: not UTF-8: 'utf-8' codec can't decode byte 0xff" in err
+    assert not (pipeline_dir / "never.csv").exists()
+
+
+def test_non_utf8_csv_input_names_file_and_line(pipeline_dir, capsys):
+    scores_path = select_setup(pipeline_dir)
+    lines = scores_path.read_bytes().splitlines(keepends=True)
+    lines[5] = lines[5].replace(b",", b"\xe9,", 1)
+    scores_path.write_bytes(b"".join(lines))
+    code = run(
+        "select", "--scores", scores_path, "--candidates", pipeline_dir / "candidates.jsonl",
+        "--config", "des1", "--target", "di", "--out", pipeline_dir / "never.csv",
+    )
+    assert code == 1
+    assert f"{scores_path}: line 6: not UTF-8: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metrics", ["", "bleu4,,meteor", "meteor,"])
+def test_empty_metric_names_exit_one(pipeline_dir, capsys, metrics):
+    scores_path = pipeline_dir / "m_scores.csv"
+    write_external(scores_path, [[str(i), "m", "di", "medcon", f"0.{i}"] for i in range(1, 4)])
+    overall_path = pipeline_dir / "m_overall.csv"
+    overall_path.write_text("hadm_id,model_id,target,value\n1,m,di,0.5\n2,m,di,0.7\n3,m,di,0.2\n", encoding="utf-8")
+    commands = [
+        ["score", "--candidates", pipeline_dir / "candidates.jsonl",
+         "--references", pipeline_dir / "extracted" / "targets.jsonl"],
+        ["correlate", "--scores", scores_path, "--overall", overall_path],
+    ]
+    for command in commands:
+        assert run(*command, "--metrics", metrics, "--out", pipeline_dir / "never.csv") == 1
+        assert capsys.readouterr().err == f"error: --metrics {metrics!r}: empty metric name\n"
+        assert not (pipeline_dir / "never.csv").exists()
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run("--version")
@@ -1067,7 +1111,7 @@ def test_empty_candidate_is_a_missing_readability_cell(pipeline_dir, capsys):
     doc = next(c.hadm_id for c in cands if c.target is TargetKind.DI)
     empty = (doc, "model_b", TargetKind.DI)
     broken = [
-        dataclasses.replace(c, text="") if (c.hadm_id, c.model_id, c.target) == empty else c
+        c._replace(text="") if (c.hadm_id, c.model_id, c.target) == empty else c
         for c in cands
     ]
     corpus.write_candidates(pipeline_dir / "broken.jsonl", broken)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import statistics
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from dischargekit.corpus import TargetKind
+from dischargekit.corpus import GeneratedCandidate, TargetKind
 from dischargekit.des import (
     Criterion,
     DesConfig,
@@ -18,6 +19,7 @@ from dischargekit.des import (
     MissingCellError,
     PRESETS,
     Scope,
+    Selection,
     derive_des4_weights,
     des_config_to_json,
     load_des_config,
@@ -366,6 +368,39 @@ def test_config_rejects_bad_weight_and_scope():
     with pytest.raises(DesConfigError):
         parse_des_config({"criteria": [{"metric": "x", "weight": 1, "scope": "all"}]})
 
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_des_config_rejects_a_non_finite_weight(weight):
+    with pytest.raises(DesConfigError, match="criterion 'meteor' has non-finite weight"):
+        DesConfig("x", (Criterion("medcon", 0.5), Criterion("meteor", weight)))
+
+
+def test_des_config_rejects_empty_criteria():
+    with pytest.raises(DesConfigError, match="config needs at least one criterion"):
+        DesConfig("x", ())
+    with pytest.raises(DesConfigError, match="config needs at least one criterion"):
+        DesConfig(name="x", criteria=())
+
+
+def test_length_select_config_rejects_an_empty_ranking():
+    with pytest.raises(DesConfigError, match="model_ranking must not be empty"):
+        LengthSelectConfig(())
+    assert LengthSelectConfig(model_ranking=("M1",)).model_ranking == ("M1",)
+
+
+def test_records_compare_and_hash_by_value():
+    pairs = [
+        (Criterion("meteor", Fraction(1, 2)), Criterion("meteor", Fraction(1, 2), Scope.BOTH)),
+        (Selection(hadm_id="d", model_id="m", basis=0.5), Selection("d", "m", 0.5)),
+        (
+            GeneratedCandidate(hadm_id="d", model_id="m", target=TargetKind.DI, text="t"),
+            GeneratedCandidate("d", "m", TargetKind.DI, "t"),
+        ),
+    ]
+    for a, b in pairs:
+        assert a == b and a is not b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != a._replace(**{a._fields[0]: "other"})
 
 @pytest.mark.parametrize(
     "key, value, message",

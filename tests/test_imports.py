@@ -14,9 +14,11 @@ import pytest
 import dischargekit
 from dischargekit import cli, corpus
 
-# numpy, which the package never needs, and the scoring, table and selection
+# numpy, which the package never needs; dataclasses and inspect, which cost
+# every process about 10 ms to import; and the scoring, table and selection
 # modules, which extract and reorder never load.
-HEAVY = ("numpy", "dischargekit.scores", "dischargekit.tables", "dischargekit.des", "dischargekit.analysis")
+NEVER = ("numpy", "dataclasses", "inspect")
+HEAVY = (*NEVER, "dischargekit.scores", "dischargekit.tables", "dischargekit.des", "dischargekit.analysis")
 
 PROBE = """
 import json, sys
@@ -27,6 +29,7 @@ report = {{"import": loaded(), "traceback": "traceback" in sys.modules, "codes":
 for argv in {steps!r}:
     report["codes"].append(cli.main(argv))
     report["seen"].append(loaded())
+report["package"] = sorted(m for m in sys.modules if m.partition(".")[0] == "dischargekit")
 print(json.dumps(report))
 """
 
@@ -74,11 +77,15 @@ def test_extract_and_reorder_never_load_numpy_or_scoring_modules(tiny_corpus):
     assert (tmp_path / "reordered.jsonl").read_text(encoding="utf-8").count("\n") == 3
 
 
-def test_no_subcommand_loads_numpy(tiny_corpus):
-    tmp_path = tiny_corpus
+@pytest.fixture(scope="module")
+def every_step(tmp_path_factory):
+    """Every subcommand run once in one fresh interpreter: (work directory, steps, probe report)."""
+    tmp_path = tmp_path_factory.mktemp("steps")
+    summaries, candidates = corpus.generate_synthetic_corpus(3, 2, seed=4)
+    corpus.write_corpus(tmp_path / "corpus.jsonl", summaries)
+    corpus.write_candidates(tmp_path / "candidates.jsonl", candidates)
     ext = tmp_path / "ext"
     assert cli.main(["extract", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(ext)]) == 0
-    candidates = corpus.load_candidates(tmp_path / "candidates.jsonl")
     header = ("hadm_id", "model_id", "target", "metric", "value")
     external = tmp_path / "external.csv"
     corpus.write_csv_records(
@@ -120,14 +127,29 @@ def test_no_subcommand_loads_numpy(tiny_corpus):
          "--target", "di", "--external", submission_external, "--out", tmp_path / "evaluate.csv"],
         ["simulate", "--docs", "2", "--models", "2", "--config", "des1", "--out", tmp_path / "sim"],
     ]
-    report = run_probe(tmp_path, steps)
+    return tmp_path, steps, run_probe(tmp_path, steps)
+
+
+def test_no_subcommand_loads_numpy(every_step):
+    tmp_path, steps, report = every_step
     assert [("numpy" in seen) for seen in report["seen"]] == [False] * len(steps)
     assert report["seen"][:2] == [[], []]
     # score loads the table code only to merge --external scores.
     assert report["seen"][2:5] == [["dischargekit.scores"]] * 2 + [["dischargekit.scores", "dischargekit.tables"]]
     native = (tmp_path / "native.csv").read_text(encoding="utf-8").splitlines()
     merged = (tmp_path / "merged.csv").read_text(encoding="utf-8").splitlines()
+    candidates = corpus.load_candidates(tmp_path / "candidates.jsonl")
     assert len(merged) == len(native) + len(candidates)
+
+
+def test_no_subcommand_loads_dataclasses_or_inspect(every_step):
+    # A later @dataclass, or a module that needs inspect, would bring their
+    # import back into every CLI process; the steps load every module.
+    _, steps, report = every_step
+    assert [sorted(set(NEVER) & set(seen)) for seen in report["seen"]] == [[]] * len(steps)
+    package = Path(dischargekit.__file__).parent
+    modules = {"dischargekit"} | {f"dischargekit.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__"}
+    assert modules <= set(report["package"])
 
 
 def test_every_public_name_resolves_to_its_submodule_binding():

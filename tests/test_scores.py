@@ -271,6 +271,16 @@ def test_table_rejects_duplicate_axis_labels():
         ScoreTable.from_rows([("1", "m", "di", "a", 0.5)], TargetKind.DI, ["1", "1"], ["m"])
 
 
+
+def test_table_rejects_wrong_column_lengths_and_unsorted_metrics():
+    docs, models = ("1", "2"), ("m", "n")
+    with pytest.raises(ScoreError, match=r"column lengths \[4, 3\] != 2 x 4 cells"):
+        ScoreTable(TargetKind.DI, docs, models, ("a", "b"), (array("d", [0.0] * 4), array("d", [0.0] * 3)))
+    with pytest.raises(ScoreError, match=r"column lengths \[4\] != 2 x 4 cells"):
+        ScoreTable(TargetKind.DI, docs, models, ("a", "b"), (array("d", [0.0] * 4),))
+    with pytest.raises(ScoreError, match="metrics must be sorted"):
+        ScoreTable(TargetKind.DI, docs, models, ("b", "a"), (array("d", [0.0] * 4),) * 2)
+
 def _index_rows(n_docs: int) -> list[tuple[str, str, str, str, float]]:
     rng = random.Random(n_docs)
     return [

@@ -7,7 +7,6 @@ serially.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import signal
@@ -49,7 +48,7 @@ def data(tmp_path_factory) -> Path:
     external = scores.synthetic_external_rows(candidates, targets, summaries)
     scores.write_score_csv(base / "external.csv", external)
     submission = [
-        dataclasses.replace(c, model_id="submission")
+        c._replace(model_id="submission")
         for c in candidates
         if c.model_id == "model_b" and c.target is TargetKind.DI
     ]
@@ -129,7 +128,7 @@ def test_first_serial_error_wins_across_shards(data, tmp_path, monkeypatch, caps
     # One emptied candidate sits in the first shard, the other in the last.
     empty = {(docs[0], "model_a", TargetKind.DI), (docs[-1], "model_b", TargetKind.BHC)}
     broken = [
-        dataclasses.replace(c, text="") if (c.hadm_id, c.model_id, c.target) in empty else c
+        c._replace(text="") if (c.hadm_id, c.model_id, c.target) in empty else c
         for c in candidates
     ]
     corpus.write_candidates(tmp_path / "candidates.jsonl", broken)
