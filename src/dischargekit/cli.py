@@ -68,13 +68,11 @@ def _write_submission(path, rows) -> None:
 
 def _read_overall_csv(path, target=None) -> dict[TargetKind, dict[tuple[str, str], float]]:
     """(hadm_id, model_id) -> overall per target; every row is checked, only ``target``'s kept if given."""
-    from . import scores
-
     out: dict[TargetKind, dict[tuple[str, str], float]] = {}
     header = ("hadm_id", "model_id", "target", "value")
-    records = corpus.read_csv_records(path, header, scores.ScoreError, key=header[:3])
+    records = corpus.read_csv_records(path, header, corpus.ScoreError, key=header[:3])
     for rowno, (hadm_id, model_id, kind, raw) in records:
-        kind, value = scores.parse_score_cell(path, rowno, kind, raw)
+        kind, value = corpus.parse_score_cell(path, rowno, kind, raw)
         if target is None or kind is target:
             out.setdefault(kind, {})[(hadm_id, model_id)] = value
     return out
@@ -175,8 +173,9 @@ def cmd_score(args) -> int:
 
 
 def _resolve_config(args, table, target):
-    """Map --config to either a DesConfig or a LengthSelectConfig."""
-    from . import des, scores
+    """Map --config to either a DesConfig or a LengthSelectConfig; errors a
+    config file causes name the file."""
+    from . import des
 
     name = args.config
     if name == "des5":
@@ -191,9 +190,15 @@ def _resolve_config(args, table, target):
             raise des.DesConfigError(f"--overall has no rows for target {target.value}")
         try:
             return des.derive_des4_weights(table, overall)
-        except scores.ScoreError as exc:
-            raise scores.ScoreError(f"{args.overall}: {exc}") from None
-    return _preset_or_file(name, ", ".join(des.PRESET_NAMES))
+        except corpus.ScoreError as exc:
+            raise corpus.ScoreError(f"{args.overall}: {exc}") from None
+    config = _preset_or_file(name, ", ".join(des.PRESET_NAMES))
+    if name not in des.PRESETS:
+        try:
+            config.criteria_for(target, table.metrics)
+        except (des.DesConfigError, des.MissingCellError) as exc:
+            raise type(exc)(f"{name}: {exc}") from None
+    return config
 
 
 def _preset_or_file(name: str, choices: str) -> des.DesConfig:
@@ -214,7 +219,7 @@ def cmd_select(args) -> int:
     """Pick one candidate per document and write its text, holding no other text: pass 1 checks
     every candidate but keeps only each target candidate's ids, word count and line, selection
     reads no text, and pass 2 decodes only the winners' lines, which must still hold the same."""
-    from . import des, scores
+    from . import des
 
     target = TargetKind.parse(args.target)
     records = corpus.read_candidate_records(args.candidates)
@@ -222,7 +227,7 @@ def cmd_select(args) -> int:
     found = {(h, m): (lineno, word_count(text)) for lineno, h, m, kind, text in records if kind is target}
     if not found:
         raise corpus.CorpusError(f"no candidates for target {target.value}")
-    docs, models = scores.first_seen(h for h, _ in found), scores.first_seen(m for _, m in found)
+    docs, models = corpus.first_seen(h for h, _ in found), corpus.first_seen(m for _, m in found)
     table = _load_score_tables(args.scores, (target,), docs, models)[target]
     config = _resolve_config(args, table, target)
     if isinstance(config, des.LengthSelectConfig):
@@ -351,11 +356,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    from . import analysis, scores
+    from . import analysis
 
     overalls = _read_overall_csv(args.overall)
     if not overalls:
-        raise scores.ScoreError(f"{args.overall}: no overall rows")
+        raise corpus.ScoreError(f"{args.overall}: no overall rows")
     metrics = _metric_names(args.metrics)
     by_target = _load_score_tables(args.scores, sorted(overalls, key=lambda t: t.value))
     out_rows: list[tuple[str, str, float]] = []
@@ -373,8 +378,8 @@ def cmd_correlate(args) -> int:
                     table, {f"overall_{target.value}": overalls[target]}, metrics=metrics
                 )
                 out_rows.extend(matrix.to_rows())
-    except scores.ScoreError as exc:
-        raise scores.ScoreError(f"{args.overall}: {exc}") from None
+    except corpus.ScoreError as exc:
+        raise corpus.ScoreError(f"{args.overall}: {exc}") from None
     corpus.write_csv_records(args.out, ("metric", "overall_variant", "r"), sorted(out_rows))
     _write_manifest(Path(args.out), "correlate", args, [*args.scores, args.overall])
     print(f"wrote {len(out_rows)} correlations -> {args.out}", file=sys.stderr)

@@ -5,12 +5,18 @@ text organized into headed sections. Two sections are generation targets:
 the Brief Hospital Course (BHC) and the Discharge Instructions (DI). On
 load both are extracted and removed, so downstream code always sees the
 document body without its targets.
+
+The score-file vocabulary (:class:`ScoreError`, :func:`parse_score_cell`, the
+metric-name tuples, :func:`first_seen` and the :data:`Job` alias) lives here
+too, so the table and selection steps never load the metric modules;
+:mod:`dischargekit.scores` re-exports it.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 import re
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
@@ -67,6 +73,53 @@ class GeneratedCandidate(NamedTuple):
     text: str
 
 
+# --- score-file vocabulary ------------------------------------------------------
+
+
+class ScoreError(ValueError):
+    """Inconsistent score data or requests."""
+
+
+# One scoring request: a one-target pool, its target, column -> metric, and
+# hadm_id -> the text each non-readability metric compares the candidate with.
+Job = tuple[Sequence[GeneratedCandidate], TargetKind, Mapping[str, str], Mapping[str, str]]
+
+
+REFERENCE_METRICS = ("bleu4", "rouge_1", "rouge_2", "rouge_l", "meteor")
+READABILITY_METRICS = ("fkgl", "dcrs", "cli")
+NATIVE_METRICS = REFERENCE_METRICS + READABILITY_METRICS
+DS_SUFFIX = "_ds"
+# Names external files may never use: every native metric and its
+# whole-document-reference variant.
+RESERVED_METRIC_NAMES = frozenset(NATIVE_METRICS) | {m + DS_SUFFIX for m in REFERENCE_METRICS}
+# The eight leaderboard metrics of the overall score, in the order they are added.
+OVERALL_METRICS = ("bleu4", "rouge_1", "rouge_2", "rouge_l", "bertscore", "meteor", "alignscore", "medcon")
+
+EXTERNAL_CSV_HEADER = ("hadm_id", "model_id", "target", "metric", "value")
+
+
+def first_seen(values: Iterable[str]) -> tuple[str, ...]:
+    """Distinct values in the order they first appear."""
+    return tuple(dict.fromkeys(values))
+
+
+def parse_score_cell(path, rowno: int, target: str, raw: str) -> tuple[TargetKind, float]:
+    """The target kind and finite value of one score-CSV row; errors name the
+    row, after the file unless ``path`` is None."""
+    where = f"row {rowno}" if path is None else f"{path}: row {rowno}"
+    try:
+        kind = TargetKind.parse(target)
+    except CorpusError as exc:
+        raise ScoreError(f"{where}: {exc}") from None
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ScoreError(f"{where}: value {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ScoreError(f"{where}: value {raw!r} is not finite")
+    return kind, value
+
+
 @lru_cache(maxsize=1)
 def default_known_headers() -> tuple[str, ...]:
     """Section headers recognized as boundaries, from the shipped data file."""
@@ -79,10 +132,13 @@ def default_known_headers() -> tuple[str, ...]:
 
 
 def load_known_headers(path) -> tuple[str, ...]:
-    with open(path, encoding="utf-8") as fh:
-        return tuple(
-            line.strip() for line in fh if line.strip() and not line.startswith("#")
-        )
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return tuple(
+                line.strip() for line in fh if line.strip() and not line.startswith("#")
+            )
+    except UnicodeDecodeError:
+        raise _not_utf8(path, CorpusError) from None
 
 
 def header_pattern(header: str) -> re.Pattern[str]:
@@ -152,13 +208,17 @@ def _unique(
 ):
     """The duplicate-key rule: the returned ``check(line, values)`` raises
     ``error`` naming the file and both lines when the ``key`` fields repeat;
-    None when there is no ``key``."""
+    None when there is no ``key``. It first puts back in ``values`` the one
+    ``str`` it keeps per distinct key-field value, so the records of a file
+    share their ids."""
     if not key:
         return None
     positions = [fields.index(name) for name in key]
-    pick, seen = itemgetter(*positions), {}
+    pick, seen, ids = itemgetter(*positions), {}, {}
 
     def check(line: int, values: list[str]) -> None:
+        for i in positions:
+            values[i] = ids.setdefault(values[i], values[i])
         first = seen.setdefault(pick(values), line)
         if first != line:
             named = [f"{name}={values[i]!r}" for name, i in zip(key, positions)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
@@ -60,10 +60,14 @@ class DesConfig(NamedTuple("DesConfig", [("name", str), ("criteria", tuple[Crite
                 raise DesConfigError(f"criterion {c.metric!r} has non-finite weight {c.weight!r}")
         return super().__new__(cls, name, criteria)
 
-    def criteria_for(self, target: TargetKind) -> tuple[Criterion, ...]:
+    def criteria_for(self, target: TargetKind, metrics: Collection[str]) -> tuple[Criterion, ...]:
+        """The criteria that apply to ``target``, each of which must be one of a table's ``metrics``."""
         crits = tuple(c for c in self.criteria if c.scope.applies_to(target))
         if not crits:
             raise DesConfigError(f"config {self.name!r} has no criteria for target {target.value}")
+        lacking = [c.metric for c in crits if c.metric not in metrics]
+        if lacking:
+            raise MissingCellError(f"table lacks metrics required by {self.name!r}: {', '.join(lacking)}")
         return crits
 
 
@@ -175,65 +179,75 @@ def select_experts(
 
     Strict mode errors on any missing cell; lenient mode drops a criterion
     for a document when any model lacks its value and rescales the
-    remaining weights to the original weight sum.
+    remaining weights to the original weight sum. Each criterion's column
+    is read one document's models at a time, into one total per cell.
     """
     if target != table.target:
         raise DesConfigError(
             f"table holds {table.target.value} scores but selection target is {target.value}"
         )
-    crits = config.criteria_for(target)
-    missing_metrics = [c.metric for c in crits if c.metric not in table.metrics]
-    if missing_metrics:
+    crits = config.criteria_for(target, table.metrics)
+    columns = [table.column(c.metric) for c in crits]
+    # Document d's cells are column[spans[d] : spans[d] + n], one per model.
+    n = len(table.models)
+    spans = [d * n for d in range(len(table.documents))]
+    # dropped[c]: the documents on which some model lacks criterion c's value.
+    # gap: the first such (document, criterion); infinite: the first usable
+    # (criterion, document) with an infinite value.
+    dropped, gap, infinite = [], None, None
+    for c, column in enumerate(columns):
+        lacking = set()
+        if not all(map(math.isfinite, column)):
+            for d, start in enumerate(spans):
+                values = column[start : start + n]
+                if any(map(math.isnan, values)):
+                    lacking.add(d)
+                    gap = min(gap or (d, c), (d, c))
+                elif infinite is None and not all(map(math.isfinite, values)):
+                    infinite = c, d
+        dropped.append(lacking)
+
+    def values_of(c: int, d: int) -> Sequence[float]:
+        return columns[c][spans[d] : spans[d] + n]
+
+    if strict and gap is not None:
+        d, c = gap
+        model = next(m for m, v in zip(table.models, values_of(c, d)) if v != v)
         raise MissingCellError(
-            f"table lacks metrics required by {config.name!r}: {', '.join(missing_metrics)}"
+            f"missing cell (hadm_id={table.documents[d]!r}, model_id={model!r}, metric={crits[c].metric!r})"
         )
-    # rows[d][c]: document d's values of criterion c, one per model. The
-    # criterion is usable on the document when no model lacks its value.
-    rows = list(zip(*(table.document_rows(c.metric) for c in crits)))
-    finite = [[all(map(math.isfinite, values)) for values in row] for row in rows]
-    usable = [
-        [ok or not any(map(math.isnan, values)) for ok, values in zip(oks, row)]
-        for oks, row in zip(finite, rows)
-    ]
-    if strict and not all(map(all, usable)):
-        for doc, row, keep in zip(table.documents, rows, usable):
-            if False in keep:
-                c = keep.index(False)
-                model = next(m for m, v in zip(table.models, row[c]) if v != v)
-                raise MissingCellError(
-                    f"missing cell (hadm_id={doc!r}, model_id={model!r}, metric={crits[c].metric!r})"
-                )
-    if not all(map(all, finite)):
-        for c in range(len(crits)):
-            for row, keep, oks in zip(rows, usable, finite):
-                if keep[c] and not oks[c]:
-                    names = sorted(m for m, v in zip(table.models, row[c]) if math.isinf(v))
-                    raise ValueError(f"non-finite scores for models: {', '.join(names)}")
+    if infinite is not None:
+        names = sorted(m for m, v in zip(table.models, values_of(*infinite)) if math.isinf(v))
+        raise ValueError(f"non-finite scores for models: {', '.join(names)}")
     weights = [float(c.weight) for c in crits]
     # Weight sums add left to right in criterion order, starting from 0.0.
     full_weight = reduce(add, weights, 0.0)
+    # Per document: the scale of its kept weights and how many criteria it keeps.
+    scales, kept = [1.0] * len(spans), [len(crits)] * len(spans)
+    for d in sorted(set().union(*dropped)):
+        doc = table.documents[d]
+        kept_weights = [w for w, lacking in zip(weights, dropped) if d not in lacking]
+        if not kept_weights:
+            raise MissingCellError(f"no usable criteria for hadm_id {doc!r}")
+        kept_weight = reduce(add, kept_weights, 0.0)
+        if kept_weight == 0:
+            raise MissingCellError(f"remaining criteria for hadm_id {doc!r} have zero total weight")
+        scales[d], kept[d] = full_weight / kept_weight, len(kept_weights)
+    totals = [0.0] * (len(spans) * n)
+    for weight, column, lacking in zip(weights, columns, dropped):
+        for d, start in enumerate(spans):
+            if d not in lacking:
+                factor = weight * scales[d]
+                norms = _min_max(column[start : start + n])
+                cells = zip(totals[start : start + n], norms)
+                totals[start : start + n] = [total + factor * norm for total, norm in cells]
     selections = []
-    for doc, row, keep in zip(table.documents, rows, usable):
-        scale = 1.0
-        if False not in keep:
-            kept = list(zip(weights, row))
-        else:
-            kept = [(w, values) for w, values, ok in zip(weights, row, keep) if ok]
-            if not kept:
-                raise MissingCellError(f"no usable criteria for hadm_id {doc!r}")
-            kept_weight = reduce(add, (w for w, _ in kept), 0.0)
-            if kept_weight == 0:
-                raise MissingCellError(f"remaining criteria for hadm_id {doc!r} have zero total weight")
-            scale = full_weight / kept_weight
-        totals = [0.0] * len(table.models)
-        for weight, values in kept:
-            factor = weight * scale
-            totals = [total + factor * norm for total, norm in zip(totals, _min_max(values))]
+    for doc, start, count in zip(table.documents, spans, kept):
         # A nan score never wins and a model wins only above -inf, as in a `>` scan;
         # the basis is the winner's own score, which may be -0.0.
         model, basis = None, -math.inf
-        for name, total in zip(table.models, totals):
-            score = total / len(kept)
+        for name, total in zip(table.models, totals[start : start + n]):
+            score = total / count
             if score > basis:
                 model, basis = name, score
         selections.append(Selection(hadm_id=doc, model_id=model, basis=basis))

@@ -32,49 +32,15 @@ from collections.abc import Iterable, Mapping, Sequence
 from typing import NamedTuple
 
 from . import readability, relevance
+# The score-file vocabulary is defined in corpus, so the table side can use it
+# without this module; it is re-exported here.
 from .corpus import (
-    CorpusError,
-    DischargeSummary,
-    ExtractedTargets,
-    GeneratedCandidate,
-    TargetKind,
-    read_csv_records,
-    reference_text,
-    write_csv_records,
+    DS_SUFFIX, EXTERNAL_CSV_HEADER, NATIVE_METRICS, OVERALL_METRICS, READABILITY_METRICS, REFERENCE_METRICS,
+    DischargeSummary, ExtractedTargets, GeneratedCandidate, Job, ScoreError, TargetKind, first_seen,
+    parse_score_cell, read_csv_records, reference_text, write_csv_records,
 )
 from .relevance import stem
 from .textprep import tokenize, words
-
-
-class ScoreError(ValueError):
-    """Inconsistent score data or requests."""
-
-
-# One scoring request: a one-target pool, its target, column -> metric, and
-# hadm_id -> the text each non-readability metric compares the candidate with.
-Job = tuple[Sequence[GeneratedCandidate], TargetKind, Mapping[str, str], Mapping[str, str]]
-
-
-REFERENCE_METRICS = ("bleu4", "rouge_1", "rouge_2", "rouge_l", "meteor")
-READABILITY_METRICS = ("fkgl", "dcrs", "cli")
-NATIVE_METRICS = REFERENCE_METRICS + READABILITY_METRICS
-DS_SUFFIX = "_ds"
-# Names external files may never use: every native metric and its
-# whole-document-reference variant.
-RESERVED_METRIC_NAMES = frozenset(NATIVE_METRICS) | {
-    m + DS_SUFFIX for m in REFERENCE_METRICS
-}
-
-OVERALL_METRICS = (
-    "bleu4",
-    "rouge_1",
-    "rouge_2",
-    "rouge_l",
-    "bertscore",
-    "meteor",
-    "alignscore",
-    "medcon",
-)
 
 
 def _stemmed_unigram_f1(candidate: str, reference: str) -> float:
@@ -105,11 +71,6 @@ METRICS = {
     "medcon": _stemmed_jaccard,
     "alignscore": relevance.rouge_2,
 }
-
-
-def first_seen(values: Iterable[str]) -> tuple[str, ...]:
-    """Distinct values in the order they first appear."""
-    return tuple(dict.fromkeys(values))
 
 
 def _infer_target(candidates: Sequence[GeneratedCandidate], target: TargetKind | None) -> TargetKind:
@@ -353,26 +314,6 @@ def factuality_proxy_job(
     bodies = {s.hadm_id: s.body_without_targets for s in summaries}
     columns = {m + DS_SUFFIX: m for m in metrics}
     return pool, target, columns, _against(pool, bodies, "discharge summary")
-
-
-EXTERNAL_CSV_HEADER = ("hadm_id", "model_id", "target", "metric", "value")
-
-
-def parse_score_cell(path, rowno: int, target: str, raw: str) -> tuple[TargetKind, float]:
-    """The target kind and finite value of one score-CSV row; errors name the
-    row, after the file unless ``path`` is None."""
-    where = f"row {rowno}" if path is None else f"{path}: row {rowno}"
-    try:
-        kind = TargetKind.parse(target)
-    except CorpusError as exc:
-        raise ScoreError(f"{where}: {exc}") from None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ScoreError(f"{where}: value {raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ScoreError(f"{where}: value {raw!r} is not finite")
-    return kind, value
 
 
 def read_score_csv(path) -> list[tuple[str, str, str, str, float]]:

@@ -9,7 +9,7 @@ cell filled twice is named at the first record, in read order, that refills
 it. :func:`job_table` turns the rows :func:`~dischargekit.scores.score_jobs`
 gives for a job into that job's table. The table code lives apart from
 :mod:`dischargekit.scores`, so ``score`` without ``--external`` never loads
-it.
+it, and only the two functions that score load the metric side.
 """
 
 from __future__ import annotations
@@ -20,18 +20,9 @@ from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from operator import add
 
-from .corpus import DischargeSummary, ExtractedTargets, GeneratedCandidate, TargetKind, read_csv_records
-from .scores import (
-    EXTERNAL_CSV_HEADER,
-    Job,
-    OVERALL_METRICS,
-    RESERVED_METRIC_NAMES,
-    ScoreError,
-    factuality_proxy_job,
-    first_seen,
-    native_score_job,
-    parse_score_cell,
-    score_jobs,
+from .corpus import (
+    EXTERNAL_CSV_HEADER, OVERALL_METRICS, RESERVED_METRIC_NAMES, DischargeSummary, ExtractedTargets,
+    GeneratedCandidate, Job, ScoreError, TargetKind, first_seen, parse_score_cell, read_csv_records,
 )
 
 _TARGET_VALUES = frozenset(kind.value for kind in TargetKind)
@@ -62,11 +53,6 @@ class ScoreTable:
 
     def column(self, metric: str) -> array:
         return self.columns[self._positions[2][metric]]
-
-    def document_rows(self, metric: str) -> list[list[float]]:
-        """Per document, in order, the metric's value for each model, in order."""
-        column, n = self.column(metric), len(self.models)
-        return [column[i * n : (i + 1) * n].tolist() for i in range(len(self.documents))]
 
     def get(self, doc: str, model: str, metric: str) -> float:
         docs, models, metrics = self._positions
@@ -266,7 +252,9 @@ def compute_native_scores(
     metrics: Sequence[str] | None = None,
     target: TargetKind | None = None,
 ) -> ScoreTable:
-    """Score candidates with the native metric suite (see :func:`native_score_job`)."""
+    """Score candidates with the native metric suite (see :func:`~dischargekit.scores.native_score_job`)."""
+    from .scores import native_score_job, score_jobs
+
     job = native_score_job(candidates, references, metrics, target)
     return job_table(job, score_jobs([job], 1)[0])
 
@@ -277,7 +265,9 @@ def compute_factuality_proxies(
     metrics: Sequence[str] = ("meteor",),
     target: TargetKind | None = None,
 ) -> ScoreTable:
-    """Score candidates against the document body (see :func:`factuality_proxy_job`)."""
+    """Score candidates against the document body (see :func:`~dischargekit.scores.factuality_proxy_job`)."""
+    from .scores import factuality_proxy_job, score_jobs
+
     job = factuality_proxy_job(candidates, summaries, metrics, target)
     return job_table(job, score_jobs([job], 1)[0])
 

@@ -139,7 +139,10 @@ def brute_select(models, criteria, raw_by_metric):
             column = raw_by_metric[metric]
             lo = min(column[m] for m in models)
             hi = max(column[m] for m in models)
-            normalized = 0.0 if hi == lo else (column[model] - lo) / (hi - lo)
+            if hi - lo == math.inf:  # an overflowing span: rescale the halved values
+                normalized = (column[model] / 2 - lo / 2) / (hi / 2 - lo / 2)
+            else:
+                normalized = 0.0 if hi == lo else (column[model] - lo) / (hi - lo)
             total += weight * normalized
         averages[model] = total / len(criteria)
     winner = models[0]

@@ -54,6 +54,14 @@ def test_extract_duplicate_id_exits_one(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+def test_extract_non_utf8_headers_file_names_file_and_line(small_corpus, tmp_path, capsys):
+    headers = tmp_path / "h.txt"
+    headers.write_bytes(b"Brief Hospital Course\nDischarge \xffInstructions\n")
+    assert run("extract", "--corpus", small_corpus, "--headers", headers, "--out", tmp_path / "o") == 1
+    assert f"error: {headers}: line 2: not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_extract_missing_file_exits_one(tmp_path):
     assert run("extract", "--corpus", tmp_path / "nope.jsonl", "--out", tmp_path / "o") == 1
 
@@ -360,6 +368,26 @@ def test_select_non_finite_weight_names_config_and_metric(pipeline_dir, capsys, 
     assert code == 1
     err = capsys.readouterr().err
     assert "cfg.json" in err and "medcon" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "criteria, expected",
+    [
+        ('[{"metric": "nosuch", "weight": 1}]', "table lacks metrics required by 'mine': nosuch"),
+        ('[{"metric": "medcon", "weight": 1, "scope": "bhc_only"}]', "config 'mine' has no criteria for target di"),
+    ],
+)
+def test_select_config_file_that_does_not_fit_the_table_names_the_file(pipeline_dir, capsys, criteria, expected):
+    cfg = pipeline_dir / "c.json"
+    cfg.write_text(f'{{"name": "mine", "criteria": {criteria}}}', encoding="utf-8")
+    out = pipeline_dir / "never.csv"
+    code = run(
+        "select", "--scores", select_setup(pipeline_dir), "--candidates", pipeline_dir / "candidates.jsonl",
+        "--config", cfg, "--target", "di", "--out", out,
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {expected}\n"
+    assert not out.exists()
 
 
 def test_select_missing_cells_exit_one(pipeline_dir, capsys):

@@ -151,6 +151,25 @@ def test_load_targets_duplicate_names_both_lines(tmp_path):
         load_targets(path)
 
 
+def test_keyed_readers_share_one_str_per_id(tmp_path):
+    rows = [(h, m, "di", f"text {h} {m}") for h in ("20000001", "20000002") for m in ("model_a", "model_b")]
+    jsonl, csv_path = tmp_path / "cands.jsonl", tmp_path / "cands.csv"
+    corpus.write_jsonl_records(jsonl, corpus.CANDIDATE_FIELDS, rows)
+    corpus.write_csv_records(csv_path, corpus.CANDIDATE_FIELDS, rows)
+    key = corpus.CANDIDATE_FIELDS[:2]
+    reads = {
+        "jsonl": lambda key: list(corpus.read_jsonl_records(jsonl, corpus.CANDIDATE_FIELDS, key=key)),
+        "csv": lambda key: list(corpus.read_csv_records(csv_path, corpus.CANDIDATE_FIELDS, CorpusError, key=key)),
+    }
+    for name, read in reads.items():
+        keyed, unkeyed = read(key), read(())
+        assert keyed == unkeyed == [(line, list(row)) for line, row in enumerate(rows, 2 if name == "csv" else 1)]
+        values = [record for _, record in keyed]
+        # Equal ids on different lines are one object: hadm_id of lines 1-2, model_id of lines 1 and 3.
+        assert values[0][0] is values[1][0] and values[2][0] is values[3][0], name
+        assert values[0][1] is values[2][1] and values[1][1] is values[3][1], name
+
+
 def test_candidates_roundtrip(tmp_path):
     _, candidates = generate_synthetic_corpus(4, 2, seed=3)
     path = tmp_path / "cands.jsonl"

@@ -153,12 +153,13 @@ def test_tie_breaks_to_first_model_in_input_order():
 
 def test_target_scope_routes_criteria():
     des3 = PRESETS["des3"]
-    assert {c.metric for c in des3.criteria_for(TargetKind.BHC)} == {
+    metrics = {c.metric for c in des3.criteria}
+    assert {c.metric for c in des3.criteria_for(TargetKind.BHC, metrics)} == {
         "medcon",
         "meteor",
         "alignscore",
     }
-    assert len(des3.criteria_for(TargetKind.DI)) == 6
+    assert len(des3.criteria_for(TargetKind.DI, metrics)) == 6
 
 
 def test_strict_missing_cell_names_offender():

@@ -18,7 +18,8 @@ from dischargekit import cli, corpus
 # every process about 10 ms to import; and the scoring, table and selection
 # modules, which extract and reorder never load.
 NEVER = ("numpy", "dataclasses", "inspect")
-HEAVY = (*NEVER, "dischargekit.scores", "dischargekit.tables", "dischargekit.des", "dischargekit.analysis")
+METRIC_SIDE = ("dischargekit.scores", "dischargekit.relevance", "dischargekit.readability", "dischargekit.stemmer")
+HEAVY = (*NEVER, *METRIC_SIDE, "dischargekit.tables", "dischargekit.des", "dischargekit.analysis")
 
 PROBE = """
 import json, sys
@@ -48,38 +49,15 @@ def run_probe(tmp_path, steps) -> dict:
     return report
 
 
-@pytest.fixture
-def tiny_corpus(tmp_path):
-    summaries, candidates = corpus.generate_synthetic_corpus(3, 2, seed=4)
-    corpus.write_corpus(tmp_path / "corpus.jsonl", summaries)
-    corpus.write_candidates(tmp_path / "candidates.jsonl", candidates)
-    return tmp_path
-
-
-def test_importing_the_cli_loads_no_traceback(tiny_corpus):
-    report = run_probe(tiny_corpus, [])
+def test_importing_the_cli_loads_no_traceback(tmp_path):
+    report = run_probe(tmp_path, [])
     assert report["import"] == []
     assert report["traceback"] is False
 
 
-def test_extract_and_reorder_never_load_numpy_or_scoring_modules(tiny_corpus):
-    tmp_path = tiny_corpus
-    extract = ["extract", "--corpus", tmp_path / "corpus.jsonl", "--out", tmp_path / "ext"]
-    reorder = [
-        "reorder", "--mode", "per-doc",
-        "--corpus", tmp_path / "corpus.jsonl",
-        "--reference-targets", tmp_path / "ext" / "targets.jsonl",
-        "--out", tmp_path / "reordered.jsonl",
-    ]
-    report = run_probe(tmp_path, [extract, reorder])
-    assert report["import"] == []
-    assert report["seen"] == [[], []]
-    assert (tmp_path / "reordered.jsonl").read_text(encoding="utf-8").count("\n") == 3
-
-
 @pytest.fixture(scope="module")
 def every_step(tmp_path_factory):
-    """Every subcommand run once in one fresh interpreter: (work directory, steps, probe report)."""
+    """Every subcommand run in its own fresh interpreter: (work directory, step name -> probe report)."""
     tmp_path = tmp_path_factory.mktemp("steps")
     summaries, candidates = corpus.generate_synthetic_corpus(3, 2, seed=4)
     corpus.write_corpus(tmp_path / "corpus.jsonl", summaries)
@@ -111,45 +89,73 @@ def every_step(tmp_path_factory):
     references, bodies = ["--references", ext / "targets.jsonl"], ["--against-ds", ext / "bodies.jsonl"]
     select = ["select", "--scores", tmp_path / "native.csv", "--scores", external, "--candidates", cands,
               "--target", "di"]
-    steps = [
-        ["extract", "--corpus", tmp_path / "corpus.jsonl", "--out", tmp_path / "ext2"],
-        ["reorder", "--mode", "per-doc", "--corpus", tmp_path / "corpus.jsonl",
-         "--reference-targets", ext / "targets.jsonl", "--out", tmp_path / "reordered.jsonl"],
-        [*score, *references, "--out", tmp_path / "native.csv"],
-        [*score, *bodies, "--metrics", "meteor,rouge_l", "--out", tmp_path / "ds.csv"],
-        [*score, *references, "--external", external, "--out", tmp_path / "merged.csv"],
-        [*select, "--config", "des1", "--out", tmp_path / "des1.csv"],
-        [*select, "--config", "des4", "--overall", overall, "--out", tmp_path / "des4.csv"],
-        [*select, "--config", "des5", "--ranking", "model_b,model_a", "--out", tmp_path / "des5.csv"],
-        ["correlate", "--scores", tmp_path / "native.csv", "--scores", external, "--overall", overall,
-         "--out", tmp_path / "corr.csv"],
-        ["evaluate", "--submission", tmp_path / "des1.csv", "--references", ext / "targets.jsonl",
-         "--target", "di", "--external", submission_external, "--out", tmp_path / "evaluate.csv"],
-        ["simulate", "--docs", "2", "--models", "2", "--config", "des1", "--out", tmp_path / "sim"],
+    # In order: a step may read what an earlier one wrote.
+    steps = {
+        "extract": ["extract", "--corpus", tmp_path / "corpus.jsonl", "--out", tmp_path / "ext2"],
+        "reorder": ["reorder", "--mode", "per-doc", "--corpus", tmp_path / "corpus.jsonl",
+                    "--reference-targets", ext / "targets.jsonl", "--out", tmp_path / "reordered.jsonl"],
+        "score": [*score, *references, "--out", tmp_path / "native.csv"],
+        "score_ds": [*score, *bodies, "--metrics", "meteor,rouge_l", "--out", tmp_path / "ds.csv"],
+        "score_external": [*score, *references, "--external", external, "--out", tmp_path / "merged.csv"],
+        "select_des1": [*select, "--config", "des1", "--out", tmp_path / "des1.csv"],
+        "select_des4": [*select, "--config", "des4", "--overall", overall, "--out", tmp_path / "des4.csv"],
+        "select_des5": [*select, "--config", "des5", "--ranking", "model_b,model_a", "--out", tmp_path / "des5.csv"],
+        "correlate": ["correlate", "--scores", tmp_path / "native.csv", "--scores", external,
+                      "--overall", overall, "--out", tmp_path / "corr.csv"],
+        "evaluate": ["evaluate", "--submission", tmp_path / "des1.csv", "--references", ext / "targets.jsonl",
+                     "--target", "di", "--external", submission_external, "--out", tmp_path / "evaluate.csv"],
+        "simulate": ["simulate", "--docs", "2", "--models", "2", "--config", "des1", "--out", tmp_path / "sim"],
+    }
+    return tmp_path, {name: run_probe(tmp_path, [argv]) for name, argv in steps.items()}
+
+
+def _loaded(report) -> list[str]:
+    """The heavy modules loaded once the probe's one step had run."""
+    return report["seen"][0]
+
+
+def test_extract_and_reorder_never_load_numpy_or_scoring_modules(every_step):
+    tmp_path, reports = every_step
+    base = ["dischargekit", "dischargekit.cli", "dischargekit.corpus", "dischargekit.data", "dischargekit.textprep"]
+    assert reports["extract"]["package"] == base
+    # reorder's default scorer is ROUGE-1, so it loads relevance and its stemmer.
+    assert reports["reorder"]["package"] == sorted(
+        [*base, "dischargekit.relevance", "dischargekit.reorder", "dischargekit.stemmer"]
+    )
+    assert [_loaded(reports[name]) for name in ("extract", "reorder")] == [
+        [], ["dischargekit.relevance", "dischargekit.stemmer"]
     ]
-    return tmp_path, steps, run_probe(tmp_path, steps)
+    assert (tmp_path / "reordered.jsonl").read_text(encoding="utf-8").count("\n") == 3
 
 
 def test_no_subcommand_loads_numpy(every_step):
-    tmp_path, steps, report = every_step
-    assert [("numpy" in seen) for seen in report["seen"]] == [False] * len(steps)
-    assert report["seen"][:2] == [[], []]
-    # score loads the table code only to merge --external scores.
-    assert report["seen"][2:5] == [["dischargekit.scores"]] * 2 + [["dischargekit.scores", "dischargekit.tables"]]
+    tmp_path, reports = every_step
+    assert [name for name, report in reports.items() if "numpy" in _loaded(report)] == []
+    # score loads the metric side, and the table code only to merge --external
+    # scores; it never loads des or analysis.
+    assert _loaded(reports["score"]) == _loaded(reports["score_ds"]) == sorted(METRIC_SIDE)
+    assert _loaded(reports["score_external"]) == sorted([*METRIC_SIDE, "dischargekit.tables"])
     native = (tmp_path / "native.csv").read_text(encoding="utf-8").splitlines()
     merged = (tmp_path / "merged.csv").read_text(encoding="utf-8").splitlines()
     candidates = corpus.load_candidates(tmp_path / "candidates.jsonl")
     assert len(merged) == len(native) + len(candidates)
 
 
+@pytest.mark.parametrize("step", ["select_des1", "select_des4", "select_des5", "correlate"])
+def test_select_and_correlate_never_load_the_metric_side(every_step, step):
+    _, reports = every_step
+    assert sorted(set(METRIC_SIDE) & set(reports[step]["package"])) == []
+    assert "dischargekit.tables" in _loaded(reports[step])
+
+
 def test_no_subcommand_loads_dataclasses_or_inspect(every_step):
     # A later @dataclass, or a module that needs inspect, would bring their
-    # import back into every CLI process; the steps load every module.
-    _, steps, report = every_step
-    assert [sorted(set(NEVER) & set(seen)) for seen in report["seen"]] == [[]] * len(steps)
+    # import back into every CLI process; together the steps load every module.
+    _, reports = every_step
+    assert [name for name, report in reports.items() if set(NEVER) & set(_loaded(report))] == []
     package = Path(dischargekit.__file__).parent
     modules = {"dischargekit"} | {f"dischargekit.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__"}
-    assert modules <= set(report["package"])
+    assert modules <= {m for report in reports.values() for m in report["package"]}
 
 
 def test_every_public_name_resolves_to_its_submodule_binding():

@@ -9,7 +9,8 @@ loop in ``oracles.cube_filled_scores``.
 against a recomputation that reads one cell at a time through
 ``ScoreTable.get`` and uses the one-document APIs (``min_max_normalize``,
 ``overall_score``, ``pearson``), on random tables with missing cells,
-constant columns, ties, and negative, ``Fraction`` and zero weights.
+constant columns, ties, min-max spans that overflow, and negative,
+``Fraction`` and zero weights.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ from dischargekit.tables import (
 )
 
 METRICS = ("a", "b", "c")
-# Few distinct values, so ties and constant columns are common.
+# Few distinct values, so ties and constant columns are common; with both of
+# ±1e308 in one document, a min-max span overflows.
 VALUES = st.one_of(
-    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -3.0]),
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -3.0, 1e308, -1e308]),
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
 )
 WEIGHTS = st.one_of(
@@ -138,6 +140,26 @@ def test_select_experts_equals_per_document_recomputation(data, strict):
     assert got == _outcome(per_document_select, table, criteria, strict)
 
 
+@pytest.mark.parametrize(
+    "strict, error",
+    [
+        (True, "MissingCellError: missing cell (hadm_id='d0', model_id='m0', metric='b')"),
+        # Lenient: b is dropped on d0, so its first usable infinite document, d1, is named
+        # before a's d0: the check goes criterion by criterion, in config order.
+        (False, "ValueError: non-finite scores for models: m0, m2"),
+    ],
+)
+def test_select_experts_names_the_first_infinite_cell_in_criterion_order(strict, error):
+    inf, nan = math.inf, math.nan
+    a = array("d", [inf, 0.5, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+    b = array("d", [nan, inf, 0.0, -inf, 1.0, inf, 0.1, 0.2, 0.3])
+    table = ScoreTable(TargetKind.DI, ("d0", "d1", "d2"), ("m0", "m1", "m2"), ("a", "b"), (a, b))
+    config = DesConfig("mixed", (Criterion("b", 1.0), Criterion("a", 2.0)))
+    with pytest.raises((MissingCellError, ValueError)) as caught:
+        select_experts(table, config, TargetKind.DI, strict=strict)
+    assert f"{caught.type.__name__}: {caught.value}" == error
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_strict_select_experts_equals_brute_select(data):
@@ -203,8 +225,12 @@ def test_des4_weights_equal_per_cell_pearson(data):
                 raise DesConfigError(
                     f"metric {metric!r} has {len(present)} usable observations; need at least 3"
                 )
-            criteria.append((metric, float.hex(per_cell_pearson([(table, overall)], metric))))
-        return criteria
+            criteria.append((metric, per_cell_pearson([(table, overall)], metric)))
+        # A sum that overflows (±1e308 cells) gives a non-finite weight, which DesConfig refuses.
+        for metric, r in criteria:
+            if not math.isfinite(r):
+                raise DesConfigError(f"criterion {metric!r} has non-finite weight {r!r}")
+        return [(metric, float.hex(r)) for metric, r in criteria]
 
     def got():
         config = derive_des4_weights(table, overall)
