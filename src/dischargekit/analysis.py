@@ -36,19 +36,33 @@ def pairwise_sum(values: list[float]) -> float:
     return 0.0 + _pairwise(values, 0, len(values))
 
 
+def _in_range(values: list[float]) -> list[float]:
+    """``values``, or, when their squares could underflow or a sum of their
+    products overflow, ``values`` times the power of two that brings the
+    largest magnitude into [1, 2). A power of two scales exactly, and
+    Pearson's r does not depend on scale."""
+    exponent = math.frexp(max(map(abs, values)))[1]
+    # Past these exponents a product of two deviations may fall below the
+    # normal floats, or a sum of len(values) such products reach 2**1024.
+    if -450 <= exponent <= (1021 - len(values).bit_length()) // 2:
+        return values
+    return [math.ldexp(v, 1 - exponent) for v in values]
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation; errors on constant or short vectors.
 
     Every sum is a :func:`pairwise_sum`, and every other step is one IEEE
     operation per element, so the result has the bits of the same formula
-    on numpy float64 arrays.
+    on numpy float64 arrays. A vector whose magnitude would make that
+    formula overflow or underflow is first scaled by a power of two.
     """
     if len(x) != len(y):
         raise AnalysisError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 3:
         raise AnalysisError(f"need at least 3 observations, got {len(x)}")
-    xs = [float(v) for v in x]
-    ys = [float(v) for v in y]
+    xs = _in_range([float(v) for v in x])
+    ys = _in_range([float(v) for v in y])
     x_mean = pairwise_sum(xs) / len(xs)
     y_mean = pairwise_sum(ys) / len(ys)
     xd = [v - x_mean for v in xs]

@@ -70,7 +70,20 @@ class GeneratedCandidate(NamedTuple):
     hadm_id: str
     model_id: str
     target: TargetKind
-    text: str
+    text: str  # or, read with ``lazy``, a TextRef to it
+
+
+class TextRef(NamedTuple):
+    """A text left in its JSONL file: field ``fields[field]`` of the record
+    on line ``line`` of ``path``, which starts at byte ``offset``; ``length``
+    is the text's length when the line was first read."""
+
+    path: str
+    fields: tuple[str, ...]
+    field: int
+    line: int
+    offset: int
+    length: int
 
 
 # --- score-file vocabulary ------------------------------------------------------
@@ -82,6 +95,7 @@ class ScoreError(ValueError):
 
 # One scoring request: a one-target pool, its target, column -> metric, and
 # hadm_id -> the text each non-readability metric compares the candidate with.
+# A text, of a candidate or compared with one, may be a TextRef to it.
 Job = tuple[Sequence[GeneratedCandidate], TargetKind, Mapping[str, str], Mapping[str, str]]
 
 
@@ -261,35 +275,75 @@ def read_csv_records(
 
 
 def read_jsonl_records(
-    path, fields: Sequence[str], key: Sequence[str] = (), what: str = "", lines: Collection[int] | None = None
+    path,
+    fields: Sequence[str],
+    key: Sequence[str] = (),
+    what: str = "",
+    lines: Collection[int] | None = None,
+    lazy: Collection[int] = (),
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield (line, values) for each non-blank line, ``values`` being the
     record's ``fields`` as strings. A line that is not UTF-8, bad JSON, a
     missing or non-string field and a repeat of the ``key`` fields (``what``
     prefixes the key in the message) raise ``CorpusError`` naming the line.
-    Given ``lines``, only the lines of those numbers are decoded, checked and yielded.
+    Given ``lines``, only the lines of those numbers are decoded, checked and
+    yielded. The value of each field position in ``lazy`` is yielded as a
+    :class:`TextRef` to it, which :func:`read_text` reads back.
     """
     check = _unique(path, fields, key, "lines", CorpusError, what)
+    fields = tuple(fields)
+    end = 0  # the byte offset of the next line, counted only for ``lazy``
     try:
-        with open(path, encoding="utf-8") as fh:
+        # For ``lazy``, newline="" keeps each line's own ending, so its length
+        # in bytes is the file's; it reads lines about twice as slowly.
+        with open(path, encoding="utf-8", newline="" if lazy else None) as fh:
             for lineno, line in enumerate(fh, start=1):
+                if lazy:
+                    start, end = end, end + (len(line) if line.isascii() else len(line.encode("utf-8")))
                 if not line.strip() or lines is not None and lineno not in lines:
                     continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-                if not isinstance(record, dict):
-                    raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
-                values = [record.get(name) for name in fields]
-                for name, value in zip(fields, values):
-                    if not isinstance(value, str):
-                        raise CorpusError(f"{path}: line {lineno}: missing or non-string {name!r}")
+                values = _record(path, lineno, line, fields)
                 if check is not None:
                     check(lineno, values)
+                for i in lazy:
+                    values[i] = TextRef(path, fields, i, lineno, start, len(values[i]))
                 yield lineno, values
     except UnicodeDecodeError:
         raise _not_utf8(path, CorpusError) from None
+
+
+def _record(path, lineno: int, line: str, fields: Sequence[str]) -> list[str]:
+    """The ``fields`` of the JSON object on one line, each checked to be a string."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
+    values = [record.get(name) for name in fields]
+    for name, value in zip(fields, values):
+        if not isinstance(value, str):
+            raise CorpusError(f"{path}: line {lineno}: missing or non-string {name!r}")
+    return values
+
+
+def read_text(ref: TextRef, fh, key: Sequence[str]) -> str:
+    """The text ``ref`` points to, read through ``fh``, ``ref.path`` opened in
+    binary. The line must still hold a record whose leading fields are
+    ``key`` and whose text has the length first read; else ``CorpusError``
+    names the file and line."""
+    fh.seek(ref.offset)
+    # A text read ends a line at \r too, and no line that pass 1 decoded held one before its end.
+    raw = fh.readline().split(b"\r", 1)[0]
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{ref.path}: line {ref.line}: not UTF-8: {exc}") from None
+    values = _record(ref.path, ref.line, line, ref.fields)
+    text = values[ref.field]
+    if values[: len(key)] != list(key) or len(text) != ref.length:
+        raise CorpusError(f"{ref.path}: line {ref.line}: changed since it was read")
+    return text
 
 
 def _not_utf8(path, error: type[ValueError]) -> ValueError:
@@ -352,10 +406,13 @@ def load_corpus(path, known_headers: Sequence[str] | None = None) -> list[Discha
 CANDIDATE_FIELDS = ("hadm_id", "model_id", "target", "text")
 
 
-def read_candidate_records(path) -> Iterator[tuple[int, str, str, TargetKind, str]]:
-    """Yield (line, hadm_id, model_id, target, text) per candidate; each
-    (hadm_id, model_id, target) must be unique and the target known."""
-    records = read_jsonl_records(path, CANDIDATE_FIELDS, key=CANDIDATE_FIELDS[:3], what="candidate for ")
+def read_candidate_records(path, lazy: bool = False) -> Iterator[tuple[int, str, str, TargetKind, str]]:
+    """Yield (line, hadm_id, model_id, target, text) per candidate, ``text``
+    a TextRef if ``lazy``; each (hadm_id, model_id, target) must be unique
+    and the target known."""
+    records = read_jsonl_records(
+        path, CANDIDATE_FIELDS, key=CANDIDATE_FIELDS[:3], what="candidate for ", lazy=(3,) if lazy else ()
+    )
     for lineno, (hadm_id, model_id, target, text) in records:
         try:
             kind = TargetKind.parse(target)
@@ -364,9 +421,10 @@ def read_candidate_records(path) -> Iterator[tuple[int, str, str, TargetKind, st
         yield lineno, hadm_id, model_id, kind, text
 
 
-def load_candidates(path) -> list[GeneratedCandidate]:
-    """Load candidates ({"hadm_id","model_id","target","text"}) in file order."""
-    return [GeneratedCandidate(*record[1:]) for record in read_candidate_records(path)]
+def load_candidates(path, lazy: bool = False) -> list[GeneratedCandidate]:
+    """Load candidates ({"hadm_id","model_id","target","text"}) in file
+    order, each text a TextRef if ``lazy``."""
+    return [GeneratedCandidate(*record[1:]) for record in read_candidate_records(path, lazy)]
 
 
 def write_corpus(path, summaries: Iterable[DischargeSummary]) -> None:
@@ -383,10 +441,12 @@ def write_targets(path, targets: Iterable[ExtractedTargets]) -> None:
     write_jsonl_records(path, ("hadm_id", "bhc", "di"), ((t.hadm_id, t.bhc, t.di) for t in targets))
 
 
-def load_targets(path) -> dict[str, ExtractedTargets]:
-    """Load a targets JSONL file ({"hadm_id","bhc","di"}) keyed by hadm_id."""
+def load_targets(path, lazy: bool = False) -> dict[str, ExtractedTargets]:
+    """Load a targets JSONL file ({"hadm_id","bhc","di"}) keyed by hadm_id,
+    each text a TextRef if ``lazy``."""
     fields = ExtractedTargets._fields
-    return {values[0]: ExtractedTargets(*values) for _, values in read_jsonl_records(path, fields, key=fields[:1])}
+    records = read_jsonl_records(path, fields, key=fields[:1], lazy=(1, 2) if lazy else ())
+    return {values[0]: ExtractedTargets(*values) for _, values in records}
 
 
 def reference_text(targets: Mapping[str, ExtractedTargets], hadm_id: str, target: TargetKind) -> str:

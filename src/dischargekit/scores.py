@@ -10,6 +10,17 @@ job's rows into its table. Native metrics are computed here; neural or
 licensed metrics (bertscore, alignscore, medcon, summac) are ingested from
 external CSV files and merged into the same score table.
 
+What each process holds: ``score`` reads its inputs with ``lazy`` set, so
+a job's candidate texts and ``against`` texts are
+:class:`~dischargekit.corpus.TextRef` values, and the process that forks
+holds ids, line numbers, offsets and lengths but no text. Each shard, in
+that process or a worker, reads one document's texts, scores every job's
+candidates of it, and drops them before the next document. What comes
+back is one float per cell (:func:`score_cells`), and ``score`` streams
+the rows :func:`job_rows` makes of them into the CSV writer. Jobs built
+in memory (``simulate``, ``evaluate``, the library) hold their texts
+already and go through the same walk.
+
 A readability formula undefined for a text (one with no words) gives a NaN
 cell, which the rows leave out: every consumer treats it as a missing cell,
 and no candidate text makes scoring raise.
@@ -27,17 +38,18 @@ import marshal
 import math
 import os
 import sys
+from array import array
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
-from typing import NamedTuple
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, NamedTuple
 
 from . import readability, relevance
 # The score-file vocabulary is defined in corpus, so the table side can use it
 # without this module; it is re-exported here.
 from .corpus import (
     DS_SUFFIX, EXTERNAL_CSV_HEADER, NATIVE_METRICS, OVERALL_METRICS, READABILITY_METRICS, REFERENCE_METRICS,
-    DischargeSummary, ExtractedTargets, GeneratedCandidate, Job, ScoreError, TargetKind, first_seen,
-    parse_score_cell, read_csv_records, reference_text, write_csv_records,
+    CorpusError, DischargeSummary, ExtractedTargets, GeneratedCandidate, Job, ScoreError, TargetKind, TextRef,
+    first_seen, parse_score_cell, read_csv_records, read_text, reference_text, write_csv_records,
 )
 from .relevance import stem
 from .textprep import tokenize, words
@@ -102,42 +114,39 @@ def _against(
     return against
 
 
-def _score_candidate(
-    c: GeneratedCandidate, columns: Mapping[str, str], against: Mapping[str, str]
-) -> dict[str, float]:
-    """One candidate's value in each of ``columns``, NaN where undefined."""
-    cells = {}
+def _cells(text: str, against: str | None, metrics: Sequence[str]) -> array:
+    """A candidate's value for each of ``metrics``, NaN where undefined."""
+    cells = array("d")
     tok = None
-    for column, metric in columns.items():
+    for metric in metrics:
         if metric not in READABILITY_METRICS:
-            cells[column] = float(METRICS[metric](c.text, against[c.hadm_id]))
+            cells.append(float(METRICS[metric](text, against)))
             continue
         if tok is None:
-            tok = tokenize(c.text)
+            tok = tokenize(text)
         try:
-            cells[column] = float(METRICS[metric](tok))
+            cells.append(float(METRICS[metric](tok)))
         except readability.DegenerateTextError:
-            cells[column] = math.nan
+            cells.append(math.nan)
     return cells
 
 
-def _pool_rows(
-    pool: Sequence[GeneratedCandidate],
-    target: TargetKind,
-    values: Sequence[dict[str, float]],
-) -> list[tuple[str, str, str, str, float]]:
-    """A job's rows from each candidate's cells, in pool order; see :func:`score_jobs`."""
-    scored = {(c.hadm_id, c.model_id): cells for c, cells in zip(pool, values)}
+def job_rows(job: Job, cells: array) -> Iterator[tuple[str, str, str, str, float]]:
+    """A job's rows from its :func:`score_cells` cells, in the order of
+    :func:`score_jobs`."""
+    pool, target, columns, _ = job
+    names, width = sorted(columns), len(columns)
     doc_pos = {doc: i for i, doc in enumerate(first_seen(c.hadm_id for c in pool))}
     model_pos = {model: j for j, model in enumerate(first_seen(c.model_id for c in pool))}
-    order = sorted(scored, key=lambda pair: (doc_pos[pair[0]], model_pos[pair[1]]))
+    # Table cell -> pool position; a later candidate for a cell replaces an earlier one.
+    last = {doc_pos[c.hadm_id] * len(model_pos) + model_pos[c.model_id]: pos for pos, c in enumerate(pool)}
     wanted = target.value
-    return [
-        (doc, model, wanted, column, value)
-        for doc, model in order
-        for column, value in sorted(scored[doc, model].items())
-        if value == value  # False only for NaN
-    ]
+    for cell in sorted(last):
+        pos = last[cell]
+        c = pool[pos]
+        for name, value in zip(names, cells[pos * width : (pos + 1) * width]):
+            if value == value:  # False only for NaN
+                yield c.hadm_id, c.model_id, wanted, name, value
 
 
 # --- scoring in worker processes ----------------------------------------------
@@ -165,15 +174,33 @@ def score_jobs(
     sorted; undefined (NaN) cells are dropped, and a later candidate for a
     (hadm_id, model_id) pair replaces an earlier one.
 
-    The documents of all jobs, in first-seen order, are split into
+    What each process holds, and when, is as in :func:`score_cells`: a
+    shard holds one document's texts while it scores them, and this process
+    holds each job's cells once the shards are done; the rows are built
+    from the cells only here, at the end.
+    """
+    return [list(job_rows(job, cells)) for job, cells in zip(jobs, score_cells(jobs, workers))]
+
+
+def score_cells(jobs: Sequence[Job], workers: int | None = None) -> list[array]:
+    """Each job's cells: ``len(columns)`` per pool position, in sorted column
+    order, NaN where undefined; :func:`job_rows` turns them into rows.
+
+    A candidate's text and its ``against`` text may each be a
+    :class:`~dischargekit.corpus.TextRef`, read only when its document is
+    scored. The documents of all jobs, in first-seen order, are split into
     ``min(workers, usable_cpus(), documents)`` contiguous shards of about
     equal candidate text length (``workers`` None means no cap), or one
     empty shard. This process scores the first shard; each other shard is
-    scored in a forked child that returns its values through a pipe, and
-    every child is reaped before this returns or raises. Results never
-    depend on the split: an undefined cell is left out in every shard.
-    Without ``os.fork`` every job is scored here, and so it is in a process
-    running other threads, whose locks a forked child could inherit held.
+    scored in a forked child, which sends back only its cells, or the
+    message of the ``CorpusError`` that stopped it, through a pipe. Every
+    child is reaped before this returns or raises, and the error of the
+    first shard in document order wins, as in one process. So this process
+    holds no text it was not given when it forks, and only cells after.
+    Results never depend on the split: an undefined cell is left out in
+    every shard. Without ``os.fork`` every job is scored here, and so it is
+    in a process running other threads, whose locks a forked child could
+    inherit held.
     """
     n = usable_cpus() if workers is None else min(workers, usable_cpus())
     threading = sys.modules.get("threading")
@@ -205,7 +232,10 @@ def score_jobs(
             if code != 0:
                 how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
                 raise RuntimeError(f"score worker {pid} {how}")
-            results.append(marshal.loads(payload))
+            shard = marshal.loads(payload)
+            if isinstance(shard, str):
+                raise CorpusError(shard)
+            results.append([array("d", cells) for cells in shard])
     except BaseException:
         import signal
 
@@ -217,12 +247,17 @@ def score_jobs(
             os.close(read_fd)
         for pid in alive:
             os.waitpid(pid, 0)
-    values: list[list] = [[None] * len(job[0]) for job in jobs]
-    for part, shard_values in zip(parts, results):
-        for job_values, positions, scored in zip(values, part, shard_values):
-            for pos, cells in zip(positions, scored):
-                job_values[pos] = cells
-    return [_pool_rows(pool, target, v) for (pool, target, *_), v in zip(jobs, values)]
+    out = [array("d", [math.nan]) * (len(job[0]) * len(job[2])) for job in jobs]
+    for part, shard in zip(parts, results):
+        for job, cells, positions, scored in zip(jobs, out, part, shard):
+            width = len(job[2])
+            for k, pos in enumerate(positions):
+                cells[pos * width : (pos + 1) * width] = scored[k * width : (k + 1) * width]
+    return out
+
+
+def _length(text: str | TextRef) -> int:
+    return text.length if isinstance(text, TextRef) else len(text)
 
 
 def _split(jobs: Sequence[Job], n: int) -> list[list[list[int]]]:
@@ -231,7 +266,7 @@ def _split(jobs: Sequence[Job], n: int) -> list[list[list[int]]]:
     weight: dict[str, int] = {}
     for pool, *_ in jobs:
         for c in pool:
-            weight[c.hadm_id] = weight.get(c.hadm_id, 0) + len(c.text) + 1
+            weight[c.hadm_id] = weight.get(c.hadm_id, 0) + _length(c.text) + 1
     n, total, done = max(1, min(n, len(weight))), sum(weight.values()), 0
     shard_of = {}
     for doc, w in weight.items():
@@ -244,22 +279,62 @@ def _split(jobs: Sequence[Job], n: int) -> list[list[list[int]]]:
     return [part for part in parts if any(part)]
 
 
-def _score_shard(jobs: Sequence[Job], part: list[list[int]]) -> list[list[dict[str, float]]]:
-    """Each job's values for its positions in ``part``."""
-    return [
-        [_score_candidate(pool[pos], columns, against) for pos in positions]
-        for (pool, _, columns, against), positions in zip(jobs, part)
-    ]
+def _score_shard(jobs: Sequence[Job], part: list[list[int]]) -> list[array]:
+    """Each job's cells for its positions in ``part``, in that order.
+
+    Documents come in first-seen order, and each one's candidates of every
+    job, in job and then pool order, are scored before the next document's:
+    its TextRefs are read when it is reached and dropped after it, and a
+    text compared with several candidates in a row is split into words once.
+    """
+    by_doc: dict[str, list[tuple[int, int]]] = {}  # hadm_id -> (job, index in part[job])
+    for j, ((pool, *_), positions) in enumerate(zip(jobs, part)):
+        for k, pos in enumerate(positions):
+            by_doc.setdefault(pool[pos].hadm_id, []).append((j, k))
+    metrics = [[columns[name] for name in sorted(columns)] for _, _, columns, _ in jobs]
+    compares = [any(m not in READABILITY_METRICS for m in job_metrics) for job_metrics in metrics]
+    out = [array("d", [math.nan]) * (len(positions) * len(job_metrics)) for positions, job_metrics in zip(part, metrics)]
+    files: dict[str, BinaryIO] = {}  # path -> binary handle, for reading TextRefs
+    try:
+        for doc, picks in by_doc.items():
+            texts: dict[TextRef, str] = {}  # this document's texts read so far
+            for j, k in picks:
+                pool, _, _, against = jobs[j]
+                c = pool[part[j][k]]
+                text = _text(c.text, (c.hadm_id, c.model_id, c.target.value), files, texts)
+                other = _text(against[doc], (doc,), files, texts) if compares[j] else None
+                width = len(metrics[j])
+                out[j][k * width : (k + 1) * width] = _cells(text, other, metrics[j])
+    finally:
+        for fh in files.values():
+            fh.close()
+    return out
+
+
+def _text(text: str | TextRef, key: tuple[str, ...], files: dict, texts: dict) -> str:
+    """``text``, read once per document if it is a TextRef; see :func:`~dischargekit.corpus.read_text`."""
+    if isinstance(text, str):
+        return text
+    if text not in texts:
+        if text.path not in files:
+            files[text.path] = open(text.path, "rb")
+        texts[text] = read_text(text, files[text.path], key)
+    return texts[text]
 
 
 def _shard_child(jobs: Sequence[Job], part: list[list[int]], close: list[int], write_fd: int):
-    """In a forked child: score ``part``, write it to ``write_fd`` and exit,
-    never returning to the caller's stack."""
+    """In a forked child: score ``part``, write its cells (or the message of
+    the CorpusError that stopped it) to ``write_fd`` and exit, never
+    returning to the caller's stack."""
     code = 1
     try:
         for fd in close:
             os.close(fd)
-        payload = memoryview(marshal.dumps(_score_shard(jobs, part)))
+        try:
+            shard = [cells.tobytes() for cells in _score_shard(jobs, part)]
+        except CorpusError as exc:
+            shard = str(exc)
+        payload = memoryview(marshal.dumps(shard))
         while payload:
             payload = payload[os.write(write_fd, payload) :]
         code = 0

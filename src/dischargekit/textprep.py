@@ -62,16 +62,20 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=2)
 def _word_tuple(text: str) -> tuple[str, ...]:
-    return tuple(_WORD_RE.findall(text.lower()))
+    found = _WORD_RE.findall(text.lower())
+    # One str per distinct word: findall makes a new one per match.
+    shared: dict[str, str] = {}
+    return tuple(map(shared.setdefault, found, found))
 
 
 def words(text: str) -> list[str]:
     """Flat list of lowercase metric words.
 
     Every metric of a candidate/reference pair splits the same two texts,
-    so the last few splits are kept; each call still returns a new list.
+    so the splits of the last two texts are kept; each call still returns a
+    new list.
     """
     return list(_word_tuple(text))
 

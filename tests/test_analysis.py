@@ -193,3 +193,14 @@ def test_normalize_clinician_scores_rejects_out_of_range():
         normalize_clinician_scores([0.5])
     with pytest.raises(AnalysisError):
         normalize_clinician_scores([5.1])
+
+
+@pytest.mark.parametrize("exponent", [1023, 997, -997, -1060, -451, 508, 509])
+def test_pearson_is_right_at_any_finite_magnitude(exponent):
+    x = [1.0, -1.0, 0.75, -0.5, 1.5, -1.25]
+    y = [0.5, 0.0, 1.0, 0.25, 0.125, 2.0]
+    expected = pearson(x, y)
+    assert pearson([math.ldexp(v, exponent) for v in x], y) == expected
+    assert pearson(y, [math.ldexp(v, exponent) for v in x]) == expected
+    # A vector in range keeps its bits: only an extreme one is scaled.
+    assert pearson([math.ldexp(v, 20) for v in x], y) == expected

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -1239,3 +1240,67 @@ def test_select_names_a_winner_line_rewritten_between_passes(pipeline_dir, capsy
     assert code == 1
     assert f"error: {cands}: line {rewritten[0]}: candidate changed since it was read" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--references", "--against-ds"])
+def test_score_missing_reference_names_both_files_and_the_line(pipeline_dir, flag, capsys):
+    name = "targets.jsonl" if flag == "--references" else "bodies.jsonl"
+    source = pipeline_dir / "extracted" / name
+    lines = source.read_text(encoding="utf-8").splitlines()
+    dropped = json.loads(lines[1])["hadm_id"]
+    source.write_text("\n".join(lines[:1] + lines[2:]) + "\n", encoding="utf-8")
+    candidates = pipeline_dir / "candidates.jsonl"
+    line = next(i for i, text in enumerate(candidates.read_text(encoding="utf-8").splitlines(), 1)
+                if json.loads(text)["hadm_id"] == dropped)
+    out = pipeline_dir / "never.csv"
+    assert run("score", "--candidates", candidates, flag, source, "--out", out) == 1
+    what = "reference" if flag == "--references" else "discharge summary"
+    assert capsys.readouterr().err == (
+        f"error: {candidates}: line {line}: no {what} for hadm_id {dropped!r} in {source}\n"
+    )
+    assert not out.exists()
+
+
+def test_score_manifest_counts_documents_models_candidates_and_cells(pipeline_dir, tmp_path, capsys):
+    candidates = corpus.load_candidates(pipeline_dir / "candidates.jsonl")
+    empty = (candidates[0].hadm_id, candidates[0].model_id, candidates[0].target)
+    corpus.write_candidates(tmp_path / "cands.jsonl", [
+        c._replace(text="") if (c.hadm_id, c.model_id, c.target) == empty else c for c in candidates
+    ])
+    out = tmp_path / "scores.csv"
+    assert run("score", "--candidates", tmp_path / "cands.jsonl", "--references",
+               pipeline_dir / "extracted" / "targets.jsonl", "--out", out) == 0
+    written = len(read_csv_rows(out)) - 1
+    assert capsys.readouterr().err == f"wrote {written} score cells (3 undefined) -> {out}\n"
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text(encoding="utf-8"))
+    assert manifest["counts"] == {
+        "documents": 6, "models": 2, "candidates": 24, "cells": written, "undefined_cells": 3,
+    }
+    assert written == 24 * 8 - 3
+
+
+@pytest.mark.parametrize("magnitude", [1e308, 1e300, 1e-300])
+def test_correlate_and_des4_are_right_at_extreme_magnitudes(pipeline_dir, magnitude):
+    from dischargekit.analysis import pearson
+
+    cands = [c for c in corpus.load_candidates(pipeline_dir / "candidates.jsonl") if c.target is TargetKind.DI]
+    xs = [(-1) ** i * magnitude * (1 + (i * 7 % 5) / 10) for i in range(len(cands))]
+    ys = [(i * 13 % 29) / 29 for i in range(len(cands))]
+    scores_path, overall_path = pipeline_dir / "extreme.csv", pipeline_dir / "extreme_overall.csv"
+    write_external(scores_path, [[c.hadm_id, c.model_id, "di", "medcon", repr(x)] for c, x in zip(cands, xs)])
+    with open(overall_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["hadm_id", "model_id", "target", "value"])
+        writer.writerows([c.hadm_id, c.model_id, "di", repr(y)] for c, y in zip(cands, ys))
+    # A power of two scales exactly, so the pre-scaled vector has the same r.
+    expected = pearson([math.ldexp(x, -round(math.log2(magnitude))) for x in xs], ys)
+    assert 0.1 < abs(expected) < 1.0
+
+    out = pipeline_dir / "extreme_corr.csv"
+    assert run("correlate", "--scores", scores_path, "--overall", overall_path, "--out", out) == 0
+    assert read_csv_rows(out)[1] == ["medcon", "overall_pooled", f"{expected:.10g}"]
+    sub = pipeline_dir / "extreme_des4.csv"
+    assert run("select", "--scores", scores_path, "--candidates", pipeline_dir / "candidates.jsonl",
+               "--config", "des4", "--target", "di", "--overall", overall_path, "--out", sub) == 0
+    derived = json.loads(sub.with_name(sub.name + ".des4.json").read_text(encoding="utf-8"))
+    assert derived["criteria"] == [{"metric": "medcon", "weight": expected, "scope": "both"}]
