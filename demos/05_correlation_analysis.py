@@ -13,8 +13,8 @@ from dischargekit.scores import (
     first_seen,
     native_score_job,
     score_jobs,
-    synthetic_external_rows,
 )
+from dischargekit.synthetic import synthetic_external_rows
 from dischargekit.tables import ScoreTable, overall_by_document
 
 summaries, candidates = generate_synthetic_corpus(n_docs=80, n_models=3, seed=7)

@@ -21,7 +21,7 @@ _SUBMODULE = {
     "GeneratedCandidate": "corpus",
     "TargetKind": "corpus",
     "extract_targets": "corpus",
-    "generate_synthetic_corpus": "corpus",
+    "generate_synthetic_corpus": "synthetic",
     "load_candidates": "corpus",
     "load_corpus": "corpus",
     "Criterion": "des",

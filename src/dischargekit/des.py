@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Collection, Mapping, Sequence
 from enum import Enum
-from fractions import Fraction
 from functools import reduce
 from operator import add
 from typing import NamedTuple
@@ -43,9 +43,50 @@ class Scope(str, Enum):
         return (self is Scope.DI_ONLY) == (target is TargetKind.DI)
 
 
+class Ratio:
+    """An exact weight ``numerator/denominator``, as the presets and a config's
+    ``"n/d"`` strings give it, kept in lowest terms with a positive
+    denominator. It converts to the float of ``numerator / denominator`` and
+    compares and hashes equal to ``fractions.Fraction(numerator, denominator)``,
+    without the import of ``fractions`` and ``decimal``."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        if denominator == 0:
+            raise ZeroDivisionError(f"Ratio({numerator}, 0)")
+        g = math.gcd(numerator, denominator) * (1 if denominator > 0 else -1)
+        self.numerator, self.denominator = numerator // g, denominator // g
+
+    def __float__(self) -> float:
+        return self.numerator / self.denominator
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, float):
+            return math.isfinite(other) and (self.numerator, self.denominator) == other.as_integer_ratio()
+        try:
+            return self.numerator * other.denominator == other.numerator * self.denominator
+        except AttributeError:
+            return NotImplemented
+
+    def __hash__(self) -> int:
+        # The hash of every rational number, as fractions.Fraction computes it.
+        try:
+            inverse = pow(self.denominator, -1, sys.hash_info.modulus)
+        except ValueError:
+            value = sys.hash_info.inf
+        else:
+            value = hash(hash(abs(self.numerator)) * inverse)
+        value = value if self.numerator >= 0 else -value
+        return -2 if value == -1 else value
+
+    def __repr__(self) -> str:
+        return f"Ratio({self.numerator}, {self.denominator})"
+
+
 class Criterion(NamedTuple):
     metric: str
-    weight: Fraction | float
+    weight: Ratio | float
     scope: Scope = Scope.BOTH
 
 
@@ -109,30 +150,30 @@ PRESETS: dict[str, DesConfig] = {
     "des1": DesConfig(
         "des1",
         criteria=(
-            Criterion("medcon", Fraction(1, 2)),
-            Criterion("meteor", Fraction(1, 2)),
+            Criterion("medcon", Ratio(1, 2)),
+            Criterion("meteor", Ratio(1, 2)),
         ),
     ),
     "des2": DesConfig(
         "des2",
         criteria=(
-            Criterion("medcon", Fraction(2, 5)),
-            Criterion("meteor", Fraction(2, 5)),
-            Criterion("cli", Fraction(1, 5)),
+            Criterion("medcon", Ratio(2, 5)),
+            Criterion("meteor", Ratio(2, 5)),
+            Criterion("cli", Ratio(1, 5)),
         ),
     ),
     "des3": DesConfig(
         "des3",
         criteria=(
-            Criterion("fkgl", Fraction(-1, 9), Scope.DI_ONLY),
-            Criterion("dcrs", Fraction(-1, 9), Scope.DI_ONLY),
-            Criterion("cli", Fraction(-1, 9), Scope.DI_ONLY),
-            Criterion("medcon", Fraction(2, 9), Scope.DI_ONLY),
-            Criterion("meteor", Fraction(2, 9), Scope.DI_ONLY),
-            Criterion("alignscore", Fraction(2, 9), Scope.DI_ONLY),
-            Criterion("medcon", Fraction(1, 3), Scope.BHC_ONLY),
-            Criterion("meteor", Fraction(1, 3), Scope.BHC_ONLY),
-            Criterion("alignscore", Fraction(1, 3), Scope.BHC_ONLY),
+            Criterion("fkgl", Ratio(-1, 9), Scope.DI_ONLY),
+            Criterion("dcrs", Ratio(-1, 9), Scope.DI_ONLY),
+            Criterion("cli", Ratio(-1, 9), Scope.DI_ONLY),
+            Criterion("medcon", Ratio(2, 9), Scope.DI_ONLY),
+            Criterion("meteor", Ratio(2, 9), Scope.DI_ONLY),
+            Criterion("alignscore", Ratio(2, 9), Scope.DI_ONLY),
+            Criterion("medcon", Ratio(1, 3), Scope.BHC_ONLY),
+            Criterion("meteor", Ratio(1, 3), Scope.BHC_ONLY),
+            Criterion("alignscore", Ratio(1, 3), Scope.BHC_ONLY),
         ),
     ),
 }
@@ -314,11 +355,11 @@ def derive_des4_weights(table: ScoreTable, overall: Mapping[tuple[str, str], flo
 # --- config file format ------------------------------------------------------
 
 
-def _parse_weight(metric: str, value) -> Fraction | float:
+def _parse_weight(metric: str, value) -> Ratio | float:
     if isinstance(value, str):
         try:
             num, den = value.split("/")
-            return Fraction(int(num), int(den))
+            return Ratio(int(num), int(den))
         except (ValueError, ZeroDivisionError):
             pass
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -385,9 +426,7 @@ def des_config_to_json(config: DesConfig) -> dict:
             {
                 "metric": c.metric,
                 "weight": (
-                    f"{c.weight.numerator}/{c.weight.denominator}"
-                    if isinstance(c.weight, Fraction)
-                    else float(c.weight)
+                    float(c.weight) if isinstance(c.weight, (int, float)) else f"{c.weight.numerator}/{c.weight.denominator}"
                 ),
                 "scope": c.scope.value,
             }

@@ -1,14 +1,16 @@
 """Score rows and the eight-metric overall score.
 
 A job ``(pool, target, columns, against)`` asks for one column per metric
-for every candidate of a one-target pool; :func:`native_score_job`,
-:func:`factuality_proxy_job` and :func:`synthetic_external_jobs` build
-them. :func:`score_jobs` scores a list of jobs into long-form rows
-``(hadm_id, model_id, target, metric, value)``, by document shards in
-forked worker processes, and :func:`dischargekit.tables.job_table` turns a
-job's rows into its table. Native metrics are computed here; neural or
-licensed metrics (bertscore, alignscore, medcon, summac) are ingested from
-external CSV files and merged into the same score table.
+for every candidate of a one-target pool; :func:`native_score_job` and
+:func:`factuality_proxy_job` build them, and
+:func:`dischargekit.synthetic.synthetic_external_jobs` those of the
+stand-ins for the external metrics. :func:`score_jobs` scores a list of
+jobs into long-form rows ``(hadm_id, model_id, target, metric, value)``,
+by document shards in forked worker processes, and
+:func:`dischargekit.tables.job_table` turns a job's rows into its table.
+Native metrics are computed here; neural or licensed metrics (bertscore,
+alignscore, medcon, summac) are ingested from external CSV files and
+merged into the same score table.
 
 What each process holds: ``score`` reads its inputs with ``lazy`` set, so
 a job's candidate texts and ``against`` texts are
@@ -424,49 +426,6 @@ def overall_score(components: Mapping[str, float]) -> OverallScore:
     for value in ordered.values():
         total += value
     return OverallScore(value=total / len(ordered), components=ordered)
-
-
-def synthetic_external_jobs(
-    candidates: Sequence[GeneratedCandidate],
-    references: Mapping[str, ExtractedTargets],
-    summaries: Sequence[DischargeSummary],
-) -> list[Job]:
-    """The jobs of :func:`synthetic_external_rows`: per target, in first-seen
-    order, bertscore and medcon against the reference, then alignscore
-    against the document body."""
-    bodies = {s.hadm_id: s.body_without_targets for s in summaries}
-    jobs = []
-    for target in first_seen(c.target for c in candidates):
-        pool = [c for c in candidates if c.target is target]
-        refs = _against(pool, references, "reference")
-        jobs.append((pool, target, {"bertscore": "bertscore", "medcon": "medcon"}, refs))
-        on_body = _against(pool, bodies, "discharge summary")
-        jobs.append((pool, target, {"alignscore": "alignscore"}, on_body))
-    return jobs
-
-
-def synthetic_external_rows(
-    candidates: Sequence[GeneratedCandidate],
-    references: Mapping[str, ExtractedTargets],
-    summaries: Sequence[DischargeSummary],
-) -> list[tuple[str, str, str, str, float]]:
-    """Deterministic stand-ins for the externally computed metrics.
-
-    Intended for synthetic corpora only, so end-to-end runs can exercise
-    the eight-metric overall score without neural scorers: bertscore is a
-    stemmed unigram F1 against the reference, medcon a stemmed vocabulary
-    Jaccard against the reference, alignscore a bigram F1 against the
-    whole document body.
-    """
-    from . import tables
-
-    jobs = synthetic_external_jobs(candidates, references, summaries)
-    scored = score_jobs(jobs, 1)
-    rows = []
-    for (pool, target, *_), on_refs, on_body in zip(jobs[::2], scored[::2], scored[1::2]):
-        docs, models = first_seen(c.hadm_id for c in pool), first_seen(c.model_id for c in pool)
-        rows.extend(tables.ScoreTable.from_rows(on_refs + on_body, target, docs, models).to_rows())
-    return rows
 
 
 # Only benchmarks/tracer.py looks these up here (PEP 562, from dischargekit.tables).

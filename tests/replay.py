@@ -40,7 +40,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from dischargekit import cli, corpus, scores, tables
+from dischargekit import cli, corpus, scores, synthetic, tables
+from dischargekit.commands import evaluate
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 SIMULATE = ("simulate", "--docs", 12, "--models", 3, "--seed", 5)
@@ -114,7 +115,7 @@ def _build(out: Path, twin: Path) -> None:
          "--out", out / "reordered_applied.jsonl")
 
     external, scored, overall, sparse = (out / f"{n}.csv" for n in ("external", "scored", "overall", "sparse"))
-    scores.write_score_csv(external, scores.synthetic_external_rows(
+    scores.write_score_csv(external, synthetic.synthetic_external_rows(
         corpus.load_candidates(cands), corpus.load_targets(targets), corpus.load_corpus(sim / "corpus.jsonl")
     ))
     score = ("score", "--candidates", cands, "--references", targets, "--external", external)
@@ -144,8 +145,8 @@ def _build(out: Path, twin: Path) -> None:
 
     submission, submission_external = sel / "di_des1.csv", out / "submission_external.csv"
     picked = [corpus.GeneratedCandidate(doc, "submission", corpus.TargetKind.DI, text)
-              for doc, text in cli._read_submission(submission)]
-    scores.write_score_csv(submission_external, scores.synthetic_external_rows(
+              for doc, text in evaluate._read_submission(submission)]
+    scores.write_score_csv(submission_external, synthetic.synthetic_external_rows(
         picked, corpus.load_targets(targets), corpus.load_corpus(sim / "corpus.jsonl")
     ))
     _run("evaluate", "--submission", submission, "--references", targets, "--target", "di",

@@ -22,7 +22,6 @@ from dischargekit.analysis import pearson
 from dischargekit.cli import main
 from dischargekit.corpus import (
     TargetKind,
-    generate_synthetic_corpus,
     write_candidates,
     write_corpus,
 )
@@ -30,7 +29,8 @@ from dischargekit.readability import cli as cli_score
 from dischargekit.readability import dcrs, fkgl
 from dischargekit.relevance import rouge_1
 from dischargekit.reorder import rank_sections, split_sections, truncate_words
-from dischargekit.scores import OVERALL_METRICS, REFERENCE_METRICS, overall_score, synthetic_external_rows
+from dischargekit.scores import OVERALL_METRICS, REFERENCE_METRICS, overall_score
+from dischargekit.synthetic import generate_synthetic_corpus, synthetic_external_rows
 from dischargekit.tables import ScoreTable, compute_native_scores, overall_by_document
 from dischargekit.corpus import DischargeSummary, GeneratedCandidate
 from dischargekit.textprep import tokenize, word_count

@@ -8,7 +8,8 @@ import pytest
 
 from dischargekit import corpus
 from dischargekit.cli import main
-from dischargekit.corpus import TargetKind, generate_synthetic_corpus
+from dischargekit.corpus import TargetKind
+from dischargekit.synthetic import generate_synthetic_corpus
 from dischargekit.textprep import word_count
 
 

@@ -11,11 +11,11 @@ from dischargekit.corpus import (
     GeneratedCandidate,
     TargetKind,
     extract_targets,
-    generate_synthetic_corpus,
     load_candidates,
     load_corpus,
     load_targets,
 )
+from dischargekit.synthetic import generate_synthetic_corpus
 from dischargekit.textprep import word_count
 
 

@@ -12,12 +12,13 @@ from pathlib import Path
 import pytest
 
 import dischargekit
-from dischargekit import cli, corpus
+from dischargekit import cli, corpus, synthetic
 
 # numpy, which the package never needs; dataclasses and inspect, which cost
-# every process about 10 ms to import; and the scoring, table and selection
-# modules, which extract and reorder never load.
-NEVER = ("numpy", "dataclasses", "inspect")
+# every process about 10 ms to import; fractions with decimal, and datetime,
+# which the DES weights and the manifest timestamp do without; and the
+# scoring, table and selection modules, which extract and reorder never load.
+NEVER = ("numpy", "dataclasses", "inspect", "fractions", "decimal", "datetime")
 METRIC_SIDE = ("dischargekit.scores", "dischargekit.relevance", "dischargekit.readability", "dischargekit.stemmer")
 HEAVY = (*NEVER, *METRIC_SIDE, "dischargekit.tables", "dischargekit.des", "dischargekit.analysis")
 
@@ -53,13 +54,16 @@ def test_importing_the_cli_loads_no_traceback(tmp_path):
     report = run_probe(tmp_path, [])
     assert report["import"] == []
     assert report["traceback"] is False
+    # No handler, reader or hashing module until a subcommand runs.
+    assert report["package"] == ["dischargekit", "dischargekit.cli"]
 
 
 @pytest.fixture(scope="module")
 def every_step(tmp_path_factory):
-    """Every subcommand run in its own fresh interpreter: (work directory, step name -> probe report)."""
+    """Every subcommand run in its own fresh interpreter: (work directory, step name -> argv,
+    step name -> probe report)."""
     tmp_path = tmp_path_factory.mktemp("steps")
-    summaries, candidates = corpus.generate_synthetic_corpus(3, 2, seed=4)
+    summaries, candidates = synthetic.generate_synthetic_corpus(3, 2, seed=4)
     corpus.write_corpus(tmp_path / "corpus.jsonl", summaries)
     corpus.write_candidates(tmp_path / "candidates.jsonl", candidates)
     ext = tmp_path / "ext"
@@ -106,7 +110,7 @@ def every_step(tmp_path_factory):
                      "--target", "di", "--external", submission_external, "--out", tmp_path / "evaluate.csv"],
         "simulate": ["simulate", "--docs", "2", "--models", "2", "--config", "des1", "--out", tmp_path / "sim"],
     }
-    return tmp_path, {name: run_probe(tmp_path, [argv]) for name, argv in steps.items()}
+    return tmp_path, steps, {name: run_probe(tmp_path, [argv]) for name, argv in steps.items()}
 
 
 def _loaded(report) -> list[str]:
@@ -115,12 +119,13 @@ def _loaded(report) -> list[str]:
 
 
 def test_extract_and_reorder_never_load_numpy_or_scoring_modules(every_step):
-    tmp_path, reports = every_step
-    base = ["dischargekit", "dischargekit.cli", "dischargekit.corpus", "dischargekit.data", "dischargekit.textprep"]
-    assert reports["extract"]["package"] == base
-    # reorder's default scorer is ROUGE-1, so it loads relevance and its stemmer.
+    tmp_path, _, reports = every_step
+    base = ["dischargekit", "dischargekit.cli", "dischargekit.commands", "dischargekit.corpus", "dischargekit.data"]
+    assert reports["extract"]["package"] == sorted([*base, "dischargekit.commands.extract"])
+    # reorder's default scorer is ROUGE-1, so it loads relevance, its stemmer and textprep.
     assert reports["reorder"]["package"] == sorted(
-        [*base, "dischargekit.relevance", "dischargekit.reorder", "dischargekit.stemmer"]
+        [*base, "dischargekit.commands.reorder", "dischargekit.relevance", "dischargekit.reorder",
+         "dischargekit.stemmer", "dischargekit.textprep"]
     )
     assert [_loaded(reports[name]) for name in ("extract", "reorder")] == [
         [], ["dischargekit.relevance", "dischargekit.stemmer"]
@@ -129,7 +134,7 @@ def test_extract_and_reorder_never_load_numpy_or_scoring_modules(every_step):
 
 
 def test_no_subcommand_loads_numpy(every_step):
-    tmp_path, reports = every_step
+    tmp_path, _, reports = every_step
     assert [name for name, report in reports.items() if "numpy" in _loaded(report)] == []
     # score loads the metric side, and the table code only to merge --external
     # scores; it never loads des or analysis.
@@ -143,19 +148,75 @@ def test_no_subcommand_loads_numpy(every_step):
 
 @pytest.mark.parametrize("step", ["select_des1", "select_des4", "select_des5", "correlate"])
 def test_select_and_correlate_never_load_the_metric_side(every_step, step):
-    _, reports = every_step
+    _, _, reports = every_step
     assert sorted(set(METRIC_SIDE) & set(reports[step]["package"])) == []
     assert "dischargekit.tables" in _loaded(reports[step])
 
 
 def test_no_subcommand_loads_dataclasses_or_inspect(every_step):
-    # A later @dataclass, or a module that needs inspect, would bring their
-    # import back into every CLI process; together the steps load every module.
-    _, reports = every_step
+    # A later @dataclass, a module that needs inspect, a Fraction or a datetime
+    # would bring their import back into every CLI process; together the steps
+    # load every module.
+    _, _, reports = every_step
     assert [name for name, report in reports.items() if set(NEVER) & set(_loaded(report))] == []
-    package = Path(dischargekit.__file__).parent
-    modules = {"dischargekit"} | {f"dischargekit.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__"}
-    assert modules <= {m for report in reports.values() for m in report["package"]}
+    assert {m for report in reports.values() for m in report["package"]} >= _package_modules()
+
+
+def _package_modules() -> set[str]:
+    """The dotted name of every module and package of dischargekit."""
+    root = Path(dischargekit.__file__).parents[1]
+    names = set()
+    for path in Path(dischargekit.__file__).parent.rglob("*.py"):
+        parts = path.relative_to(root).with_suffix("").parts
+        names.add(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    return names
+
+
+def _command_modules(modules) -> list[str]:
+    return [m for m in modules if m.startswith("dischargekit.commands.")]
+
+
+def test_each_step_loads_only_its_own_command_module(every_step):
+    _, steps, reports = every_step
+    loaded = {name: _command_modules(report["package"]) for name, report in reports.items()}
+    assert loaded == {name: [f"dischargekit.commands.{argv[0]}"] for name, argv in steps.items()}
+
+
+# Runs one step as ``python -m dischargekit.cli`` does (as the benchmark runs
+# every step) and prints every module loaded when the interpreter exits.
+MODULE_PROBE = """
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(sorted(sys.modules))))
+sys.argv = ["dischargekit.cli", *{argv!r}]
+runpy.run_module("dischargekit.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.fixture(scope="module")
+def module_runs(every_step) -> dict[str, list[str]]:
+    """Every step rerun as ``python -m dischargekit.cli``: step name -> the modules it loaded."""
+    tmp_path, steps, _ = every_step
+    src = str(Path(dischargekit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = {}
+    for name, argv in steps.items():
+        code = MODULE_PROBE.format(argv=[str(a) for a in argv])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[name] = json.loads(proc.stdout.splitlines()[-1])
+    return runs
+
+
+def test_a_module_run_never_imports_the_cli_module(module_runs, every_step):
+    # Under -m, cli.py runs as __main__; importing dischargekit.cli too would
+    # compile it a second time.
+    _, steps, _ = every_step
+    assert [name for name, modules in module_runs.items() if "dischargekit.cli" in modules] == []
+    loaded = {name: _command_modules(modules) for name, modules in module_runs.items()}
+    assert loaded == {name: [f"dischargekit.commands.{argv[0]}"] for name, argv in steps.items()}
+    assert [name for name, modules in module_runs.items() if set(NEVER) & set(modules)] == []
 
 
 def test_every_public_name_resolves_to_its_submodule_binding():
@@ -216,15 +277,17 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
         return any(ast.unparse(d) in ("property", "cached_property") for d in node.decorator_list)
 
     unused = []
-    for path in sorted((root / "src" / "dischargekit").glob("*.py")):
+    package = root / "src" / "dischargekit"
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or dunder(node.name):
                 continue
             if node.name not in named and node.name not in dischargekit._SUBMODULE:
-                unused.append(f"{path.stem}.{node.name}")
+                unused.append(f"{module}.{node.name}")
             for method in node.body if isinstance(node, ast.ClassDef) else ():
                 if isinstance(method, ast.FunctionDef) and not dunder(method.name):
                     used = named if is_property(method) else called
                     if method.name not in used and f"{node.name}.{method.name}" not in used:
-                        unused.append(f"{path.stem}.{node.name}.{method.name}")
+                        unused.append(f"{module}.{node.name}.{method.name}")
     assert unused == []

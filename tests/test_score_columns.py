@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from dischargekit.analysis import AnalysisError, correlation_matrix, pearson
-from dischargekit.corpus import TargetKind, generate_synthetic_corpus
+from dischargekit.corpus import TargetKind
 from dischargekit.des import (
     Criterion,
     DesConfig,
@@ -43,6 +43,7 @@ from dischargekit.scores import (
     overall_score,
     score_jobs,
 )
+from dischargekit.synthetic import generate_synthetic_corpus
 from dischargekit.tables import (
     ScoreTable,
     compute_factuality_proxies,

@@ -16,7 +16,6 @@ from dischargekit.corpus import (
     ExtractedTargets,
     GeneratedCandidate,
     TargetKind,
-    generate_synthetic_corpus,
 )
 from dischargekit import readability, relevance, scores
 from dischargekit.analysis import correlation_matrix
@@ -29,9 +28,9 @@ from dischargekit.scores import (
     ScoreError,
     overall_score,
     read_score_csv,
-    synthetic_external_rows,
     write_score_csv,
 )
+from dischargekit.synthetic import generate_synthetic_corpus, synthetic_external_rows
 from dischargekit.tables import (
     ScoreTable,
     ScoreTableBuilder,

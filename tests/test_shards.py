@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from dischargekit import cli, corpus, scores
+from dischargekit import cli, corpus, scores, synthetic
 from dischargekit.corpus import GeneratedCandidate, TargetKind
 
 
@@ -45,7 +45,7 @@ def data(tmp_path_factory) -> Path:
     candidates = corpus.load_candidates(base / "sim" / "candidates.jsonl")
     targets = corpus.load_targets(base / "ext" / "targets.jsonl")
     summaries = corpus.load_corpus(base / "sim" / "corpus.jsonl")
-    external = scores.synthetic_external_rows(candidates, targets, summaries)
+    external = synthetic.synthetic_external_rows(candidates, targets, summaries)
     scores.write_score_csv(base / "external.csv", external)
     submission = [
         c._replace(model_id="submission")
@@ -55,7 +55,7 @@ def data(tmp_path_factory) -> Path:
     texts = [(c.hadm_id, c.text) for c in submission]
     corpus.write_csv_records(base / "submission.csv", ("hadm_id", "text"), texts)
     scores.write_score_csv(
-        base / "submission_external.csv", scores.synthetic_external_rows(submission, targets, summaries)
+        base / "submission_external.csv", synthetic.synthetic_external_rows(submission, targets, summaries)
     )
     return base
 

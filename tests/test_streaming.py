@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dischargekit import cli, corpus, scores, textprep
+from dischargekit import cli, corpus, scores, synthetic, textprep
 from dischargekit.corpus import CorpusError, TextRef
 
 
@@ -26,7 +26,7 @@ def run(*argv) -> int:
 @pytest.fixture(scope="module")
 def data(tmp_path_factory) -> Path:
     base = tmp_path_factory.mktemp("streaming")
-    summaries, candidates = corpus.generate_synthetic_corpus(6, 3, 5)
+    summaries, candidates = synthetic.generate_synthetic_corpus(6, 3, 5)
     corpus.write_candidates(base / "candidates.jsonl", candidates)
     corpus.write_targets(base / "targets.jsonl", (s.targets for s in summaries))
     bodies = ((s.hadm_id, s.body_without_targets) for s in summaries)
@@ -143,7 +143,7 @@ def test_reference_changed_between_passes_names_file_and_line(data, tmp_path):
 
 def _score_peak(directory: Path, admissions: int) -> int:
     """The tracemalloc peak of one in-process ``score --threads 1 --metrics rouge_1``."""
-    summaries, candidates = corpus.generate_synthetic_corpus(admissions, 4, 3)
+    summaries, candidates = synthetic.generate_synthetic_corpus(admissions, 4, 3)
     corpus.write_candidates(directory / "c.jsonl", candidates)
     corpus.write_targets(directory / "t.jsonl", (s.targets for s in summaries))
     del summaries, candidates
