@@ -65,13 +65,13 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     ys = _in_range([float(v) for v in y])
     x_mean = pairwise_sum(xs) / len(xs)
     y_mean = pairwise_sum(ys) / len(ys)
-    xd = [v - x_mean for v in xs]
-    yd = [v - y_mean for v in ys]
-    sx = math.sqrt(pairwise_sum([v * v for v in xd]))
-    sy = math.sqrt(pairwise_sum([v * v for v in yd]))
+    # Each deviation is computed where it is used, not kept in a list: one
+    # list of n floats is alive at a time, and correlate's peak memory is here.
+    sx = math.sqrt(pairwise_sum([(d := v - x_mean) * d for v in xs]))
+    sy = math.sqrt(pairwise_sum([(d := v - y_mean) * d for v in ys]))
     if sx == 0.0 or sy == 0.0:
         raise AnalysisError("correlation is undefined for a constant vector")
-    return pairwise_sum([a * b for a, b in zip(xd, yd)]) / (sx * sy)
+    return pairwise_sum([(a - x_mean) * (b - y_mean) for a, b in zip(xs, ys)]) / (sx * sy)
 
 
 class CorrelationMatrix(NamedTuple):

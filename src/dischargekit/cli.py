@@ -64,7 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _add_threads(p)
 
-    p = sub.add_parser("select", help="run an expert-selection strategy")
+    p = sub.add_parser(
+        "select",
+        help="run an expert-selection strategy",
+        description="Run an expert-selection strategy. When more than one CPU is usable, a second process "
+        "reads --candidates while this one reads --scores; no output depends on it.",
+    )
     p.add_argument("--scores", action="append", default=[], required=True, help="score CSV (repeatable)")
     p.add_argument("--candidates", required=True)
     p.add_argument("--config", required=True, help="preset name (des1..des5) or JSON path")

@@ -5,24 +5,36 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from .. import corpus, des
+from .. import corpus, workers
 from ..corpus import TargetKind
-from ..textprep import word_count
 from . import _load_score_tables, _preset_or_file, _read_overall_csv, _write_manifest
 
 
 def run(args) -> int:
     """Pick one candidate per document and write its text, holding no other text: pass 1 checks
     every candidate but keeps only each target candidate's ids, word count and line, selection
-    reads no text, and pass 2 decodes only the winners' lines, which must still hold the same."""
+    reads no text, and pass 2 decodes only the winners' lines, which must still hold the same.
+
+    Pass 1 runs in a worker process when more than one CPU is usable, while this process fills
+    the target's score table on the documents and models the score files give. Errors are those
+    of a run in one process, in the same order: pass 1's first, then "no candidates", then a fill
+    on the candidates' axes, which is run again when the first fill failed or its axes differ."""
     target = TargetKind.parse(args.target)
-    records = corpus.read_candidate_records(args.candidates)
-    # (hadm_id, model_id) -> (line, word count) of each candidate of the target.
-    found = {(h, m): (lineno, word_count(text)) for lineno, h, m, kind, text in records if kind is target}
+    with workers.Task(_target_candidates, args.candidates, target) as pass_one:
+        # Imported while the worker reads, so their compile overlaps pass 1.
+        from .. import des
+        from ..textprep import word_count
+
+        try:
+            table = _load_score_tables(args.scores, (target,))[target]
+        except (OSError, ValueError):
+            table = None
+        found = pass_one.result()
     if not found:
         raise corpus.CorpusError(f"no candidates for target {target.value}")
     docs, models = corpus.first_seen(h for h, _ in found), corpus.first_seen(m for _, m in found)
-    table = _load_score_tables(args.scores, (target,), docs, models)[target]
+    if table is None or (table.documents, table.models) != (docs, models):
+        table = _load_score_tables(args.scores, (target,), docs, models)[target]
     config = _resolve_config(args, table, target)
     if isinstance(config, des.LengthSelectConfig):
         result = des.select_by_length({key: count for key, (_, count) in found.items()}, config, target)
@@ -53,14 +65,26 @@ def run(args) -> int:
         inputs.append(args.overall)
     if args.config not in ("des4", "des5", *des.PRESETS):
         inputs.append(args.config)  # a DES config JSON file
-    _write_manifest(Path(args.out), "select", args, inputs)
+    counts = {"documents": len(docs), "models": len(models), "candidates": len(found), "metrics": len(table.metrics)}
+    _write_manifest(Path(args.out), "select", args, inputs, counts)
     print(f"selected {len(result.selections)} texts -> {args.out}", file=sys.stderr)
     return 0
+
+
+def _target_candidates(path, target: TargetKind) -> dict[tuple[str, str], tuple[int, int]]:
+    """Pass 1: (hadm_id, model_id) -> (line, word count) of each candidate of ``target``;
+    every candidate is checked."""
+    from ..textprep import word_count
+
+    records = corpus.read_candidate_records(path)
+    return {(h, m): (lineno, word_count(text)) for lineno, h, m, kind, text in records if kind is target}
 
 
 def _resolve_config(args, table, target):
     """Map --config to either a DesConfig or a LengthSelectConfig; errors a
     config file causes name the file."""
+    from .. import des
+
     name = args.config
     if name == "des5":
         if not args.ranking:

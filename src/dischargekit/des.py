@@ -356,18 +356,22 @@ def derive_des4_weights(table: ScoreTable, overall: Mapping[tuple[str, str], flo
 
 
 def _parse_weight(metric: str, value) -> Ratio | float:
+    weight = None
     if isinstance(value, str):
         try:
             num, den = value.split("/")
-            return Ratio(int(num), int(den))
+            weight = Ratio(int(num), int(den))
         except (ValueError, ZeroDivisionError):
             pass
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            raise DesConfigError(f"criterion {metric!r}: weight is too large for a float") from None
-    raise DesConfigError(f"criterion {metric!r}: cannot parse weight {value!r}")
+        weight = value
+    if weight is None:
+        raise DesConfigError(f"criterion {metric!r}: cannot parse weight {value!r}")
+    try:
+        number = float(weight)
+    except OverflowError:
+        raise DesConfigError(f"criterion {metric!r}: weight is too large for a float") from None
+    return weight if isinstance(weight, Ratio) else number
 
 
 def _parse_criterion(index: int, entry) -> Criterion:

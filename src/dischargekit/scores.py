@@ -36,10 +36,7 @@ process about 0.1 s and 13 MB, more than the table work it would speed up.
 
 from __future__ import annotations
 
-import marshal
 import math
-import os
-import sys
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -50,11 +47,12 @@ from . import readability, relevance
 # without this module; it is re-exported here.
 from .corpus import (
     DS_SUFFIX, EXTERNAL_CSV_HEADER, NATIVE_METRICS, OVERALL_METRICS, READABILITY_METRICS, REFERENCE_METRICS,
-    CorpusError, DischargeSummary, ExtractedTargets, GeneratedCandidate, Job, ScoreError, TargetKind, TextRef,
+    DischargeSummary, ExtractedTargets, GeneratedCandidate, Job, ScoreError, TargetKind, TextRef,
     first_seen, parse_score_cell, read_csv_records, read_text, reference_text, write_csv_records,
 )
 from .relevance import stem
 from .textprep import tokenize, words
+from .workers import Task, can_fork, usable_cpus
 
 
 def _stemmed_unigram_f1(candidate: str, reference: str) -> float:
@@ -154,15 +152,6 @@ def job_rows(job: Job, cells: array) -> Iterator[tuple[str, str, str, str, float
 # --- scoring in worker processes ----------------------------------------------
 
 
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "process_cpu_count"):  # Python 3.13+
-        return os.process_cpu_count() or 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def score_jobs(
     jobs: Sequence[Job], workers: int | None = None
 ) -> list[list[tuple[str, str, str, str, float]]]:
@@ -194,61 +183,27 @@ def score_cells(jobs: Sequence[Job], workers: int | None = None) -> list[array]:
     ``min(workers, usable_cpus(), documents)`` contiguous shards of about
     equal candidate text length (``workers`` None means no cap), or one
     empty shard. This process scores the first shard; each other shard is
-    scored in a forked child, which sends back only its cells, or the
-    message of the ``CorpusError`` that stopped it, through a pipe. Every
-    child is reaped before this returns or raises, and the error of the
-    first shard in document order wins, as in one process. So this process
-    holds no text it was not given when it forks, and only cells after.
-    Results never depend on the split: an undefined cell is left out in
-    every shard. Without ``os.fork`` every job is scored here, and so it is
-    in a process running other threads, whose locks a forked child could
-    inherit held.
+    a :class:`~dischargekit.workers.Task`, scored in a forked child, which
+    sends back only its cells. A child stopped by a ``ValueError`` or ``OSError`` sends
+    nothing, and its shard is scored again here, after the shards before
+    it, so the error of the first shard in document order wins, as in one
+    process. Every child is reaped before this returns or raises. So this
+    process holds no text it was not given when it forks, and only cells
+    after. Results never depend on the split: an undefined cell is left out
+    in every shard. Where :func:`~dischargekit.workers.can_fork` is false
+    every job is scored here.
     """
     n = usable_cpus() if workers is None else min(workers, usable_cpus())
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
-        n = 1
-    parts = _split(jobs, n) or [[[] for _ in jobs]]
-    pipes: dict[int, int] = {}  # worker pid -> read end of its pipe, until read
-    alive: list[int] = []  # worker pids, until reaped
+    parts = _split(jobs, n if can_fork() else 1) or [[[] for _ in jobs]]
+    tasks: list[Task] = []
     try:
         for part in parts[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _shard_child(jobs, part, [read_fd, *pipes.values()], write_fd)
-            os.close(write_fd)
-            pipes[pid] = read_fd
-            alive.append(pid)
+            tasks.append(Task(_score_shard, jobs, part))
         results = [_score_shard(jobs, parts[0])]
-        for pid in list(alive):
-            with open(pipes.pop(pid), "rb") as pipe:
-                payload = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            alive.remove(pid)
-            if code != 0:
-                how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
-                raise RuntimeError(f"score worker {pid} {how}")
-            shard = marshal.loads(payload)
-            if isinstance(shard, str):
-                raise CorpusError(shard)
-            results.append([array("d", cells) for cells in shard])
-    except BaseException:
-        import signal
-
-        for pid in alive:
-            os.kill(pid, signal.SIGKILL)
-        raise
+        results += [[array("d", cells) for cells in task.result()] for task in tasks]
     finally:
-        for read_fd in pipes.values():
-            os.close(read_fd)
-        for pid in alive:
-            os.waitpid(pid, 0)
+        for task in tasks:
+            task.close()
     out = [array("d", [math.nan]) * (len(job[0]) * len(job[2])) for job in jobs]
     for part, shard in zip(parts, results):
         for job, cells, positions, scored in zip(jobs, out, part, shard):
@@ -322,26 +277,6 @@ def _text(text: str | TextRef, key: tuple[str, ...], files: dict, texts: dict) -
             files[text.path] = open(text.path, "rb")
         texts[text] = read_text(text, files[text.path], key)
     return texts[text]
-
-
-def _shard_child(jobs: Sequence[Job], part: list[list[int]], close: list[int], write_fd: int):
-    """In a forked child: score ``part``, write its cells (or the message of
-    the CorpusError that stopped it) to ``write_fd`` and exit, never
-    returning to the caller's stack."""
-    code = 1
-    try:
-        for fd in close:
-            os.close(fd)
-        try:
-            shard = [cells.tobytes() for cells in _score_shard(jobs, part)]
-        except CorpusError as exc:
-            shard = str(exc)
-        payload = memoryview(marshal.dumps(shard))
-        while payload:
-            payload = payload[os.write(write_fd, payload) :]
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def native_score_job(

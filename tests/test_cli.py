@@ -547,6 +547,19 @@ def test_select_weight_too_large_for_a_float_names_config_and_criterion(pipeline
     assert not out.exists()
 
 
+def test_select_n_over_d_weight_too_large_for_a_float_names_config_and_criterion(pipeline_dir, capsys):
+    cfg = pipeline_dir / "bigdes.json"
+    cfg.write_text(f'{{"criteria": [{{"metric": "medcon", "weight": "1{"0" * 400}/1"}}]}}', encoding="utf-8")
+    out = pipeline_dir / "never.csv"
+    code = run(
+        "select", "--scores", select_setup(pipeline_dir), "--candidates", pipeline_dir / "candidates.jsonl",
+        "--config", cfg, "--target", "di", "--out", out,
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {cfg}: criterion 'medcon': weight is too large for a float\n"
+    assert not out.exists()
+
+
 def test_refused_count_leaves_nothing_on_disk(pipeline_dir, capsys):
     ranking = pipeline_dir / "r.json"
     ranking.write_text('{"medications": 1}', encoding="utf-8")

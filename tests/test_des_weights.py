@@ -64,3 +64,19 @@ def test_a_fraction_weight_is_written_exactly():
     config = des.DesConfig("lib", (des.Criterion("medcon", Fraction(1, 3)), des.Criterion("meteor", Fraction(-2, 4))))
     assert [c["weight"] for c in des.des_config_to_json(config)["criteria"]] == ["1/3", "-1/2"]
     assert des.parse_des_config(des.des_config_to_json(config)) == config
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [f"1{'0' * 400}/1", f"-1{'0' * 400}/1", f"1{'0' * 401}/7", 10**400],
+    ids=["n/d", "-n/d", "n/d_not_in_lowest_terms", "json_integer"],
+)
+def test_a_weight_too_large_for_a_float_is_a_config_error(weight):
+    with pytest.raises(des.DesConfigError, match=r"^criterion 'medcon': weight is too large for a float$"):
+        des.parse_des_config({"criteria": [{"metric": "medcon", "weight": weight}]})
+
+
+def test_a_weight_too_small_for_a_float_keeps_its_exact_value():
+    text = f"1/1{'0' * 400}"
+    weight = des.parse_des_config({"criteria": [{"metric": "medcon", "weight": text}]}).criteria[0].weight
+    assert weight == Fraction(1, 10**400) and float(weight) == 0.0

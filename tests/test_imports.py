@@ -16,9 +16,11 @@ from dischargekit import cli, corpus, synthetic
 
 # numpy, which the package never needs; dataclasses and inspect, which cost
 # every process about 10 ms to import; fractions with decimal, and datetime,
-# which the DES weights and the manifest timestamp do without; and the
+# which the DES weights and the manifest timestamp do without; multiprocessing,
+# concurrent.futures and pickle, which the forked workers do without; and the
 # scoring, table and selection modules, which extract and reorder never load.
-NEVER = ("numpy", "dataclasses", "inspect", "fractions", "decimal", "datetime")
+NEVER = ("numpy", "dataclasses", "inspect", "fractions", "decimal", "datetime", "multiprocessing",
+         "concurrent.futures", "pickle")
 METRIC_SIDE = ("dischargekit.scores", "dischargekit.relevance", "dischargekit.readability", "dischargekit.stemmer")
 HEAVY = (*NEVER, *METRIC_SIDE, "dischargekit.tables", "dischargekit.des", "dischargekit.analysis")
 
@@ -146,6 +148,16 @@ def test_no_subcommand_loads_numpy(every_step):
     assert len(merged) == len(native) + len(candidates)
 
 
+# The steps that may fork a worker: every scoring step, and select for its candidates.
+WORKER_STEPS = ["evaluate", "score", "score_ds", "score_external", "select_des1", "select_des4", "select_des5",
+                "simulate"]
+
+
+def test_only_the_steps_that_fork_load_the_worker_module(every_step):
+    _, _, reports = every_step
+    assert sorted(name for name, report in reports.items() if "dischargekit.workers" in report["package"]) == WORKER_STEPS
+
+
 @pytest.mark.parametrize("step", ["select_des1", "select_des4", "select_des5", "correlate"])
 def test_select_and_correlate_never_load_the_metric_side(every_step, step):
     _, _, reports = every_step
@@ -217,6 +229,7 @@ def test_a_module_run_never_imports_the_cli_module(module_runs, every_step):
     loaded = {name: _command_modules(modules) for name, modules in module_runs.items()}
     assert loaded == {name: [f"dischargekit.commands.{argv[0]}"] for name, argv in steps.items()}
     assert [name for name, modules in module_runs.items() if set(NEVER) & set(modules)] == []
+    assert sorted(name for name, modules in module_runs.items() if "dischargekit.workers" in modules) == WORKER_STEPS
 
 
 def test_every_public_name_resolves_to_its_submodule_binding():
