@@ -21,7 +21,7 @@ def run(args) -> int:
         )
     candidates = [corpus.GeneratedCandidate(doc, args.model_id, target, text) for doc, text in submission]
     job = scores.native_score_job(candidates, targets, scores.REFERENCE_METRICS, target)
-    table = tables.job_table(job, scores.score_jobs([job], args.threads)[0])
+    table = tables.ScoreTable(*scores.score_columns([job], args.threads)[0])
     for path in args.external:
         table = tables.load_external_scores(path, table)
     overall = tables.overall_by_document(table)

@@ -13,8 +13,8 @@ from . import _metric_names, _write_manifest
 def run(args) -> int:
     """Score every candidate, holding one document's texts at a time: pass 1
     checks every line of each input and keeps ids, lines, offsets and text
-    lengths; the shards of ``scores.score_cells`` read each document's lines
-    back when they score it, and the rows stream from its cells to the CSV."""
+    lengths; the shards of ``scores.score_columns`` read each document's lines
+    back when they score it, and the rows stream from its columns to the CSV."""
     if args.against_ds and args.references:
         raise scores.ScoreError(
             "--against-ds scores against the note body, so --references cannot be given with it"
@@ -34,22 +34,22 @@ def run(args) -> int:
         if references is not None and (metrics is None or set(metrics) & set(scores.REFERENCE_METRICS)):
             _check_against(candidates, references, args.references, "reference")
         jobs = [scores.native_score_job(candidates, references, metrics, t) for t in targets_present]
-    cells = scores.score_cells(jobs, args.threads)
-    undefined = sum(sum(map(math.isnan, job_cells)) for job_cells in cells)
+    scored = scores.score_columns(jobs, args.threads)
+    written = sum(len(column) - sum(map(math.isnan, column)) for *_, columns in scored for column in columns)
+    # A pool read from a file holds each (hadm_id, model_id) once, so each candidate has one cell per column.
+    undefined = sum(len(pool) * len(columns) for pool, _, columns, _ in jobs) - written
     if args.external:
         from .. import tables
 
         rows = []
-        for job, job_cells in zip(jobs, cells):
-            table = tables.job_table(job, scores.job_rows(job, job_cells))
+        for job_columns in scored:
+            table = tables.ScoreTable(*job_columns)
             for path in args.external:
                 table = tables.load_external_scores(path, table)
             rows.extend(table.to_rows())
         written = len(rows)
     else:
-        rows = (row for job, job_cells in zip(jobs, cells) for row in scores.job_rows(job, job_cells))
-        # A pool read from a file holds each (hadm_id, model_id) once, so each defined cell is one row.
-        written = sum(map(len, cells)) - undefined
+        rows = (row for job_columns in scored for row in corpus.table_rows(*job_columns))
     scores.write_score_csv(args.out, rows)
     counts = {
         "documents": len({c.hadm_id for c in candidates}),

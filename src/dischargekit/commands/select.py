@@ -32,7 +32,7 @@ def run(args) -> int:
         found = pass_one.result()
     if not found:
         raise corpus.CorpusError(f"no candidates for target {target.value}")
-    docs, models = corpus.first_seen(h for h, _ in found), corpus.first_seen(m for _, m in found)
+    docs, models = corpus.pool_axes(found)
     if table is None or (table.documents, table.models) != (docs, models):
         table = _load_score_tables(args.scores, (target,), docs, models)[target]
     config = _resolve_config(args, table, target)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
 
 from .. import corpus, des, scores, synthetic, tables
@@ -23,11 +24,11 @@ def run(args) -> int:
     corpus.write_candidates(out_dir / "candidates.jsonl", candidates)
     leaderboard: list[tuple[str, float]] = []
     per_target_overall: dict[TargetKind, dict[tuple[str, str], float]] = {}
-    model_ids = scores.first_seen(c.model_id for c in candidates)
+    model_ids = corpus.pool_axes(candidates)[1]
     pool_by_target = {
         t: [c for c in candidates if c.target is t] for t in (TargetKind.BHC, TargetKind.DI)
     }
-    # Every score of the run, in one score_jobs call.
+    # Every score of the run, in one score_columns call.
     jobs = {}
     for target, pool in pool_by_target.items():
         jobs["native", target] = scores.native_score_job(pool, targets_map, scores.REFERENCE_METRICS, target)
@@ -40,16 +41,11 @@ def run(args) -> int:
         columns = {m: m for m in ("meteor", "medcon", "fkgl", "dcrs", "cli")}
         for target, pool in pool_by_target.items():
             jobs["des", target] = (pool, target, columns, bodies)
-    scored = dict(zip(jobs, scores.score_jobs(list(jobs.values()), args.threads)))
-
-    def pool_table(target, rows):
-        pool = pool_by_target[target]
-        docs, models = scores.first_seen(c.hadm_id for c in pool), scores.first_seen(c.model_id for c in pool)
-        return tables.ScoreTable.from_rows(rows, target, docs, models)
-
+    scored_columns = scores.score_columns(list(jobs.values()), args.threads)
+    scored = {key: tables.ScoreTable(*job_columns) for key, job_columns in zip(jobs, scored_columns)}
     for target in pool_by_target:
-        rows = scored["native", target] + scored["on_refs", target] + scored["on_body", target]
-        per_target_overall[target] = tables.overall_by_document(pool_table(target, rows))
+        parts = [scored["native", target], scored["on_refs", target], scored["on_body", target]]
+        per_target_overall[target] = tables.overall_by_document(tables.joined(parts))
     for model in model_ids:
         means = []
         for target, overall in per_target_overall.items():
@@ -68,12 +64,10 @@ def run(args) -> int:
 
     if args.config == "oracle":
         def choose(target):
-            overall = per_target_overall[target]
-            rows = [
-                (doc, model, target.value, "overall", value)
-                for (doc, model), value in overall.items()
-            ]
-            table = pool_table(target, rows)
+            # overall_by_document gives every cell of the native table, in its order.
+            native = scored["native", target]
+            column = array("d", per_target_overall[target].values())
+            table = tables.ScoreTable(target, native.documents, native.models, ("overall",), (column,))
             config = des.DesConfig("oracle", criteria=(des.Criterion("overall", 1.0),))
             return des.select_experts(table, config, target)
     elif args.config == "des5":
@@ -88,7 +82,7 @@ def run(args) -> int:
             return des.select_by_length(counts, length_config, target)
     else:
         def choose(target):
-            table = pool_table(target, scored["des", target] + scored["on_body", target])
+            table = tables.joined([scored["des", target], scored["on_body", target]])
             return des.select_experts(table, config, target)
 
     leaderboard.append((f"des:{args.config}", strategy_mean(choose)))

@@ -7,8 +7,10 @@ load both are extracted and removed, so downstream code always sees the
 document body without its targets.
 
 The score-file vocabulary (:class:`ScoreError`, :func:`parse_score_cell`, the
-metric-name tuples, :func:`first_seen` and the :data:`Job` alias) lives here
-too, so the table and selection steps never load the metric modules;
+metric-name tuples, :func:`first_seen`, the document/model index
+:func:`pool_axes`, the row order :func:`table_rows` and the :data:`Job`
+alias) lives here too, so the table and selection steps never load the
+metric modules and ``score`` never loads the table code;
 :mod:`dischargekit.scores` re-exports it. The seeded synthetic corpus lives in
 :mod:`dischargekit.synthetic`, which only ``simulate``, the tests and the
 demos load.
@@ -116,6 +118,26 @@ EXTERNAL_CSV_HEADER = ("hadm_id", "model_id", "target", "metric", "value")
 def first_seen(values: Iterable[str]) -> tuple[str, ...]:
     """Distinct values in the order they first appear."""
     return tuple(dict.fromkeys(values))
+
+
+def pool_axes(pool: Collection[Sequence[str]]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The documents and the models of a score table over ``pool``, candidates
+    or other (hadm_id, model_id, ...) tuples, each in first-seen order."""
+    return first_seen(c[0] for c in pool), first_seen(c[1] for c in pool)
+
+
+def table_rows(
+    target: TargetKind, documents: Sequence[str], models: Sequence[str], metrics: Sequence[str], columns: Sequence
+) -> Iterator[tuple[str, str, str, str, float]]:
+    """A score table's non-missing cells as rows (hadm_id, model_id, target,
+    metric, value): documents, then models, then metrics, each in axis order.
+    The arguments are those of :class:`~dischargekit.tables.ScoreTable`."""
+    wanted = target.value
+    pairs = ((doc, model) for doc in documents for model in models)
+    for (doc, model), cells in zip(pairs, zip(*columns)):
+        for metric, value in zip(metrics, cells):
+            if value == value:  # False only for NaN
+                yield doc, model, wanted, metric, value
 
 
 def parse_score_cell(path, rowno: int, target: str, raw: str) -> tuple[TargetKind, float]:

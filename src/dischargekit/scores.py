@@ -1,16 +1,15 @@
-"""Score rows and the eight-metric overall score.
+"""Score columns and the eight-metric overall score.
 
 A job ``(pool, target, columns, against)`` asks for one column per metric
 for every candidate of a one-target pool; :func:`native_score_job` and
 :func:`factuality_proxy_job` build them, and
 :func:`dischargekit.synthetic.synthetic_external_jobs` those of the
-stand-ins for the external metrics. :func:`score_jobs` scores a list of
-jobs into long-form rows ``(hadm_id, model_id, target, metric, value)``,
-by document shards in forked worker processes, and
-:func:`dischargekit.tables.job_table` turns a job's rows into its table.
-Native metrics are computed here; neural or licensed metrics (bertscore,
-alignscore, medcon, summac) are ingested from external CSV files and
-merged into the same score table.
+stand-ins for the external metrics. :func:`score_columns` scores a list of
+jobs, by document shards in forked worker processes, straight into table
+layout: per job, the arguments of
+:class:`~dischargekit.tables.ScoreTable`. Native metrics are computed here;
+neural or licensed metrics (bertscore, alignscore, medcon, summac) are
+ingested from external CSV files and merged into the same score table.
 
 What each process holds: ``score`` reads its inputs with ``lazy`` set, so
 a job's candidate texts and ``against`` texts are
@@ -18,10 +17,10 @@ a job's candidate texts and ``against`` texts are
 holds ids, line numbers, offsets and lengths but no text. Each shard, in
 that process or a worker, reads one document's texts, scores every job's
 candidates of it, and drops them before the next document. What comes
-back is one float per cell (:func:`score_cells`), and ``score`` streams
-the rows :func:`job_rows` makes of them into the CSV writer. Jobs built
-in memory (``simulate``, ``evaluate``, the library) hold their texts
-already and go through the same walk.
+back is one float per cell, and ``score`` streams the rows
+:func:`~dischargekit.corpus.table_rows` makes of each job's columns into
+the CSV writer. Jobs built in memory (``simulate``, ``evaluate``, the
+library) hold their texts already and go through the same walk.
 
 A readability formula undefined for a text (one with no words) gives a NaN
 cell, which the rows leave out: every consumer treats it as a missing cell,
@@ -29,9 +28,10 @@ and no candidate text makes scoring raise.
 
 :class:`~dischargekit.tables.ScoreTable` and the functions that build or
 read one live in :mod:`dischargekit.tables`, so ``score`` without
-``--external``, which writes :func:`score_jobs`' rows as they are, never
-loads them. The package needs no numpy: importing it would cost a fresh
-process about 0.1 s and 13 MB, more than the table work it would speed up.
+``--external``, which writes the rows of :func:`score_columns` as they
+are, never loads them. The package needs no numpy: importing it would cost
+a fresh process about 0.1 s and 13 MB, more than the table work it would
+speed up.
 """
 
 from __future__ import annotations
@@ -39,20 +39,19 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from typing import BinaryIO, NamedTuple
 
-from . import readability, relevance
+from . import readability, relevance, workers
 # The score-file vocabulary is defined in corpus, so the table side can use it
 # without this module; it is re-exported here.
 from .corpus import (
     DS_SUFFIX, EXTERNAL_CSV_HEADER, NATIVE_METRICS, OVERALL_METRICS, READABILITY_METRICS, REFERENCE_METRICS,
     DischargeSummary, ExtractedTargets, GeneratedCandidate, Job, ScoreError, TargetKind, TextRef,
-    first_seen, parse_score_cell, read_csv_records, read_text, reference_text, write_csv_records,
+    first_seen, parse_score_cell, pool_axes, read_csv_records, read_text, reference_text, write_csv_records,
 )
 from .relevance import stem
 from .textprep import tokenize, words
-from .workers import Task, can_fork, usable_cpus
 
 
 def _stemmed_unigram_f1(candidate: str, reference: str) -> float:
@@ -131,85 +130,66 @@ def _cells(text: str, against: str | None, metrics: Sequence[str]) -> array:
     return cells
 
 
-def job_rows(job: Job, cells: array) -> Iterator[tuple[str, str, str, str, float]]:
-    """A job's rows from its :func:`score_cells` cells, in the order of
-    :func:`score_jobs`."""
-    pool, target, columns, _ = job
-    names, width = sorted(columns), len(columns)
-    doc_pos = {doc: i for i, doc in enumerate(first_seen(c.hadm_id for c in pool))}
-    model_pos = {model: j for j, model in enumerate(first_seen(c.model_id for c in pool))}
-    # Table cell -> pool position; a later candidate for a cell replaces an earlier one.
-    last = {doc_pos[c.hadm_id] * len(model_pos) + model_pos[c.model_id]: pos for pos, c in enumerate(pool)}
-    wanted = target.value
-    for cell in sorted(last):
-        pos = last[cell]
-        c = pool[pos]
-        for name, value in zip(names, cells[pos * width : (pos + 1) * width]):
-            if value == value:  # False only for NaN
-                yield c.hadm_id, c.model_id, wanted, name, value
-
-
 # --- scoring in worker processes ----------------------------------------------
 
 
-def score_jobs(
-    jobs: Sequence[Job], workers: int | None = None
-) -> list[list[tuple[str, str, str, str, float]]]:
-    """Each job's long-form rows, scored by up to ``workers`` processes.
+def score_columns(jobs: Sequence[Job], max_workers: int | None = None) -> list[tuple]:
+    """Each job's scores in table layout: the arguments ``(target, documents,
+    models, metrics, columns)`` of :class:`~dischargekit.tables.ScoreTable`
+    over its pool's :func:`~dischargekit.corpus.pool_axes` and its sorted
+    columns, one ``array('d')`` each.
 
     Column ``name`` holds metric ``columns[name]`` of :data:`METRICS`.
     Readability metrics read the candidate alone, tokenized at most once;
     every other metric compares the candidate with ``against[hadm_id]``.
-    Rows come in :meth:`~dischargekit.tables.ScoreTable.to_rows` order:
-    documents, then models, each in first-seen pool order, then columns,
-    sorted; undefined (NaN) cells are dropped, and a later candidate for a
-    (hadm_id, model_id) pair replaces an earlier one.
-
-    What each process holds, and when, is as in :func:`score_cells`: a
-    shard holds one document's texts while it scores them, and this process
-    holds each job's cells once the shards are done; the rows are built
-    from the cells only here, at the end.
-    """
-    return [list(job_rows(job, cells)) for job, cells in zip(jobs, score_cells(jobs, workers))]
-
-
-def score_cells(jobs: Sequence[Job], workers: int | None = None) -> list[array]:
-    """Each job's cells: ``len(columns)`` per pool position, in sorted column
-    order, NaN where undefined; :func:`job_rows` turns them into rows.
+    A cell is NaN where its metric is undefined for the candidate or no
+    candidate has its (hadm_id, model_id) pair; a later candidate for a
+    pair replaces an earlier one.
 
     A candidate's text and its ``against`` text may each be a
     :class:`~dischargekit.corpus.TextRef`, read only when its document is
     scored. The documents of all jobs, in first-seen order, are split into
-    ``min(workers, usable_cpus(), documents)`` contiguous shards of about
-    equal candidate text length (``workers`` None means no cap), or one
-    empty shard. This process scores the first shard; each other shard is
-    a :class:`~dischargekit.workers.Task`, scored in a forked child, which
-    sends back only its cells. A child stopped by a ``ValueError`` or ``OSError`` sends
-    nothing, and its shard is scored again here, after the shards before
-    it, so the error of the first shard in document order wins, as in one
-    process. Every child is reaped before this returns or raises. So this
-    process holds no text it was not given when it forks, and only cells
-    after. Results never depend on the split: an undefined cell is left out
-    in every shard. Where :func:`~dischargekit.workers.can_fork` is false
-    every job is scored here.
+    ``min(max_workers, usable_cpus(), documents)`` contiguous shards of
+    about equal candidate text length (``max_workers`` None means no cap),
+    or one empty shard. This process scores the first shard; each other
+    shard is a :class:`~dischargekit.workers.Task`, scored in a forked
+    child, which sends back only its cells. A child stopped by a
+    ``ValueError`` or ``OSError`` sends nothing, and its shard is scored
+    again here, after the shards before it, so the error of the first shard
+    in document order wins, as in one process. Every child is reaped before
+    this returns or raises. So this process holds no text it was not given
+    when it forks, and only cells after. Results never depend on the split.
+    Where :func:`~dischargekit.workers.can_fork` is false every job is
+    scored here.
     """
-    n = usable_cpus() if workers is None else min(workers, usable_cpus())
-    parts = _split(jobs, n if can_fork() else 1) or [[[] for _ in jobs]]
-    tasks: list[Task] = []
+    cpus = workers.usable_cpus()
+    n = cpus if max_workers is None else min(max_workers, cpus)
+    parts = _split(jobs, n if workers.can_fork() else 1) or [[[] for _ in jobs]]
+    tasks: list[workers.Task] = []
     try:
         for part in parts[1:]:
-            tasks.append(Task(_score_shard, jobs, part))
+            tasks.append(workers.Task(_score_shard, jobs, part))
         results = [_score_shard(jobs, parts[0])]
         results += [[array("d", cells) for cells in task.result()] for task in tasks]
     finally:
         for task in tasks:
             task.close()
-    out = [array("d", [math.nan]) * (len(job[0]) * len(job[2])) for job in jobs]
-    for part, shard in zip(parts, results):
-        for job, cells, positions, scored in zip(jobs, out, part, shard):
-            width = len(job[2])
-            for k, pos in enumerate(positions):
-                cells[pos * width : (pos + 1) * width] = scored[k * width : (k + 1) * width]
+    out = []
+    for j, (pool, target, columns, _) in enumerate(jobs):
+        docs, models = pool_axes(pool)
+        doc_pos = {doc: i for i, doc in enumerate(docs)}
+        model_pos = {model: i for i, model in enumerate(models)}
+        width = len(columns)
+        table = [array("d", [math.nan]) * (len(docs) * len(models)) for _ in range(width)]
+        # A pair's candidates share its document, so its shard, which lists them in pool order.
+        for part, shard in zip(parts, results):
+            scored = shard[j]
+            for k, pos in enumerate(part[j]):
+                c = pool[pos]
+                cell = doc_pos[c.hadm_id] * len(models) + model_pos[c.model_id]
+                for column, value in zip(table, scored[k * width : (k + 1) * width]):
+                    column[cell] = value
+        out.append((target, docs, models, tuple(sorted(columns)), tuple(table)))
     return out
 
 

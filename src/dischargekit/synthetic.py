@@ -166,9 +166,5 @@ def synthetic_external_rows(
     from . import scores, tables
 
     jobs = synthetic_external_jobs(candidates, references, summaries)
-    scored = scores.score_jobs(jobs, 1)
-    rows = []
-    for (pool, target, *_), on_refs, on_body in zip(jobs[::2], scored[::2], scored[1::2]):
-        docs, models = first_seen(c.hadm_id for c in pool), first_seen(c.model_id for c in pool)
-        rows.extend(tables.ScoreTable.from_rows(on_refs + on_body, target, docs, models).to_rows())
-    return rows
+    scored = [tables.ScoreTable(*columns) for columns in scores.score_columns(jobs, 1)]
+    return [row for pair in zip(scored[::2], scored[1::2]) for row in tables.joined(pair).to_rows()]

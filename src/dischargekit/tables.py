@@ -4,10 +4,12 @@ A :class:`ScoreTable` is a (document x model x metric) store for one target
 kind. It keeps one stdlib ``array('d')`` per metric, NaN marking a missing
 cell, and :class:`ScoreTableBuilder` fills it from score records one at a
 time, so reading a score CSV holds 8 bytes per cell and no row list. It is
-the one fill path (``from_rows``, ``select --scores``, ``--external``), so a
-cell filled twice is named at the first record, in read order, that refills
-it. :func:`job_table` turns the rows :func:`~dischargekit.scores.score_jobs`
-gives for a job into that job's table. The table code lives apart from
+the one fill path for records (``from_rows``, ``select --scores``,
+``--external``), so a cell filled twice is named at the first record, in
+read order, that refills it. Scored cells need no records:
+:func:`~dischargekit.scores.score_columns` gives each job's constructor
+arguments, and :func:`joined` puts the columns of tables over the same
+axes side by side. The table code lives apart from
 :mod:`dischargekit.scores`, so ``score`` without ``--external`` never loads
 it, and only the two functions that score load the metric side.
 """
@@ -18,11 +20,11 @@ import math
 from array import array
 from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence
-from operator import add
+from operator import add, itemgetter
 
 from .corpus import (
     EXTERNAL_CSV_HEADER, OVERALL_METRICS, RESERVED_METRIC_NAMES, DischargeSummary, ExtractedTargets,
-    GeneratedCandidate, Job, ScoreError, TargetKind, first_seen, parse_score_cell, read_csv_records,
+    GeneratedCandidate, ScoreError, TargetKind, parse_score_cell, read_csv_records, table_rows,
 )
 
 _TARGET_VALUES = frozenset(kind.value for kind in TargetKind)
@@ -64,15 +66,9 @@ class ScoreTable:
             ) from None
 
     def to_rows(self) -> list[tuple[str, str, str, str, float]]:
-        """Non-missing cells as (hadm_id, model_id, target, metric, value)."""
-        target = self.target.value
-        pairs = ((doc, model) for doc in self.documents for model in self.models)
-        return [
-            (doc, model, target, metric, value)
-            for (doc, model), cells in zip(pairs, zip(*self.columns))
-            for metric, value in zip(self.metrics, cells)
-            if value == value  # False only for NaN
-        ]
+        """Non-missing cells as (hadm_id, model_id, target, metric, value); see
+        :func:`~dischargekit.corpus.table_rows`."""
+        return list(table_rows(self.target, self.documents, self.models, self.metrics, self.columns))
 
     def pair_cells(self, pairs: Collection[tuple[str, ...]]) -> list[int]:
         """Cell positions of the (hadm_id, model_id, ...) pairs, in order."""
@@ -238,12 +234,15 @@ class ScoreTableBuilder:
         return tables
 
 
-def job_table(job: Job, rows: Iterable[tuple[str, str, str, str, float]]) -> ScoreTable:
-    """A job's scored ``rows`` as a table over its pool's documents, models
-    and columns."""
-    pool, target, columns, _ = job
-    docs, models = first_seen(c.hadm_id for c in pool), first_seen(c.model_id for c in pool)
-    return ScoreTable.from_rows(rows, target, docs, models, columns)
+def joined(tables: Sequence[ScoreTable]) -> ScoreTable:
+    """One table holding the columns of ``tables``, which share their target,
+    documents and models and name no metric twice."""
+    first = tables[0]
+    axes = (first.target, first.documents, first.models)
+    if any((t.target, t.documents, t.models) != axes for t in tables):
+        raise ScoreError("joined tables must share their target, documents and models")
+    pairs = sorted((pair for t in tables for pair in zip(t.metrics, t.columns)), key=itemgetter(0))
+    return ScoreTable(*axes, tuple(m for m, _ in pairs), tuple(c for _, c in pairs))
 
 
 def compute_native_scores(
@@ -253,10 +252,9 @@ def compute_native_scores(
     target: TargetKind | None = None,
 ) -> ScoreTable:
     """Score candidates with the native metric suite (see :func:`~dischargekit.scores.native_score_job`)."""
-    from .scores import native_score_job, score_jobs
+    from .scores import native_score_job, score_columns
 
-    job = native_score_job(candidates, references, metrics, target)
-    return job_table(job, score_jobs([job], 1)[0])
+    return ScoreTable(*score_columns([native_score_job(candidates, references, metrics, target)], 1)[0])
 
 
 def compute_factuality_proxies(
@@ -266,10 +264,9 @@ def compute_factuality_proxies(
     target: TargetKind | None = None,
 ) -> ScoreTable:
     """Score candidates against the document body (see :func:`~dischargekit.scores.factuality_proxy_job`)."""
-    from .scores import factuality_proxy_job, score_jobs
+    from .scores import factuality_proxy_job, score_columns
 
-    job = factuality_proxy_job(candidates, summaries, metrics, target)
-    return job_table(job, score_jobs([job], 1)[0])
+    return ScoreTable(*score_columns([factuality_proxy_job(candidates, summaries, metrics, target)], 1)[0])
 
 
 def load_external_scores(path, table: ScoreTable) -> ScoreTable:

@@ -400,7 +400,7 @@ def reference_stem(word: str) -> str:
 
 
 def cube_filled_scores(pool, target, columns, against):
-    """``scores.score_jobs``' rows for one job as a loop that writes each value into a NaN-filled cube.
+    """``scores.score_columns``' table for one job as a loop that writes each value into a NaN-filled cube.
 
     The table's documents and models are the pool's, in first-seen order;
     a later candidate for a (hadm_id, model_id) pair overwrites an earlier

@@ -1,8 +1,9 @@
 """Differential tests: the column code on ``ScoreTable.columns`` against per-cell recomputation.
 
-``score_jobs`` writes long-form rows with no table; they are checked
-against the order ``ScoreTable.to_rows`` gives and against the cube-filling
-loop in ``oracles.cube_filled_scores``.
+``score_columns`` scatters each candidate's cells straight into table
+layout; a ragged pool with a repeated (hadm_id, model_id) pair is checked
+against the cube-filling loop in ``oracles.cube_filled_scores``, scored in
+one process and in shards.
 
 ``select_experts``, ``overall_by_document``, ``derive_des4_weights`` and
 ``correlation_matrix`` read whole columns of the table. Each is checked here
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from dischargekit import workers
 from dischargekit.analysis import AnalysisError, correlation_matrix, pearson
 from dischargekit.corpus import TargetKind
 from dischargekit.des import (
@@ -38,10 +40,9 @@ from dischargekit.scores import (
     REFERENCE_METRICS,
     ScoreError,
     factuality_proxy_job,
-    first_seen,
     native_score_job,
     overall_score,
-    score_jobs,
+    score_columns,
 )
 from dischargekit.synthetic import generate_synthetic_corpus
 from dischargekit.tables import (
@@ -278,23 +279,28 @@ def test_from_rows_names_the_first_repeated_row():
 
 @pytest.fixture(scope="module")
 def ragged_pool():
-    """Both targets, listed model-major from model_b, which lacks two documents."""
+    """Both targets, listed model-major from model_b, which lacks two documents;
+    each target's pool ends with a repeat of its first (hadm_id, model_id)
+    pair, with another model's text."""
     summaries, candidates = generate_synthetic_corpus(5, 3, seed=11)
     missing = {(summaries[1].hadm_id, "model_b"), (summaries[3].hadm_id, "model_b")}
     kept = [c for c in candidates if (c.hadm_id, c.model_id) not in missing]
     kept.sort(key=lambda c: (c.model_id == "model_b", c.model_id, c.target.value, c.hadm_id), reverse=True)
     assert len(kept) == len(candidates) - 4
+    for kind in TargetKind:
+        same_doc = [c for c in kept if c.target is kind and c.hadm_id == kept[0].hadm_id]
+        kept.append(same_doc[0]._replace(text=same_doc[-1].text))
     targets = {s.hadm_id: s.targets for s in summaries}
     return kept, targets, summaries
 
 
-def _hex_rows(rows):
-    return [(*row[:4], float.hex(row[4])) for row in rows]
+def _bytes(table):
+    return [column.tobytes() for column in table.columns]
 
 
 @pytest.mark.parametrize("kind", [TargetKind.BHC, TargetKind.DI])
 @pytest.mark.parametrize("against", ["reference", "body"])
-def test_score_pool_rows_are_in_table_order_and_match_the_cube(ragged_pool, kind, against):
+def test_score_columns_match_the_cube(ragged_pool, kind, against, monkeypatch):
     candidates, targets, summaries = ragged_pool
     if against == "reference":
         job = native_score_job(candidates, targets, None, kind)
@@ -303,17 +309,17 @@ def test_score_pool_rows_are_in_table_order_and_match_the_cube(ragged_pool, kind
         job = factuality_proxy_job(candidates, summaries, REFERENCE_METRICS, kind)
         table = compute_factuality_proxies(candidates, summaries, REFERENCE_METRICS, kind)
     pool = job[0]
-    docs, models = first_seen(c.hadm_id for c in pool), first_seen(c.model_id for c in pool)
     # Ragged and model-major: the first model's documents come first, the two it lacks last.
-    assert models[0] == "model_b" and docs[-2:] == (summaries[3].hadm_id, summaries[1].hadm_id)
-    rows = score_jobs([job], 1)[0]
-    assert all(type(row[4]) is float for row in rows)
-    rebuilt = ScoreTable.from_rows(rows, kind, docs, models).to_rows()
-    assert _hex_rows(rows) == _hex_rows(rebuilt)
+    assert table.models[0] == "model_b" and table.documents[-2:] == (summaries[3].hadm_id, summaries[1].hadm_id)
     cube = oracles.cube_filled_scores(*job)
     assert (table.documents, table.models, table.metrics) == (cube.documents, cube.models, cube.metrics)
-    assert [c.tobytes() for c in table.columns] == [c.tobytes() for c in cube.columns]
+    assert _bytes(table) == _bytes(cube)
     assert sum(math.isnan(v) for column in table.columns for v in column) == 2 * len(table.metrics)
+    # The repeat at the pool's end replaced its pair's cells.
+    assert pool[-1][:2] == pool[0][:2] and _bytes(oracles.cube_filled_scores(pool[:-1], *job[1:])) != _bytes(table)
+    # Scored in shards, the cells land in the same places.
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
+    assert _bytes(ScoreTable(*score_columns([job], 3)[0])) == _bytes(table)
 
 
 def test_empty_pool_keeps_its_metric_columns():
@@ -321,6 +327,8 @@ def test_empty_pool_keeps_its_metric_columns():
     assert table.metrics == ("bleu4", "rouge_l")
     assert (len(table.documents), len(table.models), len(table.metrics)) == (0, 0, 2)
     assert table.columns == (array("d"), array("d"))
-    assert score_jobs([([], TargetKind.DI, {"bleu4": "bleu4"}, {})], 1)[0] == []
+    assert score_columns([([], TargetKind.DI, {"bleu4": "bleu4"}, {})], 1) == [
+        (TargetKind.DI, (), (), ("bleu4",), (array("d"),))
+    ]
     with pytest.raises(ScoreError, match="rows reference unknown metrics: x"):
         ScoreTable.from_rows([("1", "m", "di", "x", 0.5)], TargetKind.DI, metrics=["y"])

@@ -17,7 +17,7 @@ from dischargekit.corpus import (
     GeneratedCandidate,
     TargetKind,
 )
-from dischargekit import readability, relevance, scores
+from dischargekit import corpus, readability, relevance, scores
 from dischargekit.analysis import correlation_matrix
 from dischargekit.des import PRESETS, derive_des4_weights, select_experts
 from dischargekit.readability import DegenerateTextError
@@ -36,6 +36,7 @@ from dischargekit.tables import (
     ScoreTableBuilder,
     compute_factuality_proxies,
     compute_native_scores,
+    joined,
     load_external_scores,
     overall_by_document,
 )
@@ -121,7 +122,7 @@ def test_readability_error_names_the_candidate():
     for metric in scores.READABILITY_METRICS:
         assert math.isfinite(table.get("1", "m", metric))
         assert math.isnan(table.get("7", "mx", metric))
-    rows = scores.score_jobs([scores.native_score_job(pool)], 1)[0]
+    rows = corpus.table_rows(*scores.score_columns([scores.native_score_job(pool)], 1)[0])
     assert {(doc, model) for doc, model, *_ in rows} == {("1", "m")}
 
 
@@ -154,6 +155,16 @@ def test_reference_and_ds_variants_coexist():
     merged = ScoreTable.from_rows(native.to_rows() + proxy.to_rows(), TargetKind.DI)
     assert "meteor" in merged.metrics and "meteor_ds" in merged.metrics
     assert merged.get("1", "m", "meteor") != merged.get("1", "m", "meteor_ds")
+    assert axes_and_rows(joined([proxy, native])) == axes_and_rows(merged)
+
+
+def test_joined_needs_the_same_axes_and_distinct_metrics():
+    native = compute_native_scores([cand(text="rest at home")], metrics=["fkgl", "cli"])
+    other = compute_native_scores([cand(model_id="m2", text="rest at home")], metrics=["dcrs"])
+    with pytest.raises(ScoreError, match="must share their target, documents and models"):
+        joined([native, other])
+    with pytest.raises(ScoreError, match="duplicate metric labels: cli, fkgl"):
+        joined([native, native])
 
 
 def external_csv(tmp_path, rows, name="ext.csv"):

@@ -1,6 +1,6 @@
 """Scoring in forked worker shards writes exactly what ``--threads 1`` writes.
 
-``scores.usable_cpus`` is patched to 4 so that ``--threads 3`` forks even on
+``workers.usable_cpus`` is patched to 4 so that ``--threads 3`` forks even on
 a small machine; each case also runs with ``os.fork`` missing, which scores
 serially.
 """
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from dischargekit import cli, corpus, scores, synthetic
+from dischargekit import cli, corpus, scores, synthetic, workers
 from dischargekit.corpus import GeneratedCandidate, TargetKind
 
 
@@ -105,7 +105,7 @@ def test_sharded_outputs_equal_serial(case, data, tmp_path, monkeypatch, capsys)
     serial_stdout = capsys.readouterr().out
     assert serial
 
-    monkeypatch.setattr(scores, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
     forks = _count_forks(monkeypatch)
     assert run(*argv, "--out", tmp_path / "sharded", "--threads", 3) == 0
     assert 1 <= len(forks) <= 2
@@ -148,7 +148,7 @@ def test_first_serial_error_wins_across_shards(data, tmp_path, monkeypatch, caps
     assert {row[:4] for row in scores.read_score_csv(out)} == whole - undefined
     serial = out.read_bytes()
 
-    monkeypatch.setattr(scores, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
     forks = _count_forks(monkeypatch)
     assert run(*argv, "--out", tmp_path / "sharded.csv", "--threads", 4) == 0
     assert "(6 undefined)" in capsys.readouterr().err
@@ -167,7 +167,7 @@ def test_dead_worker_exits_two_without_hanging(data, tmp_path, monkeypatch, caps
         return score_shard(jobs, part)
 
     monkeypatch.setattr(scores, "_score_shard", dying)
-    monkeypatch.setattr(scores, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
     argv = _cases(data)["score_references"]
     assert run(*argv, "--out", tmp_path / "scores.csv") == 2
     assert "exited with status 3" in capsys.readouterr().err
@@ -217,20 +217,25 @@ def test_select_takes_no_threads_flag(data, tmp_path):
     assert exc.value.code == 2
 
 
+def _bytes(scored) -> list[tuple]:
+    """``score_columns`` output with each column as its bytes: a NaN cell makes ``==`` on arrays false."""
+    return [(*axes, [column.tobytes() for column in columns]) for *axes, columns in scored]
+
+
 def test_a_process_with_other_threads_scores_serially(data, monkeypatch):
     candidates = corpus.load_candidates(data / "sim" / "candidates.jsonl")
     targets = corpus.load_targets(data / "ext" / "targets.jsonl")
     jobs = [scores.native_score_job(candidates, targets, None, kind) for kind in TargetKind]
-    monkeypatch.setattr(scores, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
     forks = _count_forks(monkeypatch)
-    assert scores.score_jobs(jobs, 3) == scores.score_jobs(jobs, 1)
+    assert _bytes(scores.score_columns(jobs, 3)) == _bytes(scores.score_columns(jobs, 1))
     assert len(forks) == 2
 
     release = threading.Event()
     waiter = threading.Thread(target=release.wait, args=(60,))
     waiter.start()
     try:
-        assert scores.score_jobs(jobs, 3) == scores.score_jobs(jobs, 1)
+        assert _bytes(scores.score_columns(jobs, 3)) == _bytes(scores.score_columns(jobs, 1))
     finally:
         release.set()
         waiter.join(60)

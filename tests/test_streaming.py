@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dischargekit import cli, corpus, scores, synthetic, textprep
+from dischargekit import cli, corpus, scores, synthetic, textprep, workers
 from dischargekit.corpus import CorpusError, TextRef
 
 
@@ -86,7 +86,7 @@ def _count_body_splits(monkeypatch) -> list[tuple[int, int, int]]:
 @pytest.mark.parametrize("threads", [1, 3])
 def test_against_ds_splits_each_body_once_per_shard(data, tmp_path, monkeypatch, threads):
     seen = _count_body_splits(monkeypatch)
-    monkeypatch.setattr(scores, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
     argv = ("score", "--candidates", data / "candidates.jsonl", "--against-ds", data / "bodies.jsonl",
             "--metrics", "meteor,rouge_l")
     # A worker whose check fails exits non-zero, and the run with it (exit 2).
@@ -118,7 +118,7 @@ def test_candidate_changed_between_passes_names_file_and_line(data, tmp_path, mo
     lineno = max(i for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
                  if '"model_a"' in line)
     _change_line_after_pass_one(monkeypatch, path, lineno)
-    monkeypatch.setattr(scores, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
