@@ -35,22 +35,19 @@ def run(args) -> int:
             _check_against(candidates, references, args.references, "reference")
         jobs = [scores.native_score_job(candidates, references, metrics, t) for t in targets_present]
     scored = scores.score_columns(jobs, args.threads)
-    written = sum(len(column) - sum(map(math.isnan, column)) for *_, columns in scored for column in columns)
+    written = _defined_cells(scored)
     # A pool read from a file holds each (hadm_id, model_id) once, so each candidate has one cell per column.
     undefined = sum(len(pool) * len(columns) for pool, _, columns, _ in jobs) - written
     if args.external:
         from .. import tables
 
-        rows = []
-        for job_columns in scored:
+        for i, job_columns in enumerate(scored):
             table = tables.ScoreTable(*job_columns)
             for path in args.external:
                 table = tables.load_external_scores(path, table)
-            rows.extend(table.to_rows())
-        written = len(rows)
-    else:
-        rows = (row for job_columns in scored for row in corpus.table_rows(*job_columns))
-    scores.write_score_csv(args.out, rows)
+            scored[i] = table.target, table.documents, table.models, table.metrics, table.columns
+        written = _defined_cells(scored)
+    scores.write_score_csv(args.out, (row for job_columns in scored for row in corpus.table_rows(*job_columns)))
     counts = {
         "documents": len({c.hadm_id for c in candidates}),
         "models": len({c.model_id for c in candidates}),
@@ -62,6 +59,11 @@ def run(args) -> int:
     note = f" ({undefined} undefined)" if undefined else ""
     print(f"wrote {written} score cells{note} -> {args.out}", file=sys.stderr)
     return 0
+
+
+def _defined_cells(scored) -> int:
+    """The non-NaN cells of jobs in ``scores.score_columns`` layout."""
+    return sum(len(column) - sum(map(math.isnan, column)) for *_, columns in scored for column in columns)
 
 
 def _load_bodies(path, lazy: bool = False) -> dict[str, str]:

@@ -40,7 +40,7 @@ def run(args) -> int:
         result = des.select_by_length({key: count for key, (_, count) in found.items()}, config, target)
     else:
         result = des.select_experts(table, config, target, strict=not args.lenient)
-        if config.name == "des4":
+        if args.config == "des4":
             derived_path = Path(args.out).with_name(Path(args.out).name + ".des4.json")
             corpus.write_json(derived_path, des.des_config_to_json(config))
     winners = [(s.hadm_id, s.model_id, found.get((s.hadm_id, s.model_id))) for s in result.selections]

@@ -7,13 +7,15 @@ strategy picks by word count instead. Presets des1..des3 carry fixed
 weights; des4 derives weights from score correlations; des5 is the length
 rule. Neither reads a text, only scores or word counts, so a caller need hold
 only the winners' texts, one per document, as ``cli select`` does.
+
+Every weight is a float: a preset's published fraction and a config file's
+``"n/d"`` string are both the correctly rounded float of ``n / d``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from collections.abc import Collection, Mapping, Sequence
 from enum import Enum
 from functools import reduce
@@ -43,50 +45,9 @@ class Scope(str, Enum):
         return (self is Scope.DI_ONLY) == (target is TargetKind.DI)
 
 
-class Ratio:
-    """An exact weight ``numerator/denominator``, as the presets and a config's
-    ``"n/d"`` strings give it, kept in lowest terms with a positive
-    denominator. It converts to the float of ``numerator / denominator`` and
-    compares and hashes equal to ``fractions.Fraction(numerator, denominator)``,
-    without the import of ``fractions`` and ``decimal``."""
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: int, denominator: int):
-        if denominator == 0:
-            raise ZeroDivisionError(f"Ratio({numerator}, 0)")
-        g = math.gcd(numerator, denominator) * (1 if denominator > 0 else -1)
-        self.numerator, self.denominator = numerator // g, denominator // g
-
-    def __float__(self) -> float:
-        return self.numerator / self.denominator
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, float):
-            return math.isfinite(other) and (self.numerator, self.denominator) == other.as_integer_ratio()
-        try:
-            return self.numerator * other.denominator == other.numerator * self.denominator
-        except AttributeError:
-            return NotImplemented
-
-    def __hash__(self) -> int:
-        # The hash of every rational number, as fractions.Fraction computes it.
-        try:
-            inverse = pow(self.denominator, -1, sys.hash_info.modulus)
-        except ValueError:
-            value = sys.hash_info.inf
-        else:
-            value = hash(hash(abs(self.numerator)) * inverse)
-        value = value if self.numerator >= 0 else -value
-        return -2 if value == -1 else value
-
-    def __repr__(self) -> str:
-        return f"Ratio({self.numerator}, {self.denominator})"
-
-
 class Criterion(NamedTuple):
     metric: str
-    weight: Ratio | float
+    weight: float
     scope: Scope = Scope.BOTH
 
 
@@ -150,30 +111,30 @@ PRESETS: dict[str, DesConfig] = {
     "des1": DesConfig(
         "des1",
         criteria=(
-            Criterion("medcon", Ratio(1, 2)),
-            Criterion("meteor", Ratio(1, 2)),
+            Criterion("medcon", 1 / 2),
+            Criterion("meteor", 1 / 2),
         ),
     ),
     "des2": DesConfig(
         "des2",
         criteria=(
-            Criterion("medcon", Ratio(2, 5)),
-            Criterion("meteor", Ratio(2, 5)),
-            Criterion("cli", Ratio(1, 5)),
+            Criterion("medcon", 2 / 5),
+            Criterion("meteor", 2 / 5),
+            Criterion("cli", 1 / 5),
         ),
     ),
     "des3": DesConfig(
         "des3",
         criteria=(
-            Criterion("fkgl", Ratio(-1, 9), Scope.DI_ONLY),
-            Criterion("dcrs", Ratio(-1, 9), Scope.DI_ONLY),
-            Criterion("cli", Ratio(-1, 9), Scope.DI_ONLY),
-            Criterion("medcon", Ratio(2, 9), Scope.DI_ONLY),
-            Criterion("meteor", Ratio(2, 9), Scope.DI_ONLY),
-            Criterion("alignscore", Ratio(2, 9), Scope.DI_ONLY),
-            Criterion("medcon", Ratio(1, 3), Scope.BHC_ONLY),
-            Criterion("meteor", Ratio(1, 3), Scope.BHC_ONLY),
-            Criterion("alignscore", Ratio(1, 3), Scope.BHC_ONLY),
+            Criterion("fkgl", -1 / 9, Scope.DI_ONLY),
+            Criterion("dcrs", -1 / 9, Scope.DI_ONLY),
+            Criterion("cli", -1 / 9, Scope.DI_ONLY),
+            Criterion("medcon", 2 / 9, Scope.DI_ONLY),
+            Criterion("meteor", 2 / 9, Scope.DI_ONLY),
+            Criterion("alignscore", 2 / 9, Scope.DI_ONLY),
+            Criterion("medcon", 1 / 3, Scope.BHC_ONLY),
+            Criterion("meteor", 1 / 3, Scope.BHC_ONLY),
+            Criterion("alignscore", 1 / 3, Scope.BHC_ONLY),
         ),
     ),
 }
@@ -355,23 +316,18 @@ def derive_des4_weights(table: ScoreTable, overall: Mapping[tuple[str, str], flo
 # --- config file format ------------------------------------------------------
 
 
-def _parse_weight(metric: str, value) -> Ratio | float:
-    weight = None
-    if isinstance(value, str):
-        try:
-            num, den = value.split("/")
-            weight = Ratio(int(num), int(den))
-        except (ValueError, ZeroDivisionError):
-            pass
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        weight = value
-    if weight is None:
-        raise DesConfigError(f"criterion {metric!r}: cannot parse weight {value!r}")
+def _parse_weight(metric: str, value) -> float:
     try:
-        number = float(weight)
+        if isinstance(value, str):
+            num, den = value.split("/")
+            return int(num) / int(den)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
     except OverflowError:
         raise DesConfigError(f"criterion {metric!r}: weight is too large for a float") from None
-    return weight if isinstance(weight, Ratio) else number
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise DesConfigError(f"criterion {metric!r}: cannot parse weight {value!r}")
 
 
 def _parse_criterion(index: int, entry) -> Criterion:
@@ -429,9 +385,7 @@ def des_config_to_json(config: DesConfig) -> dict:
         "criteria": [
             {
                 "metric": c.metric,
-                "weight": (
-                    float(c.weight) if isinstance(c.weight, (int, float)) else f"{c.weight.numerator}/{c.weight.denominator}"
-                ),
+                "weight": float(c.weight),
                 "scope": c.scope.value,
             }
             for c in config.criteria

@@ -459,8 +459,7 @@ def test_select_unknown_ids_name_file_and_row(pipeline_dir, capsys):
     assert f"{stray}: rows reference unknown hadm_id/model_id: 9, mx on row 3" in err
 
 
-def test_select_des4_derives_weights(pipeline_dir):
-    desin = select_setup(pipeline_dir)
+def _select_des4(pipeline_dir, desin, sub):
     overall_path = pipeline_dir / "overall.csv"
     cands = corpus.load_candidates(pipeline_dir / "candidates.jsonl")
     with open(overall_path, "w", newline="", encoding="utf-8") as fh:
@@ -469,7 +468,6 @@ def test_select_des4_derives_weights(pipeline_dir):
         for i, c in enumerate(cands):
             if c.target is TargetKind.DI:
                 writer.writerow([c.hadm_id, c.model_id, "di", f"{(i % 10) / 10}"])
-    sub = pipeline_dir / "des4.csv"
     assert (
         run(
             "select",
@@ -482,8 +480,26 @@ def test_select_des4_derives_weights(pipeline_dir):
         )
         == 0
     )
+
+
+def test_select_des4_derives_weights(pipeline_dir):
+    _select_des4(pipeline_dir, select_setup(pipeline_dir), pipeline_dir / "des4.csv")
     derived = json.loads((pipeline_dir / "des4.csv.des4.json").read_text(encoding="utf-8"))
     assert {c["metric"] for c in derived["criteria"]} == {"medcon", "meteor"}
+
+
+def test_select_reads_back_its_des4_weights_and_derives_none(pipeline_dir):
+    """The written float weights select the same texts again; a config file
+    named "des4" is not derived, so it writes no weights file of its own."""
+    desin = select_setup(pipeline_dir)
+    _select_des4(pipeline_dir, desin, pipeline_dir / "des4.csv")
+    derived = pipeline_dir / "des4.csv.des4.json"
+    assert json.loads(derived.read_text(encoding="utf-8"))["name"] == "des4"
+    assert run("select", "--scores", desin, "--candidates", pipeline_dir / "candidates.jsonl",
+               "--config", derived, "--target", "di", "--out", pipeline_dir / "again.csv") == 0
+    for suffix in ("", ".tally.json"):
+        assert (pipeline_dir / f"again.csv{suffix}").read_bytes() == (pipeline_dir / f"des4.csv{suffix}").read_bytes()
+    assert not (pipeline_dir / "again.csv.des4.json").exists()
 
 
 def test_reorder_global_mode_emits_ranking(pipeline_dir):

@@ -82,29 +82,29 @@ def test_select_experts_range_past_float_max_picks_the_top():
 
 def test_presets_encode_published_weights():
     assert {(c.metric, c.weight) for c in PRESETS["des1"].criteria} == {
-        ("medcon", Fraction(1, 2)),
-        ("meteor", Fraction(1, 2)),
+        ("medcon", 1 / 2),
+        ("meteor", 1 / 2),
     }
     assert {(c.metric, c.weight) for c in PRESETS["des2"].criteria} == {
-        ("medcon", Fraction(2, 5)),
-        ("meteor", Fraction(2, 5)),
-        ("cli", Fraction(1, 5)),
+        ("medcon", 2 / 5),
+        ("meteor", 2 / 5),
+        ("cli", 1 / 5),
     }
     des3 = PRESETS["des3"]
     di = {(c.metric, c.weight) for c in des3.criteria if c.scope is Scope.DI_ONLY}
     bhc = {(c.metric, c.weight) for c in des3.criteria if c.scope is Scope.BHC_ONLY}
     assert di == {
-        ("fkgl", Fraction(-1, 9)),
-        ("dcrs", Fraction(-1, 9)),
-        ("cli", Fraction(-1, 9)),
-        ("medcon", Fraction(2, 9)),
-        ("meteor", Fraction(2, 9)),
-        ("alignscore", Fraction(2, 9)),
+        ("fkgl", -1 / 9),
+        ("dcrs", -1 / 9),
+        ("cli", -1 / 9),
+        ("medcon", 2 / 9),
+        ("meteor", 2 / 9),
+        ("alignscore", 2 / 9),
     }
     assert bhc == {
-        ("medcon", Fraction(1, 3)),
-        ("meteor", Fraction(1, 3)),
-        ("alignscore", Fraction(1, 3)),
+        ("medcon", 1 / 3),
+        ("meteor", 1 / 3),
+        ("alignscore", 1 / 3),
     }
 
 
@@ -354,7 +354,7 @@ def test_config_json_roundtrip(tmp_path):
         ],
     }
     config = parse_des_config(data)
-    assert config.criteria[0].weight == Fraction(2, 5)
+    assert config.criteria[0].weight == 2 / 5
     assert config.criteria[1].scope is Scope.DI_ONLY
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(des_config_to_json(config)), encoding="utf-8")

@@ -141,26 +141,45 @@ def test_reference_changed_between_passes_names_file_and_line(data, tmp_path):
         corpus.read_text(first.bhc, fh, (hadm_id,))
 
 
-def _score_peak(directory: Path, admissions: int) -> int:
-    """The tracemalloc peak of one in-process ``score --threads 1 --metrics rouge_1``."""
+def _score_peak(directory: Path, admissions: int, external_metrics: int = 0) -> int:
+    """The tracemalloc peak of one in-process ``score --threads 1 --metrics rouge_1``,
+    merging an ``--external`` CSV with ``external_metrics`` metrics if there are any."""
     summaries, candidates = synthetic.generate_synthetic_corpus(admissions, 4, 3)
     corpus.write_candidates(directory / "c.jsonl", candidates)
     corpus.write_targets(directory / "t.jsonl", (s.targets for s in summaries))
+    external = []
+    if external_metrics:
+        metrics = [f"ext{k}" for k in range(external_metrics)]
+        scores.write_score_csv(directory / "x.csv", ((c.hadm_id, c.model_id, c.target.value, m, 0.5)
+                                                     for c in candidates for m in metrics))
+        external = ["--external", directory / "x.csv"]
     del summaries, candidates
     tracemalloc.start()
     try:
         assert run("score", "--candidates", directory / "c.jsonl", "--references", directory / "t.jsonl",
-                   "--metrics", "rouge_1", "--threads", 1, "--out", directory / "o.csv") == 0
+                   "--metrics", "rouge_1", "--threads", 1, "--out", directory / "o.csv", *external) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _peak_per_admission(directory: Path, external_metrics: int = 0) -> float:
+    _score_peak(directory, 10, external_metrics)  # imports and first-use caches
+    small, large = _score_peak(directory, 50, external_metrics), _score_peak(directory, 200, external_metrics)
+    return (large - small) / 150
 
 
 def test_score_memory_grows_by_ids_not_texts(tmp_path):
     """Each admission adds 8 candidates of about 1.7k characters and two
     references: about 20 KiB of peak when every text is held, about 4 KiB
     when only ids, line offsets and cells are."""
-    _score_peak(tmp_path, 10)  # imports and first-use caches
-    small, large = _score_peak(tmp_path, 50), _score_peak(tmp_path, 200)
-    per_admission = (large - small) / 150
+    per_admission = _peak_per_admission(tmp_path)
+    assert per_admission < 8000, f"peak grows {per_admission:.0f} bytes per admission"
+
+
+def test_score_external_memory_grows_by_ids_not_texts(tmp_path):
+    """With eight external metrics merged, each admission adds 72 cells: about
+    11 KB of peak when every merged row is listed before it is written, under
+    5 KB when the rows stream from the merged columns."""
+    per_admission = _peak_per_admission(tmp_path, 8)
     assert per_admission < 8000, f"peak grows {per_admission:.0f} bytes per admission"
