@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
-from functools import reduce
-from operator import add
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from functools import cache, partial, reduce
+from itertools import chain, compress
+from operator import add, eq
 from typing import NamedTuple
 
 from .tables import ScoreTable
@@ -49,6 +50,53 @@ def _in_range(values: list[float]) -> list[float]:
     return [math.ldexp(v, 1 - exponent) for v in values]
 
 
+def pearson_side(values: Iterable[float]) -> tuple[list[float], float, float]:
+    """One vector's side of :func:`pearson`: its values after
+    :func:`_in_range`, their mean, and the root of the pairwise sum of their
+    squared deviations.
+
+    A side is computed once per vector, so a vector correlated with many
+    others (the overall score with each metric column) pays for it once.
+    """
+    values = _in_range(list(values))
+    mean = pairwise_sum(values) / len(values)
+    # Each deviation is computed where it is used, not kept in a list: one
+    # list of n floats is alive at a time, and correlate's peak memory is here.
+    return values, mean, math.sqrt(pairwise_sum([(d := v - mean) * d for v in values]))
+
+
+def _cross(x: tuple[list[float], float, float], y: tuple[list[float], float, float]) -> float:
+    """Pearson's r from two :func:`pearson_side` results of the same length."""
+    (xs, x_mean, sx), (ys, y_mean, sy) = x, y
+    if sx == 0.0 or sy == 0.0:
+        raise AnalysisError("correlation is undefined for a constant vector")
+    return pairwise_sum([(a - x_mean) * (b - y_mean) for a, b in zip(xs, ys)]) / (sx * sy)
+
+
+def pearson_present(
+    x: Iterable[float], y: Sequence[float], y_side: Callable[[], tuple[list[float], float, float]]
+) -> float | int:
+    """:func:`pearson` of the (x, y) pairs whose x is not NaN, or the number
+    of those pairs when it is under 3.
+
+    ``y_side`` returns the :func:`pearson_side` of all of ``y``. It is
+    called only when no x is NaN, so a caller that correlates ``y`` with
+    many ``x`` can cache it, and a column with a missing cell never asks
+    for it: its pairs with a NaN x are left out and :func:`pearson` gets
+    the rest.
+    """
+    xs = list(x)
+    # A NaN x makes the sum NaN. A finite sum cannot hide one; a sum that
+    # overflows both ways reads NaN too and only costs the filtered path.
+    if len(xs) >= 3 and not math.isnan(sum(xs)):
+        return _cross(pearson_side(xs), y_side())
+    kept = list(compress(y, map(eq, xs, xs)))  # eq is False only for NaN
+    if len(kept) < 3:
+        return len(kept)
+    xs = [v for v in xs if v == v]
+    return pearson(xs, kept)
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation; errors on constant or short vectors.
 
@@ -56,22 +104,19 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     operation per element, so the result has the bits of the same formula
     on numpy float64 arrays. A vector whose magnitude would make that
     formula overflow or underflow is first scaled by a power of two.
+
+    It is the cross sum of the two vectors' :func:`pearson_side`, so a side
+    may be computed once and reused: :func:`correlation_matrix` and
+    ``des.derive_des4_weights`` compute the overall score's side once and,
+    through :func:`pearson_present`, reuse it for every metric column with
+    no missing cell among the observations; a column with one leaves out
+    those pairs and calls this function.
     """
     if len(x) != len(y):
         raise AnalysisError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 3:
         raise AnalysisError(f"need at least 3 observations, got {len(x)}")
-    xs = _in_range([float(v) for v in x])
-    ys = _in_range([float(v) for v in y])
-    x_mean = pairwise_sum(xs) / len(xs)
-    y_mean = pairwise_sum(ys) / len(ys)
-    # Each deviation is computed where it is used, not kept in a list: one
-    # list of n floats is alive at a time, and correlate's peak memory is here.
-    sx = math.sqrt(pairwise_sum([(d := v - x_mean) * d for v in xs]))
-    sy = math.sqrt(pairwise_sum([(d := v - y_mean) * d for v in ys]))
-    if sx == 0.0 or sy == 0.0:
-        raise AnalysisError("correlation is undefined for a constant vector")
-    return pairwise_sum([(a - x_mean) * (b - y_mean) for a, b in zip(xs, ys)]) / (sx * sy)
+    return _cross(pearson_side(map(float, x)), pearson_side(map(float, y)))
 
 
 class CorrelationMatrix(NamedTuple):
@@ -100,7 +145,9 @@ def correlation_matrix(
     Observations are (document, model) pairs; passing parallel sequences of
     tables and overall maps pools observations across target kinds. Overall
     maps may be flat ({(doc, model): value}, named "overall") or keyed by
-    variant name.
+    variant name. A pair whose metric cell is missing is left out of that
+    metric's correlation; each variant's side (see :func:`pearson`) is
+    computed once, over every observation, for the metrics that miss none.
     """
     if isinstance(tables, ScoreTable):
         tables = [tables]
@@ -126,33 +173,32 @@ def correlation_matrix(
         metrics = tuple(sorted(shared))
     if not metrics:
         raise AnalysisError("no metrics to correlate")
-    # Per table and variant: the observations' cell positions, and y.
-    observations = [
-        {
-            variant: (table.pair_cells(entry[variant].keys()), [float(y) for y in entry[variant].values()])
-            for variant in variant_names
-        }
+    # Per table and variant: the observations' cell positions.
+    cells = [
+        {variant: table.pair_cells(entry[variant].keys()) for variant in variant_names}
         for table, entry in zip(tables, named)
     ]
+    # Per variant: y of every observation, in table order, and its side,
+    # computed for the first metric that misses no cell and kept.
+    ys = {variant: [float(y) for entry in named for y in entry[variant].values()] for variant in variant_names}
+    y_sides = {variant: cache(partial(pearson_side, y)) for variant, y in ys.items()}
     values = []
     for metric in metrics:
+        if any(metric not in table.metrics for table in tables):
+            raise AnalysisError(f"table lacks metric {metric!r}")
+        columns = [table.column(metric) for table in tables]
         row = []
         for variant in variant_names:
-            xs: list[float] = []
-            ys: list[float] = []
-            for table, by_variant in zip(tables, observations):
-                if metric not in table.metrics:
-                    raise AnalysisError(f"table lacks metric {metric!r}")
-                column = table.column(metric)
-                for cell, y in zip(*by_variant[variant]):
-                    x = column[cell]
-                    if x == x:  # False only for NaN
-                        xs.append(x)
-                        ys.append(y)
+            xs = chain.from_iterable(
+                map(column.__getitem__, by_variant[variant]) for column, by_variant in zip(columns, cells)
+            )
             try:
-                row.append(pearson(xs, ys))
+                r = pearson_present(xs, ys[variant], y_sides[variant])
+                if isinstance(r, int):
+                    raise AnalysisError(f"need at least 3 observations, got {r}")
             except AnalysisError as exc:
                 raise AnalysisError(f"metric {metric!r} vs {variant!r}: {exc}") from None
+            row.append(r)
         values.append(tuple(row))
     return CorrelationMatrix(metrics=tuple(metrics), variants=variant_names, values=tuple(values))
 

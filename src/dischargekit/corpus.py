@@ -26,6 +26,7 @@ from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -143,18 +144,21 @@ def table_rows(
 def parse_score_cell(path, rowno: int, target: str, raw: str) -> tuple[TargetKind, float]:
     """The target kind and finite value of one score-CSV row; errors name the
     row, after the file unless ``path`` is None."""
-    where = f"row {rowno}" if path is None else f"{path}: row {rowno}"
-    try:
-        kind = TargetKind.parse(target)
-    except CorpusError as exc:
-        raise ScoreError(f"{where}: {exc}") from None
+    kind = _TARGET_KINDS.get(target)
     try:
         value = float(raw)
     except ValueError:
-        raise ScoreError(f"{where}: value {raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ScoreError(f"{where}: value {raw!r} is not finite")
-    return kind, value
+        value = None
+    if kind is not None and value is not None and math.isfinite(value):
+        return kind, value
+    # The location is formatted only here: a good row costs no string.
+    where = f"row {rowno}" if path is None else f"{path}: row {rowno}"
+    try:
+        TargetKind.parse(target)
+    except CorpusError as exc:
+        raise ScoreError(f"{where}: {exc}") from None
+    problem = "is not a number" if value is None else "is not finite"
+    raise ScoreError(f"{where}: value {raw!r} {problem}")
 
 
 @lru_cache(maxsize=1)
@@ -271,28 +275,59 @@ def read_csv_records(
     """Yield (line, fields) for each non-blank record after a checked header.
 
     ``line`` is the physical line the record starts on, so a quoted field
-    holding a newline does not shift the numbers of later records. A wrong
-    or missing header, a record without one field per header column, a
-    repeat of the ``key`` columns and a line that is not UTF-8 each raise
-    ``error`` naming the file.
+    holding a newline does not shift the numbers of later records. The
+    header is read with :mod:`csv`. After it, each line with no ``"`` and no
+    longer than the csv field limit is split at its commas once its ending
+    (``\\n``, ``\\r\\n`` or ``\\r``) is cut off, which gives the fields
+    :mod:`csv` would; nothing left means a blank record. From the first
+    line that is not such a line, one :mod:`csv` reader reads the rest of
+    the file, so a file with a quote on every line costs what a single
+    reader does. A wrong or missing header, a record without one field per
+    header column, a repeat of the ``key`` columns, a record :mod:`csv`
+    refuses and a line that is not UTF-8 each raise ``error`` naming the
+    file.
     """
     check = _unique(path, header, key, "rows", error)
     width = len(header)
+    limit = csv.field_size_limit()
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            first = next(reader, None)
+            try:
+                first = next(reader, None)
+            except csv.Error as exc:
+                raise error(f"{path}: row 1: {exc}") from None
             if first is None or tuple(h.strip() for h in first) != tuple(header):
                 raise error(f"{path}: expected header {','.join(header)}")
-            start = reader.line_num + 1
-            for row in reader:
-                if row:
+            lineno = reader.line_num
+            for line in fh:
+                if '"' in line or len(line) > limit:
+                    break
+                lineno += 1
+                line = line.rstrip("\r\n")
+                if line:
+                    row = line.split(",")
                     if len(row) != width:
-                        raise error(f"{path}: row {start}: expected {width} fields, got {len(row)}")
+                        raise error(f"{path}: row {lineno}: expected {width} fields, got {len(row)}")
                     if check is not None:
-                        check(start, row)
-                    yield start, row
-                start = reader.line_num + 1
+                        check(lineno, row)
+                    yield lineno, row
+            else:
+                return
+            # From the first line that is not split, one csv reader reads the rest.
+            reader = csv.reader(chain((line,), fh))
+            start = lineno + 1
+            try:
+                for row in reader:
+                    if row:
+                        if len(row) != width:
+                            raise error(f"{path}: row {start}: expected {width} fields, got {len(row)}")
+                        if check is not None:
+                            check(start, row)
+                        yield start, row
+                    start = lineno + reader.line_num + 1
+            except csv.Error as exc:
+                raise error(f"{path}: row {start}: {exc}") from None
     except UnicodeDecodeError:
         raise _not_utf8(path, error) from None
 

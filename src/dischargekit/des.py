@@ -18,7 +18,7 @@ import json
 import math
 from collections.abc import Collection, Mapping, Sequence
 from enum import Enum
-from functools import reduce
+from functools import cache, partial, reduce
 from operator import add
 from typing import NamedTuple
 
@@ -295,21 +295,21 @@ def derive_des4_weights(table: ScoreTable, overall: Mapping[tuple[str, str], flo
     """Weight each metric of the table by its correlation with the overall score.
 
     Observations are all (document, model) pairs present in both the table
-    and the overall map; fewer than 3 pairs is an error.
+    and the overall map, less those whose metric cell is missing; fewer than
+    3 is an error. The overall score's Pearson side is computed once and
+    shared by every metric that misses no cell.
     """
-    from .analysis import pearson
+    from .analysis import pearson_present, pearson_side
 
     cells = table.pair_cells(overall.keys())
     ys = [float(y) for y in overall.values()]
+    y_side = cache(partial(pearson_side, ys))
     criteria = []
     for metric in table.metrics:
-        column = table.column(metric)
-        present = [(column[cell], y) for cell, y in zip(cells, ys) if column[cell] == column[cell]]
-        if len(present) < 3:
-            raise DesConfigError(
-                f"metric {metric!r} has {len(present)} usable observations; need at least 3"
-            )
-        criteria.append(Criterion(metric, pearson(*zip(*present))))
+        weight = pearson_present(map(table.column(metric).__getitem__, cells), ys, y_side)
+        if isinstance(weight, int):
+            raise DesConfigError(f"metric {metric!r} has {weight} usable observations; need at least 3")
+        criteria.append(Criterion(metric, weight))
     return DesConfig("des4", criteria=tuple(criteria))
 
 

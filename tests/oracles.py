@@ -7,6 +7,7 @@ library implementations are checked against a second, unrelated code path.
 
 from __future__ import annotations
 
+import csv
 import math
 import string
 from itertools import combinations
@@ -150,6 +151,41 @@ def brute_select(models, criteria, raw_by_metric):
         if averages[model] > averages[winner]:
             winner = model
     return winner, averages[winner]
+
+
+def csv_module_records(path, header, error, key=()):
+    """``corpus.read_csv_records`` as one ``csv.reader`` over the whole file.
+
+    The record reader's contract with every line left to the csv module: a
+    record starts on the physical line after the previous one ends, a blank
+    record is skipped, and a record the csv module refuses raises ``error``
+    naming the line it starts on. The duplicate-key rule and the UTF-8 error
+    are the library's own.
+    """
+    from dischargekit import corpus
+
+    check = corpus._unique(path, header, key, "rows", error)
+    start = 1
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                first = next(reader, None)
+                if first is None or tuple(h.strip() for h in first) != tuple(header):
+                    raise error(f"{path}: expected header {','.join(header)}")
+                start = reader.line_num + 1
+                for row in reader:
+                    if row:
+                        if len(row) != len(header):
+                            raise error(f"{path}: row {start}: expected {len(header)} fields, got {len(row)}")
+                        if check is not None:
+                            check(start, row)
+                        yield start, row
+                    start = reader.line_num + 1
+            except csv.Error as exc:
+                raise error(f"{path}: row {start}: {exc}") from None
+    except UnicodeDecodeError:
+        raise corpus._not_utf8(path, error) from None
 
 
 def three_rule_length_select(ranking, counts, preferred=(100, 180), floor=70):

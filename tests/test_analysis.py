@@ -219,3 +219,91 @@ def test_pearson_is_right_at_any_finite_magnitude(exponent):
     assert pearson(y, [math.ldexp(v, exponent) for v in x]) == expected
     # A vector in range keeps its bits: only an extreme one is scaled.
     assert pearson([math.ldexp(v, 20) for v in x], y) == expected
+
+
+def _partly_missing_tables(rng, targets):
+    """Per target a 3-model table whose columns "a" and "c" have NaN cells and
+    "b" and "d" none, with its overall map over every pair in shuffled order."""
+    docs = tuple(f"d{i}" for i in range(70))
+    models = ("m0", "m1", "m2")
+    tables, overalls = [], []
+    for target in targets:
+        cells = len(docs) * len(models)
+        columns = {metric: [rng.uniform(-2, 2) for _ in range(cells)] for metric in "abcd"}
+        for metric in "ac":
+            for cell in rng.sample(range(cells), 9):
+                columns[metric][cell] = math.nan
+        rows = [
+            (doc, model, target.value, metric, values[i * len(models) + j])
+            for metric, values in columns.items()
+            for i, doc in enumerate(docs)
+            for j, model in enumerate(models)
+            if values[i * len(models) + j] == values[i * len(models) + j]
+        ]
+        tables.append(ScoreTable.from_rows(rows, target, documents=docs, models=models))
+        pairs = [(doc, model) for doc in docs for model in models]
+        rng.shuffle(pairs)
+        overalls.append({pair: rng.uniform(0, 1) for pair in pairs})
+    return tables, overalls
+
+
+def _numpy_r(np, tables, overalls, metric):
+    """numpy_pearson over the pairs, pooled across tables, whose cell is not missing."""
+    pairs = [
+        (table.get(*key, metric), y)
+        for table, overall in zip(tables, overalls)
+        for key, y in overall.items()
+        if table.get(*key, metric) == table.get(*key, metric)
+    ]
+    xs, ys = zip(*pairs)
+    return numpy_pearson(np, np.array(xs), np.array(ys))
+
+
+def _count_pearson_calls(monkeypatch):
+    """The calls of ``analysis.pearson``, which only the path for columns with missing cells makes."""
+    from dischargekit import analysis
+
+    calls = []
+    original = analysis.pearson
+    monkeypatch.setattr(analysis, "pearson", lambda x, y: calls.append(len(x)) or original(x, y))
+    return calls
+
+
+@pytest.mark.parametrize("targets", [(TargetKind.DI,), (TargetKind.BHC, TargetKind.DI)])
+def test_shared_and_filtered_columns_in_one_matrix_have_numpy_bits(monkeypatch, targets):
+    """Columns with no missing cell share y's side; the others filter their
+    pairs; both give the bits of the numpy formula in one call."""
+    np = pytest.importorskip("numpy")
+    tables, overalls = _partly_missing_tables(random.Random(27), targets)
+    calls = _count_pearson_calls(monkeypatch)
+    matrix = correlation_matrix(tables, overalls)
+    assert matrix.metrics == ("a", "b", "c", "d")
+    for metric in matrix.metrics:
+        assert matrix.get(metric, "overall").hex() == _numpy_r(np, tables, overalls, metric).hex(), metric
+    assert len(calls) == 2  # only "a" and "c"
+
+
+def test_shared_and_filtered_des4_weights_have_numpy_bits(monkeypatch):
+    from dischargekit.des import derive_des4_weights
+
+    np = pytest.importorskip("numpy")
+    (table,), (overall,) = _partly_missing_tables(random.Random(28), (TargetKind.DI,))
+    calls = _count_pearson_calls(monkeypatch)
+    config = derive_des4_weights(table, overall)
+    got = {c.metric: c.weight.hex() for c in config.criteria}
+    assert got == {m: _numpy_r(np, [table], [overall], m).hex() for m in "abcd"}
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(("metrics", "sides"), [(("a", "c"), 4), (("a", "b", "c", "d"), 7)])
+def test_the_overall_side_is_computed_once_and_only_for_a_full_column(monkeypatch, metrics, sides):
+    """Each filtered column computes its two sides in pearson; each full
+    column its own side, and the first one the overall score's as well."""
+    from dischargekit import analysis
+
+    (table,), (overall,) = _partly_missing_tables(random.Random(29), (TargetKind.DI,))
+    calls = []
+    original = analysis.pearson_side
+    monkeypatch.setattr(analysis, "pearson_side", lambda values: calls.append(1) or original(values))
+    correlation_matrix(table, overall, metrics)
+    assert len(calls) == sides

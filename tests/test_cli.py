@@ -1054,6 +1054,27 @@ def test_non_utf8_csv_input_names_file_and_line(pipeline_dir, capsys):
     assert f"{scores_path}: line 6: not UTF-8: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["scores", "overall"])
+def test_a_csv_field_over_the_limit_exits_one(tmp_path, capsys, bad):
+    """A record the csv module refuses is an error naming the file and row, not a traceback."""
+    paths = {"scores": tmp_path / "scores.csv", "overall": tmp_path / "overall.csv"}
+    values = ["0.1", "0.2", "0.3"]
+    big = '"' + "9" * (csv.field_size_limit() + 1) + '"'
+    write_external(paths["scores"], [[str(i), "m", "di", "medcon", v] for i, v in enumerate(values)])
+    paths["overall"].write_text(
+        "hadm_id,model_id,target,value\n" + "".join(f"{i},m,di,{v}\n" for i, v in enumerate(values)),
+        encoding="utf-8",
+    )
+    lines = paths[bad].read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = lines[2].replace(values[1], big)
+    paths[bad].write_text("".join(lines), encoding="utf-8")
+    code = run("correlate", "--scores", paths["scores"], "--overall", paths["overall"], "--out", tmp_path / "never.csv")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {paths[bad]}: row 3: field larger than field limit ({csv.field_size_limit()})\n"
+    assert not (tmp_path / "never.csv").exists()
+
+
 @pytest.mark.parametrize("metrics", ["", "bleu4,,meteor", "meteor,"])
 def test_empty_metric_names_exit_one(pipeline_dir, capsys, metrics):
     scores_path = pipeline_dir / "m_scores.csv"

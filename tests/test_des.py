@@ -415,3 +415,56 @@ def test_config_file_rejects_other_normalization_and_tie_break(tmp_path, key, va
     path.write_text(json.dumps({key: value, "criteria": [{"metric": "x", "weight": 1}]}), encoding="utf-8")
     with pytest.raises(DesConfigError, match=message):
         load_des_config(path)
+
+
+def _mixed_rows(n_models):
+    """(document, metric) -> one value per model, over 40 documents: every
+    fifth document constant, the next one spanning -1e308..1e308 in "a" and
+    "b", and a NaN cell of "c" on every seventh, counting from the fourth."""
+    rng = random.Random(2405 + n_models)
+    rows = {}
+    for i in range(40):
+        for metric in "abc":
+            row = [rng.uniform(-3, 3) for _ in range(n_models)]
+            if i % 5 == 0:
+                row = [0.75] * n_models
+            elif i % 5 == 1 and metric != "c":
+                row[0], row[-1] = 1e308, -1e308
+            if metric == "c" and i % 7 == 3:
+                row[i % n_models] = math.nan
+            rows[(f"d{i}", metric)] = row
+    return rows
+
+
+@pytest.mark.parametrize("n_models", [4, 1])
+@pytest.mark.parametrize("strict", [True, False])
+def test_constant_overflowing_and_dropped_criteria_agree_with_brute_select(n_models, strict):
+    """One call mixes constant documents, documents spanning -1e308..1e308
+    and, in lenient mode, dropped criteria, on a 4-model and a one-model
+    table; every pick and basis equals the oracle's."""
+    rows = _mixed_rows(n_models)
+    models = [f"m{j}" for j in range(n_models)]
+    docs = list(dict.fromkeys(doc for doc, _ in rows))
+    table = ScoreTable.from_rows(
+        [
+            (doc, model, "di", metric, value)
+            for (doc, metric), values in rows.items()
+            for model, value in zip(models, values)
+            if value == value
+        ],
+        TargetKind.DI, documents=docs, models=models,
+    )
+    criteria = [("a", 0.5), ("b", -0.25), ("c", 1.0), ("a", 0.125)]
+    if strict:
+        with pytest.raises(MissingCellError, match="metric='c'"):
+            select_experts(table, DesConfig("mixed", tuple(Criterion(*c) for c in criteria)), TargetKind.DI)
+        criteria = [c for c in criteria if c[0] != "c"]
+    config = DesConfig("mixed", tuple(Criterion(*c) for c in criteria))
+    result = select_experts(table, config, TargetKind.DI, strict=strict)
+    full_weight = sum(w for _, w in criteria)  # exact here: every weight is a small binary fraction
+    for doc, selection in zip(docs, result.selections):
+        kept = [(m, w) for m, w in criteria if not any(map(math.isnan, rows[(doc, m)]))]
+        scale = full_weight / sum(w for _, w in kept)
+        raw = {m: dict(zip(models, rows[(doc, m)])) for m, _ in kept}
+        winner, score = oracles.brute_select(models, [(m, w * scale) for m, w in kept], raw)
+        assert (selection.hadm_id, selection.model_id, selection.basis.hex()) == (doc, winner, score.hex())

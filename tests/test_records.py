@@ -4,12 +4,15 @@ keys, and one module that writes files."""
 from __future__ import annotations
 
 import ast
+import csv
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import dischargekit
+import oracles
 from dischargekit import corpus, des, reorder, scores
 from dischargekit.commands import evaluate, score, select
 from dischargekit.corpus import (
@@ -168,3 +171,74 @@ def test_targets_duplicate_names_both_lines(tmp_path, texts, data):
     corpus.write_targets(path, targets)
     with pytest.raises(CorpusError, match=rf"targets\.jsonl: duplicate hadm_id 'h{i}' on lines {i + 1} and {j + 1}$"):
         corpus.load_targets(path)
+
+
+# The characters that decide how a CSV line splits. The csv module reads NUL
+# from Python 3.11 on; before, it refuses it and the two readers may differ.
+CSV_CHARS = list('ab ,"\t\r\n') + (["\x00"] if sys.version_info >= (3, 11) else [])
+PLAIN_FIELD = st.text(alphabet=st.sampled_from([c for c in CSV_CHARS if c not in '"\r\n']), max_size=4)
+ANY_TEXT = st.text(alphabet=st.sampled_from(CSV_CHARS), max_size=8)
+CSV_FIELD = st.one_of(
+    PLAIN_FIELD,
+    ANY_TEXT.map(lambda t: '"' + t.replace('"', '""') + '"'),  # quoted: commas, doubled quotes, newlines
+    ANY_TEXT,  # stray quotes and line breaks anywhere
+)
+CSV_LINE = st.one_of(
+    st.tuples(st.sampled_from(["a", "b", "ab"]), CSV_FIELD).map(",".join),  # a record with a repeatable key
+    st.lists(CSV_FIELD, min_size=1, max_size=3).map(",".join),  # any width
+    st.sampled_from(["", " ", "\t", "a,", ","]),  # blank, whitespace-only and short lines
+)
+CSV_HEADER = st.sampled_from(["key,text", " key , text", '"key","text"', "key,text,more", "text,key", ""])
+CSV_FUZZ = settings(
+    derandomize=True, max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@CSV_FUZZ
+@given(
+    header=CSV_HEADER,
+    lines=st.lists(st.tuples(CSV_LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8),
+    last=st.sampled_from(["\n", "\r\n", "\r", ""]),
+    keyed=st.booleans(),
+)
+def test_csv_records_equal_the_csv_module_reader(tmp_path, header, lines, last, keyed):
+    """Records, physical line numbers and error text equal one csv.reader's
+    over the whole file, with every line ending and no final newline."""
+    lines = [(header, "\n"), *lines]
+    lines[-1] = (lines[-1][0], last)
+    path = tmp_path / "records.csv"
+    path.write_bytes("".join(line + end for line, end in lines).encode("utf-8"))
+    fields, key = ("key", "text"), ("key",) if keyed else ()
+
+    def outcome(read):
+        try:
+            return list(read(path, fields, CorpusError, key))
+        except CorpusError as exc:
+            return str(exc)
+
+    assert outcome(corpus.read_csv_records) == outcome(oracles.csv_module_records)
+
+
+@pytest.mark.parametrize("quote", ['"', ""], ids=["quoted", "plain"])
+def test_a_field_over_the_csv_limit_names_its_row(tmp_path, quote):
+    big = "x" * (csv.field_size_limit() + 1)
+    path = tmp_path / "big.csv"
+    path.write_text(f"key,text\na,1\nb,{quote}{big}{quote}\nc,2\n", encoding="utf-8")
+    message = f"{path}: row 3: field larger than field limit ({csv.field_size_limit()})"
+    for read in (corpus.read_csv_records, oracles.csv_module_records):
+        with pytest.raises(CorpusError) as caught:
+            list(read(path, ("key", "text"), CorpusError))
+        assert str(caught.value) == message
+
+
+def test_a_quote_hands_the_rest_of_the_file_to_one_csv_reader(tmp_path, monkeypatch):
+    """Lines before the first quote are split; from it on one csv reader reads
+    every record, so a file quoted on every line costs one reader, not one a line."""
+    path = tmp_path / "quoted.csv"
+    path.write_text('key,text\na,1\n"b",2\nc,3\n"d","4"\n', encoding="utf-8")
+    readers = []
+    original = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *args: readers.append(args) or original(*args))
+    got = list(corpus.read_csv_records(path, ("key", "text"), CorpusError))
+    assert got == [(2, ["a", "1"]), (3, ["b", "2"]), (4, ["c", "3"]), (5, ["d", "4"])]
+    assert len(readers) == 2  # the header's and the rest's
