@@ -75,9 +75,9 @@ def _cross(x: tuple[list[float], float, float], y: tuple[list[float], float, flo
 
 def pearson_present(
     x: Iterable[float], y: Sequence[float], y_side: Callable[[], tuple[list[float], float, float]]
-) -> float | int:
-    """:func:`pearson` of the (x, y) pairs whose x is not NaN, or the number
-    of those pairs when it is under 3.
+) -> float:
+    """:func:`pearson` of the (x, y) pairs whose x is not NaN; fewer than 3
+    such pairs is an error.
 
     ``y_side`` returns the :func:`pearson_side` of all of ``y``. It is
     called only when no x is NaN, so a caller that correlates ``y`` with
@@ -90,11 +90,7 @@ def pearson_present(
     # overflows both ways reads NaN too and only costs the filtered path.
     if len(xs) >= 3 and not math.isnan(sum(xs)):
         return _cross(pearson_side(xs), y_side())
-    kept = list(compress(y, map(eq, xs, xs)))  # eq is False only for NaN
-    if len(kept) < 3:
-        return len(kept)
-    xs = [v for v in xs if v == v]
-    return pearson(xs, kept)
+    return pearson([v for v in xs if v == v], list(compress(y, map(eq, xs, xs))))  # eq is False only for NaN
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -106,11 +102,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     formula overflow or underflow is first scaled by a power of two.
 
     It is the cross sum of the two vectors' :func:`pearson_side`, so a side
-    may be computed once and reused: :func:`correlation_matrix` and
-    ``des.derive_des4_weights`` compute the overall score's side once and,
-    through :func:`pearson_present`, reuse it for every metric column with
-    no missing cell among the observations; a column with one leaves out
-    those pairs and calls this function.
+    may be computed once and reused, as :func:`pearson_present` does.
     """
     if len(x) != len(y):
         raise AnalysisError(f"length mismatch: {len(x)} vs {len(y)}")
@@ -193,12 +185,9 @@ def correlation_matrix(
                 map(column.__getitem__, by_variant[variant]) for column, by_variant in zip(columns, cells)
             )
             try:
-                r = pearson_present(xs, ys[variant], y_sides[variant])
-                if isinstance(r, int):
-                    raise AnalysisError(f"need at least 3 observations, got {r}")
+                row.append(pearson_present(xs, ys[variant], y_sides[variant]))
             except AnalysisError as exc:
                 raise AnalysisError(f"metric {metric!r} vs {variant!r}: {exc}") from None
-            row.append(r)
         values.append(tuple(row))
     return CorrelationMatrix(metrics=tuple(metrics), variants=variant_names, values=tuple(values))
 

@@ -7,6 +7,8 @@ strategy picks by word count instead. Presets des1..des3 carry fixed
 weights; des4 derives weights from score correlations; des5 is the length
 rule. Neither reads a text, only scores or word counts, so a caller need hold
 only the winners' texts, one per document, as ``cli select`` does.
+Score-driven selection reads one document at a time, criteria in config
+order, and raises the first fault in that (document, criterion) order.
 
 Every weight is a float: a preset's published fraction and a config file's
 ``"n/d"`` string are both the correctly rounded float of ``n / d``.
@@ -18,7 +20,7 @@ import json
 import math
 from collections.abc import Collection, Mapping, Sequence
 from enum import Enum
-from functools import cache, partial, reduce
+from functools import reduce
 from operator import add
 from typing import NamedTuple
 
@@ -181,8 +183,10 @@ def select_experts(
 
     Strict mode errors on any missing cell; lenient mode drops a criterion
     for a document when any model lacks its value and rescales the
-    remaining weights to the original weight sum. Each criterion's column
-    is read one document's models at a time, into one total per cell.
+    remaining weights to the original weight sum. Documents are taken in
+    table order and, within one, criteria in config order, so the first
+    fault in that order is raised: a missing cell (strict), an infinite
+    score, or a document left with no usable criteria or zero total weight.
     """
     if target != table.target:
         raise DesConfigError(
@@ -190,66 +194,44 @@ def select_experts(
         )
     crits = config.criteria_for(target, table.metrics)
     columns = [table.column(c.metric) for c in crits]
-    # Document d's cells are column[spans[d] : spans[d] + n], one per model.
-    n = len(table.models)
-    spans = [d * n for d in range(len(table.documents))]
-    # dropped[c]: the documents on which some model lacks criterion c's value.
-    # gap: the first such (document, criterion); infinite: the first usable
-    # (criterion, document) with an infinite value.
-    dropped, gap, infinite = [], None, None
-    for c, column in enumerate(columns):
-        lacking = set()
-        if not all(map(math.isfinite, column)):
-            for d, start in enumerate(spans):
-                values = column[start : start + n]
-                if any(map(math.isnan, values)):
-                    lacking.add(d)
-                    gap = min(gap or (d, c), (d, c))
-                elif infinite is None and not all(map(math.isfinite, values)):
-                    infinite = c, d
-        dropped.append(lacking)
-
-    def values_of(c: int, d: int) -> Sequence[float]:
-        return columns[c][spans[d] : spans[d] + n]
-
-    if strict and gap is not None:
-        d, c = gap
-        model = next(m for m, v in zip(table.models, values_of(c, d)) if v != v)
-        raise MissingCellError(
-            f"missing cell (hadm_id={table.documents[d]!r}, model_id={model!r}, metric={crits[c].metric!r})"
-        )
-    if infinite is not None:
-        names = sorted(m for m, v in zip(table.models, values_of(*infinite)) if math.isinf(v))
-        raise ValueError(f"non-finite scores for models: {', '.join(names)}")
     weights = [float(c.weight) for c in crits]
     # Weight sums add left to right in criterion order, starting from 0.0.
     full_weight = reduce(add, weights, 0.0)
-    # Per document: the scale of its kept weights and how many criteria it keeps.
-    scales, kept = [1.0] * len(spans), [len(crits)] * len(spans)
-    for d in sorted(set().union(*dropped)):
-        doc = table.documents[d]
-        kept_weights = [w for w, lacking in zip(weights, dropped) if d not in lacking]
-        if not kept_weights:
-            raise MissingCellError(f"no usable criteria for hadm_id {doc!r}")
-        kept_weight = reduce(add, kept_weights, 0.0)
-        if kept_weight == 0:
-            raise MissingCellError(f"remaining criteria for hadm_id {doc!r} have zero total weight")
-        scales[d], kept[d] = full_weight / kept_weight, len(kept_weights)
-    totals = [0.0] * (len(spans) * n)
-    for weight, column, lacking in zip(weights, columns, dropped):
-        for d, start in enumerate(spans):
-            if d not in lacking:
-                factor = weight * scales[d]
-                norms = _min_max(column[start : start + n])
-                cells = zip(totals[start : start + n], norms)
-                totals[start : start + n] = [total + factor * norm for total, norm in cells]
+    n = len(table.models)
     selections = []
-    for doc, start, count in zip(table.documents, spans, kept):
+    for d, doc in enumerate(table.documents):
+        # The (weight, per-model values) of each criterion this document keeps.
+        usable = []
+        for crit, weight, column in zip(crits, weights, columns):
+            row = column[d * n : (d + 1) * n]
+            if all(map(math.isfinite, row)):
+                usable.append((weight, row))
+            elif any(map(math.isnan, row)):
+                if strict:
+                    model = next(m for m, v in zip(table.models, row) if v != v)
+                    raise MissingCellError(
+                        f"missing cell (hadm_id={doc!r}, model_id={model!r}, metric={crit.metric!r})"
+                    )
+            else:
+                names = sorted(m for m, v in zip(table.models, row) if math.isinf(v))
+                raise ValueError(f"non-finite scores for models: {', '.join(names)}")
+        scale = 1.0
+        if len(usable) < len(crits):
+            if not usable:
+                raise MissingCellError(f"no usable criteria for hadm_id {doc!r}")
+            kept_weight = reduce(add, [weight for weight, _ in usable], 0.0)
+            if kept_weight == 0:
+                raise MissingCellError(f"remaining criteria for hadm_id {doc!r} have zero total weight")
+            scale = full_weight / kept_weight
+        totals = [0.0] * n
+        for weight, row in usable:
+            factor = weight * scale
+            totals = [total + factor * norm for total, norm in zip(totals, _min_max(row))]
         # A nan score never wins and a model wins only above -inf, as in a `>` scan;
         # the basis is the winner's own score, which may be -0.0.
         model, basis = None, -math.inf
-        for name, total in zip(table.models, totals[start : start + n]):
-            score = total / count
+        for name, total in zip(table.models, totals):
+            score = total / len(usable)
             if score > basis:
                 model, basis = name, score
         selections.append(Selection(hadm_id=doc, model_id=model, basis=basis))
@@ -294,23 +276,18 @@ def select_by_length(
 def derive_des4_weights(table: ScoreTable, overall: Mapping[tuple[str, str], float]) -> DesConfig:
     """Weight each metric of the table by its correlation with the overall score.
 
-    Observations are all (document, model) pairs present in both the table
-    and the overall map, less those whose metric cell is missing; fewer than
-    3 is an error. The overall score's Pearson side is computed once and
-    shared by every metric that misses no cell.
+    The weights are the one column of ``analysis.correlation_matrix(table,
+    overall)``: observations are all (document, model) pairs present in both
+    the table and the overall map, less those whose metric cell is missing;
+    fewer than 3, or a constant vector, is an error that names the metric.
     """
-    from .analysis import pearson_present, pearson_side
+    from .analysis import AnalysisError, correlation_matrix
 
-    cells = table.pair_cells(overall.keys())
-    ys = [float(y) for y in overall.values()]
-    y_side = cache(partial(pearson_side, ys))
-    criteria = []
-    for metric in table.metrics:
-        weight = pearson_present(map(table.column(metric).__getitem__, cells), ys, y_side)
-        if isinstance(weight, int):
-            raise DesConfigError(f"metric {metric!r} has {weight} usable observations; need at least 3")
-        criteria.append(Criterion(metric, weight))
-    return DesConfig("des4", criteria=tuple(criteria))
+    try:
+        matrix = correlation_matrix(table, overall)
+    except AnalysisError as exc:
+        raise DesConfigError(str(exc)) from None
+    return DesConfig("des4", criteria=tuple(Criterion(m, r) for m, (r,) in zip(matrix.metrics, matrix.values)))
 
 
 # --- config file format ------------------------------------------------------

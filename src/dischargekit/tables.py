@@ -89,13 +89,12 @@ class ScoreTable:
         target: TargetKind,
         documents: Sequence[str] | None = None,
         models: Sequence[str] | None = None,
-        metrics: Collection[str] | None = None,
     ) -> "ScoreTable":
         """Build a table from long-form rows, keeping only the given target.
 
         See :class:`ScoreTableBuilder`; errors number the rows from 1.
         """
-        builder = ScoreTableBuilder((target,), documents, models, metrics)
+        builder = ScoreTableBuilder((target,), documents, models)
         builder.add_records(enumerate(rows, 1))
         return builder.tables()[target]
 
@@ -122,11 +121,11 @@ def _prefix(source) -> str:
 class _TargetFill:
     """The growing axes and columns of one target's table."""
 
-    def __init__(self, documents, models, metrics):
-        self.fixed = (documents is not None, models is not None, metrics is not None)
+    def __init__(self, documents, models):
+        self.fixed = (documents is not None, models is not None)
         self.docs = _label_positions("hadm_id", tuple(documents or ()))
         self.models = _label_positions("model_id", tuple(models or ()))
-        self.columns = {metric: array("d") for metric in metrics or ()}
+        self.columns = {}
 
     def add_model(self, model: str) -> int:
         """Give ``model`` the next position, spreading every column to the wider stride."""
@@ -147,8 +146,8 @@ class ScoreTableBuilder:
     number or its text. Every record is checked: its target must be known
     and its value a finite number. Records of targets not asked for are then
     dropped. For each wanted target, documents and models default to
-    first-seen order among its records and metrics to those its records
-    name; given explicitly, a record outside them is an error. A cell may be
+    first-seen order among its records; given explicitly, a record outside
+    them is an error. Metrics are those its records name. A cell may be
     filled once. Each error names the first record at fault, in read order.
     """
 
@@ -157,9 +156,8 @@ class ScoreTableBuilder:
         targets: Iterable[TargetKind],
         documents: Sequence[str] | None = None,
         models: Sequence[str] | None = None,
-        metrics: Collection[str] | None = None,
     ):
-        self._fills = {kind: _TargetFill(documents, models, metrics) for kind in targets}
+        self._fills = {kind: _TargetFill(documents, models) for kind in targets}
         self._by_value = {kind.value: fill for kind, fill in self._fills.items()}
 
     @classmethod
@@ -187,25 +185,21 @@ class ScoreTableBuilder:
                 if fill is None and target in _TARGET_VALUES and isfinite(value):
                     continue  # a good record of another target
                 parse_score_cell(source, line, target, raw)  # words the error
-            columns = fill.columns
             m = fill.models.get(model)
             if m is None:
                 m = None if fill.fixed[1] else fill.add_model(model)
             d = fill.docs.get(doc)
             if d is None and not fill.fixed[0]:
                 d = fill.docs[doc] = len(fill.docs)
-            column = columns.get(metric)
-            if column is None and not fill.fixed[2]:
-                column = columns[metric] = array("d")
-            if m is None or d is None or column is None:
-                what = "hadm_id/model_id"
+            if m is None or d is None:
                 unknown = [label for label, pos in ((doc, d), (model, m)) if pos is None]
-                if not unknown:
-                    what, unknown = "metrics", [metric]
                 raise ScoreError(
-                    f"{_prefix(source)}rows reference unknown {what}: "
+                    f"{_prefix(source)}rows reference unknown hadm_id/model_id: "
                     f"{', '.join(sorted(unknown))} on row {line}"
                 )
+            column = fill.columns.get(metric)
+            if column is None:
+                column = fill.columns[metric] = array("d")
             n_models = len(fill.models)
             cell = d * n_models + m
             if cell >= len(column):

@@ -877,6 +877,24 @@ def test_select_des4_overall_key_missing_from_scores_names_the_file(pipeline_dir
     assert "metric" not in err
 
 
+def test_select_des4_names_a_constant_metric(pipeline_dir, capsys):
+    cands = [c for c in corpus.load_candidates(pipeline_dir / "candidates.jsonl") if c.target is TargetKind.DI]
+    scores_path, overall_path = pipeline_dir / "flat.csv", pipeline_dir / "flat_overall.csv"
+    write_external(scores_path, [[c.hadm_id, c.model_id, "di", "flat", "0.5"] for c in cands])
+    with open(overall_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["hadm_id", "model_id", "target", "value"])
+        writer.writerows([c.hadm_id, c.model_id, "di", f"{(i % 10) / 10}"] for i, c in enumerate(cands))
+    code = run(
+        "select", "--scores", scores_path, "--candidates", pipeline_dir / "candidates.jsonl",
+        "--config", "des4", "--target", "di", "--overall", overall_path,
+        "--out", pipeline_dir / "never.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "metric 'flat' vs 'overall': correlation is undefined for a constant vector" in err
+
+
 def test_correlate_self_correlation(pipeline_dir):
     cands = corpus.load_candidates(pipeline_dir / "candidates.jsonl")
     score_rows = []

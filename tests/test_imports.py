@@ -165,6 +165,14 @@ def test_select_and_correlate_never_load_the_metric_side(every_step, step):
     assert "dischargekit.tables" in _loaded(reports[step])
 
 
+def test_only_des4_and_correlate_load_the_analysis_module(every_step):
+    # des imports analysis inside derive_des4_weights, so the other steps,
+    # select with des1..des3 and des5 among them, never compile it.
+    _, _, reports = every_step
+    loading = sorted(name for name, report in reports.items() if "dischargekit.analysis" in _loaded(report))
+    assert loading == ["correlate", "select_des4"]
+
+
 def test_no_subcommand_loads_dataclasses_or_inspect(every_step):
     # A later @dataclass, a module that needs inspect, a Fraction or a datetime
     # would bring their import back into every CLI process; together the steps
